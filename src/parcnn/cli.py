@@ -188,12 +188,8 @@ def cmd_distill(args) -> int:
     run_dir = _make_run_dir(args, "distill")
     _write_run_config(run_dir, args, "distill")
     student_arch.save(run_dir / "student_arch.json")
-    try:
-        metrics = distill.distill_train(teacher, student, train_set, config,
-                                        run_dir=run_dir)
-    except NumericalError:
-        # partial metrics are lost but the periodic checkpoint survives
-        raise
+    metrics = distill.distill_train(teacher, student, train_set, config,
+                                    run_dir=run_dir)
     _write_csv(run_dir / "metrics.csv", metrics, _DISTILL_COLUMNS)
     student.save(run_dir / "student")
     print(f"[distill] {len(metrics)} iterations; student checkpoint "

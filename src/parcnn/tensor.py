@@ -11,6 +11,12 @@ shape); calling ``backward`` twice without clearing grads accumulates.
 The graph is retained, not freed. Default dtype is float32; float64 inputs
 are honored so finite-difference oracles can run at full precision.
 
+The window ops (conv2d, depthwise_conv2d, max_pool2d, batch_norm2d) keep
+the float operations of their reference formulas, in the same order and on
+the same memory layouts; only how data moves between them is tuned. Their
+outputs and gradients are therefore byte-identical to the reference, and a
+given seed gives the same bytes before and after such tuning.
+
 Forward ops verify their outputs are finite and raise NumericalError
 otherwise; disable with ``finite_checks(False)`` in hot loops at your own
 risk.
@@ -435,15 +441,14 @@ def _patches(xp: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     return v[:, :, ::stride, ::stride]
 
 
-def _scatter_patches(shape, gpatches: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """Accumulate per-patch gradients back onto the padded input."""
-    gxp = np.zeros(shape, dtype=gpatches.dtype)
-    ho, wo = gpatches.shape[2], gpatches.shape[3]
-    for i in range(kernel):
-        for j in range(kernel):
-            gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
-                gpatches[:, :, :, :, i, j]
-    return gxp
+def _tap(a: np.ndarray, i: int, j: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """View of the (N,C,Ho,Wo) elements of padded ``a`` under window tap (i, j)."""
+    return a[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+
+
+def _crop(gxp: np.ndarray, padding: int, h: int, w: int) -> np.ndarray:
+    """Drop the padding from a (N,C,Hp,Wp) gradient."""
+    return gxp[:, :, padding:padding + h, padding:padding + w] if padding else gxp
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -477,10 +482,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         if bias is not None and bias.requires_grad:
             bias._accumulate(g2.sum(axis=0))
         if x.requires_grad:
-            gcols = (g2 @ wmat).reshape(n, ho, wo, c_in, k, k).transpose(0, 3, 1, 2, 4, 5)
-            gxp = _scatter_patches(xp.shape, gcols, k, stride)
-            gx = gxp[:, :, padding:padding + h, padding:padding + w] if padding else gxp
-            x._accumulate(gx)
+            # col2im into a channel-last buffer, so each tap adds rows of
+            # contiguous channels; taps are added in row-major order
+            gcols = (g2 @ wmat).reshape(n, ho, wo, c_in, k, k)
+            gxp = np.zeros((n, xp.shape[2], xp.shape[3], c_in), dtype=gcols.dtype)
+            for i in range(k):
+                for j in range(k):
+                    dst = gxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
+                    dst += gcols[..., i, j]
+            x._accumulate(_crop(gxp.transpose(0, 3, 1, 2), padding, h, w))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(data, parents, backward, "conv2d")
@@ -516,17 +526,24 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            gpatches = np.einsum("nchw,cij->nchwij", g, kernel.data, optimize=True)
-            gxp = _scatter_patches(xp.shape, gpatches, k, stride)
-            gx = gxp[:, :, padding:padding + h, padding:padding + w] if padding else gxp
-            x._accumulate(gx)
+            gxp = np.zeros(xp.shape, dtype=np.result_type(g, kernel.data))
+            for i in range(k):
+                for j in range(k):
+                    dst = _tap(gxp, i, j, stride, ho, wo)
+                    dst += g * kernel.data[None, :, i, j, None, None]
+            x._accumulate(_crop(gxp, padding, h, w))
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     return _make(data, parents, backward, "depthwise_conv2d")
 
 
 def max_pool2d(x: Tensor, window: int = 3, stride: int = 2, padding: int = 0) -> Tensor:
-    """Max pooling; trailing rows/columns that do not fit a window are dropped."""
+    """Max pooling; trailing rows/columns that do not fit a window are dropped.
+
+    Ties go to the first maximum in row-major window order (+0.0 and -0.0
+    tie, and the earlier one's sign is kept); backward sends each output's
+    whole gradient to that one position.
+    """
     if x.ndim != 4:
         raise ValueError("max_pool2d expects 4-D input")
     if padding >= window:
@@ -539,19 +556,27 @@ def max_pool2d(x: Tensor, window: int = 3, stride: int = 2, padding: int = 0) ->
                     constant_values=-np.inf)
     else:
         xp = x.data
-    pv = _patches(xp, window, stride).reshape(n, c, ho, wo, window * window)
-    idx = pv.argmax(axis=-1)
-    data = np.take_along_axis(pv, idx[..., None], axis=-1)[..., 0]
+    taps = [(i, j) for i in range(window) for j in range(window)]
+    data = _tap(xp, 0, 0, stride, ho, wo).copy()
+    for i, j in taps[1:]:
+        # the running maximum is the second operand: np.maximum returns it
+        # on ties, so the first maximum wins
+        np.maximum(_tap(xp, i, j, stride, ho, wo), data, out=data)
 
     def backward(g):
         if not x.requires_grad:
             return
-        gflat = np.zeros((n, c, ho, wo, window * window), dtype=g.dtype)
-        np.put_along_axis(gflat, idx[..., None], g[..., None], axis=-1)
-        gpatches = gflat.reshape(n, c, ho, wo, window, window)
-        gxp = _scatter_patches(xp.shape, gpatches, window, stride)
-        gx = gxp[:, :, padding:padding + h, padding:padding + w] if padding else gxp
-        x._accumulate(gx)
+        gxp = np.zeros(xp.shape, dtype=g.dtype)
+        free = np.ones(data.shape, dtype=bool)   # outputs not yet routed
+        for i, j in taps:
+            first = _tap(xp, i, j, stride, ho, wo) == data
+            first &= free
+            free ^= first
+            # g * False is +-0.0, which leaves a sum that started at +0.0
+            # unchanged: a buffer started at +0.0 never holds -0.0
+            dst = _tap(gxp, i, j, stride, ho, wo)
+            dst += g * first
+        x._accumulate(_crop(gxp, padding, h, w))
 
     return _make(data, (x,), backward, "max_pool2d")
 
@@ -574,14 +599,17 @@ def batch_norm2d(x: Tensor, scale: Tensor, shift: Tensor,
     if training:
         m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
         mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        centred = x.data - mean[None, :, None, None]
+        # the steps np.var takes, keeping the centred input for xhat
+        var = (centred * centred).sum(axis=(0, 2, 3)) / m
         running_mean.data[...] = (1 - momentum) * running_mean.data + momentum * mean
         running_var.data[...] = (1 - momentum) * running_var.data + momentum * var
     else:
         mean = running_mean.data
         var = running_var.data
+        centred = x.data - mean[None, :, None, None]
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    xhat = centred * inv_std[None, :, None, None]
     data = scale.data[None, :, None, None] * xhat + shift.data[None, :, None, None]
 
     def backward(g):

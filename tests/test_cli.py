@@ -1,11 +1,14 @@
 """Command-line interface: subcommands, exit codes, reproducibility."""
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import parcnn
 from parcnn.arch import build_model
 from parcnn.cli import main
 from parcnn.zoo import build_zoo_arch
@@ -13,6 +16,13 @@ from parcnn.zoo import build_zoo_arch
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def child_env() -> dict:
+    """Environment in which a child interpreter imports this parcnn, installed
+    or not."""
+    path = [str(Path(parcnn.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
 
 
 class TestAnalyze:
@@ -216,11 +226,11 @@ class TestConsoleEntry:
         proc = subprocess.run(
             [sys.executable, "-m", "parcnn.cli", "analyze", "zoo:mnist_small",
              "--run-dir", str(tmp_path / "r")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert "gamma" in proc.stdout
 
     def test_usage_error_exits_2(self):
         proc = subprocess.run([sys.executable, "-m", "parcnn.cli", "frobnicate"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=child_env())
         assert proc.returncode == 2

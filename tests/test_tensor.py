@@ -124,8 +124,9 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, 2 * first, rtol=1e-6)
 
     @pytest.mark.parametrize("layer", [
-        "conv", "depthwise", "pointwise", "linear", "batchnorm", "relu",
-        "maxpool", "softmax_logloss",
+        "conv", "conv_stride2", "depthwise", "depthwise_stride2", "pointwise",
+        "linear", "batchnorm", "relu", "maxpool", "maxpool_padded",
+        "maxpool_stride1", "softmax_logloss",
     ])
     def test_gradcheck_each_layer_kind(self, layer, rng):
         if layer == "conv":
@@ -134,11 +135,24 @@ class TestBackward:
             b = f64(rng.normal(size=(4,)))
             fn = lambda: T.tsum(T.square(T.conv2d(x, w, b, stride=1, padding=1)))
             leaves = [x, w, b]
+        elif layer == "conv_stride2":
+            x = f64(rng.normal(size=(2, 3, 7, 7)))
+            w = f64(rng.normal(size=(4, 3, 3, 3)))
+            b = f64(rng.normal(size=(4,)))
+            fn = lambda: T.tsum(T.square(T.conv2d(x, w, b, stride=2, padding=1)))
+            leaves = [x, w, b]
         elif layer == "depthwise":
             x = f64(rng.normal(size=(2, 3, 6, 6)))
             k = f64(rng.normal(size=(3, 3, 3)))
             fn = lambda: T.tsum(T.square(T.depthwise_conv2d(x, k, padding=1)))
             leaves = [x, k]
+        elif layer == "depthwise_stride2":
+            x = f64(rng.normal(size=(2, 3, 7, 7)))
+            k = f64(rng.normal(size=(3, 3, 3)))
+            b = f64(rng.normal(size=(3,)))
+            fn = lambda: T.tsum(T.square(T.depthwise_conv2d(x, k, b, stride=2,
+                                                            padding=1)))
+            leaves = [x, k, b]
         elif layer == "pointwise":
             x = f64(rng.normal(size=(2, 3, 5, 5)))
             w = f64(rng.normal(size=(6, 3, 1, 1)))
@@ -172,6 +186,14 @@ class TestBackward:
             x = f64(rng.normal(size=(2, 2, 7, 7)))
             fn = lambda: T.tsum(T.square(T.max_pool2d(x, 3, 2)))
             leaves = [x]
+        elif layer == "maxpool_padded":
+            x = f64(rng.normal(size=(2, 2, 7, 7)))
+            fn = lambda: T.tsum(T.square(T.max_pool2d(x, 3, 2, padding=1)))
+            leaves = [x]
+        elif layer == "maxpool_stride1":
+            x = f64(rng.normal(size=(2, 2, 7, 7)))
+            fn = lambda: T.tsum(T.square(T.max_pool2d(x, 3, 1)))
+            leaves = [x]
         else:  # softmax composed with log-loss
             x = f64(rng.normal(size=(4, 6)))
             onehot = np.zeros((4, 6))
@@ -180,6 +202,285 @@ class TestBackward:
                                Tensor(np.asarray(-0.25)))
             leaves = [x]
         assert gradcheck(fn, leaves, step=1e-5) < 1e-3
+
+
+# -- reference window ops ------------------------------------------------------
+# The window ops as they were before their data movement was rewritten. The
+# engine must keep their float operations and order, so its outputs and
+# gradients must equal these byte for byte, in value and in memory layout.
+
+def _ref_scatter_patches(shape, gpatches, kernel, stride):
+    gxp = np.zeros(shape, dtype=gpatches.dtype)
+    ho, wo = gpatches.shape[2], gpatches.shape[3]
+    for i in range(kernel):
+        for j in range(kernel):
+            gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
+                gpatches[:, :, :, :, i, j]
+    return gxp
+
+
+def ref_conv2d(x, weight, bias=None, stride=1, padding=0):
+    n, c_in, h, w = x.shape
+    c_out, _, k, _ = weight.shape
+    ho = T.conv_output_size(h, k, stride, padding)
+    wo = T.conv_output_size(w, k, stride, padding)
+    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
+        if padding else x.data
+    cols = T._patches(xp, k, stride).transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, -1)
+    wmat = weight.data.reshape(c_out, -1)
+    out = cols @ wmat.T
+    if bias is not None:
+        out = out + bias.data
+    data = out.reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2)
+
+    def backward(g):
+        g2 = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, c_out)
+        if weight.requires_grad:
+            weight._accumulate((g2.T @ cols).reshape(weight.shape))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g2.sum(axis=0))
+        if x.requires_grad:
+            gcols = (g2 @ wmat).reshape(n, ho, wo, c_in, k, k).transpose(0, 3, 1, 2, 4, 5)
+            gxp = _ref_scatter_patches(xp.shape, gcols, k, stride)
+            gx = gxp[:, :, padding:padding + h, padding:padding + w] if padding else gxp
+            x._accumulate(gx)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return T._make(data, parents, backward, "conv2d")
+
+
+def ref_depthwise_conv2d(x, kernel, bias=None, stride=1, padding=0):
+    n, c, h, w = x.shape
+    k = kernel.shape[1]
+    ho = T.conv_output_size(h, k, stride, padding)
+    wo = T.conv_output_size(w, k, stride, padding)
+    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
+        if padding else x.data
+    pv = T._patches(xp, k, stride)
+    data = np.einsum("nchwij,cij->nchw", pv, kernel.data, optimize=True)
+    if bias is not None:
+        data = data + bias.data[None, :, None, None]
+
+    def backward(g):
+        if kernel.requires_grad:
+            kernel._accumulate(np.einsum("nchwij,nchw->cij", pv, g, optimize=True))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g.sum(axis=(0, 2, 3)))
+        if x.requires_grad:
+            gpatches = np.einsum("nchw,cij->nchwij", g, kernel.data, optimize=True)
+            gxp = _ref_scatter_patches(xp.shape, gpatches, k, stride)
+            gx = gxp[:, :, padding:padding + h, padding:padding + w] if padding else gxp
+            x._accumulate(gx)
+
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    return T._make(data, parents, backward, "depthwise_conv2d")
+
+
+def ref_max_pool2d(x, window=3, stride=2, padding=0):
+    n, c, h, w = x.shape
+    ho = T.conv_output_size(h, window, stride, padding)
+    wo = T.conv_output_size(w, window, stride, padding)
+    if padding:
+        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
+                    constant_values=-np.inf)
+    else:
+        xp = x.data
+    pv = T._patches(xp, window, stride).reshape(n, c, ho, wo, window * window)
+    idx = pv.argmax(axis=-1)
+    data = np.take_along_axis(pv, idx[..., None], axis=-1)[..., 0]
+
+    def backward(g):
+        if not x.requires_grad:
+            return
+        gflat = np.zeros((n, c, ho, wo, window * window), dtype=g.dtype)
+        np.put_along_axis(gflat, idx[..., None], g[..., None], axis=-1)
+        gpatches = gflat.reshape(n, c, ho, wo, window, window)
+        gxp = _ref_scatter_patches(xp.shape, gpatches, window, stride)
+        gx = gxp[:, :, padding:padding + h, padding:padding + w] if padding else gxp
+        x._accumulate(gx)
+
+    return T._make(data, (x,), backward, "max_pool2d")
+
+
+def ref_batch_norm2d(x, scale, shift, running_mean, running_var,
+                     training, momentum=0.1, eps=1e-5):
+    if training:
+        m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
+        mean = x.data.mean(axis=(0, 2, 3))
+        var = x.data.var(axis=(0, 2, 3))
+        running_mean.data[...] = (1 - momentum) * running_mean.data + momentum * mean
+        running_var.data[...] = (1 - momentum) * running_var.data + momentum * var
+    else:
+        mean = running_mean.data
+        var = running_var.data
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    data = scale.data[None, :, None, None] * xhat + shift.data[None, :, None, None]
+
+    def backward(g):
+        if scale.requires_grad:
+            scale._accumulate(np.sum(g * xhat, axis=(0, 2, 3)))
+        if shift.requires_grad:
+            shift._accumulate(np.sum(g, axis=(0, 2, 3)))
+        if not x.requires_grad:
+            return
+        gxhat = g * scale.data[None, :, None, None]
+        if training:
+            sum_gxhat = gxhat.sum(axis=(0, 2, 3))
+            sum_gxhat_xhat = (gxhat * xhat).sum(axis=(0, 2, 3))
+            gx = (gxhat
+                  - (sum_gxhat / m)[None, :, None, None]
+                  - xhat * (sum_gxhat_xhat / m)[None, :, None, None])
+            gx = gx * inv_std[None, :, None, None]
+        else:
+            gx = gxhat * inv_std[None, :, None, None]
+        x._accumulate(gx)
+
+    return T._make(data, (x, scale, shift), backward, "batch_norm2d")
+
+
+def _layout(array, channel_last):
+    """Same values; channel_last stores them as a conv2d output is stored."""
+    if channel_last:
+        return array.transpose(0, 2, 3, 1).copy().transpose(0, 3, 1, 2)
+    return array.copy()
+
+
+def _rounded(rng, shape, dtype):
+    """Halves in [-2, 2]: many exact ties, and zeros of both signs."""
+    values = np.round(rng.normal(size=shape) * 2) / 2
+    return np.where(rng.random(shape) < 0.1, -0.0, values).astype(dtype)
+
+
+def _sampler(rng, dtype, rounded):
+    if rounded:
+        return lambda shape: _rounded(rng, shape, dtype)
+    return lambda shape: rng.normal(size=shape).astype(dtype)
+
+
+def _assert_same_bytes(a, b, what):
+    assert a.dtype == b.dtype, what
+    assert a.strides == b.strides, what
+    assert a.tobytes() == b.tobytes(), what
+
+
+def _check_against_reference(op, ref, inputs, upstream_rng, **kwargs):
+    """Run ``op`` and ``ref`` on layout-keeping copies of ``inputs`` through
+    one backward pass with a shared upstream gradient, and compare the
+    output and every leaf gradient byte for byte."""
+    runs = []
+    upstream = None
+    for fn in (ref, op):
+        leaves = [Tensor(a.copy(order="K"), requires_grad=True) for a in inputs]
+        y = fn(*leaves, **kwargs)
+        if upstream is None:
+            upstream = _rounded(upstream_rng, y.shape, y.dtype)
+        T.tsum(T.mul(y, Tensor(upstream))).backward()
+        runs.append((y, leaves))
+    (y_ref, leaves_ref), (y, leaves) = runs
+    _assert_same_bytes(y.data, y_ref.data, "output")
+    for k, (t, t_ref) in enumerate(zip(leaves, leaves_ref)):
+        _assert_same_bytes(t.grad, t_ref.grad, f"gradient of input {k}")
+
+
+_WINDOWS = [(k, s, p) for k in (1, 3, 5) for s in (1, 2) for p in range(k)]
+_ORACLE_CASES = pytest.mark.parametrize("dtype,channel_last,rounded", [
+    (dtype, channel_last, rounded)
+    for dtype in (np.float32, np.float64)
+    for channel_last in (False, True)
+    for rounded in (False, True)])
+
+
+class TestWindowOpsMatchReference:
+    @_ORACLE_CASES
+    def test_conv2d(self, dtype, channel_last, rounded, rng):
+        draw = _sampler(rng, dtype, rounded)
+        for k, s, p in _WINDOWS:
+            x = _layout(draw((2, 5, 11, 11)), channel_last)
+            inputs = [x, draw((4, 5, k, k)), draw((4,))]
+            _check_against_reference(T.conv2d, ref_conv2d, inputs, rng,
+                                     stride=s, padding=p)
+
+    @_ORACLE_CASES
+    def test_depthwise_conv2d(self, dtype, channel_last, rounded, rng):
+        draw = _sampler(rng, dtype, rounded)
+        for k, s, p in _WINDOWS:
+            x = _layout(draw((2, 5, 11, 11)), channel_last)
+            inputs = [x, draw((5, k, k)), draw((5,))]
+            _check_against_reference(T.depthwise_conv2d, ref_depthwise_conv2d,
+                                     inputs, rng, stride=s, padding=p)
+
+    @_ORACLE_CASES
+    def test_max_pool2d(self, dtype, channel_last, rounded, rng):
+        draw = _sampler(rng, dtype, rounded)
+        for k, s, p in _WINDOWS:
+            x = _layout(draw((2, 5, 11, 11)), channel_last)
+            _check_against_reference(T.max_pool2d, ref_max_pool2d, [x], rng,
+                                     window=k, stride=s, padding=p)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channel_last", [False, True])
+    def test_max_pool2d_signed_zero_ties(self, dtype, channel_last, rng):
+        # windows whose maximum is a 0 of either sign, or both
+        values = np.array([-0.0, 0.0, -1.0, -0.5], dtype)
+        for k, s, p in _WINDOWS:
+            x = rng.choice(values, size=(2, 5, 11, 11))
+            _check_against_reference(T.max_pool2d, ref_max_pool2d,
+                                     [_layout(x, channel_last)], rng,
+                                     window=k, stride=s, padding=p)
+
+    @_ORACLE_CASES
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batch_norm2d(self, dtype, channel_last, rounded, training, rng):
+        draw = _sampler(rng, dtype, rounded)
+        x = _layout(draw((4, 6, 12, 12)) + 0.5, channel_last)
+        scale, shift = 1.0 + 0.1 * draw((6,)), draw((6,))
+        buffers = {}
+
+        def with_buffers(bn):
+            rm = Tensor((0.1 * np.arange(6)).astype(dtype))
+            rv = Tensor((1.0 + 0.2 * np.arange(6)).astype(dtype))
+            buffers[bn] = (rm, rv)
+            return lambda *leaves: bn(*leaves, rm, rv, training=training)
+
+        _check_against_reference(with_buffers(T.batch_norm2d),
+                                 with_buffers(ref_batch_norm2d),
+                                 [x, scale, shift], rng)
+        # the running statistics updated in training must match too
+        for t, t_ref in zip(buffers[T.batch_norm2d], buffers[ref_batch_norm2d]):
+            _assert_same_bytes(t.data, t_ref.data, "running statistics")
+
+
+class TestMaxPoolTies:
+    def test_tied_window_routes_gradient_to_first_maximum(self):
+        # the maximum 2 sits at (0, 2) and (1, 0): (0, 2) comes first in
+        # row-major window order and takes the whole gradient
+        x = Tensor(np.array([[[[0., 1., 2.],
+                               [2., 1., 0.],
+                               [1., 2., 1.]]]], np.float32), requires_grad=True)
+        y = T.max_pool2d(x, window=3, stride=1)
+        T.tsum(T.mul(y, Tensor(np.full((1, 1, 1, 1), 5.0, np.float32)))).backward()
+        expected = np.zeros((1, 1, 3, 3), np.float32)
+        expected[0, 0, 0, 2] = 5.0
+        np.testing.assert_array_equal(x.grad, expected)
+
+    def test_overlapping_tied_windows_each_route_to_their_first_maximum(self):
+        x = Tensor(np.ones((1, 1, 4, 4), np.float32), requires_grad=True)
+        T.tsum(T.max_pool2d(x, window=3, stride=1)).backward()
+        # every window is all ties, so each sends its 1 to its top-left cell
+        expected = np.zeros((1, 1, 4, 4), np.float32)
+        expected[0, 0, :2, :2] = 1.0
+        np.testing.assert_array_equal(x.grad, expected)
+
+    def test_signed_zero_tie_keeps_first_zero(self):
+        x = np.full((1, 1, 2, 2), -1.0, np.float32)
+        x[0, 0, 0, 1] = -0.0
+        x[0, 0, 1, 0] = 0.0
+        xt = Tensor(x, requires_grad=True)
+        y = T.max_pool2d(xt, window=2, stride=1)
+        assert np.signbit(y.data[0, 0, 0, 0])   # the first zero is -0.0
+        T.tsum(y).backward()
+        np.testing.assert_array_equal(xt.grad[0, 0], [[0.0, 1.0], [0.0, 0.0]])
 
 
 class TestSoftmax:
