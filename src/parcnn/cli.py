@@ -6,7 +6,8 @@ Exit codes: 0 success, 2 usage error, 3 data/architecture error,
 
 Every run writes its outputs under a fresh directory (default
 ``runs/<command>-<timestamp>``, override with ``--run-dir``) including a
-``run.json`` with the resolved configuration. Architectures are given
+``run.json`` with the resolved configuration and the numpy, BLAS and
+thread environment. Architectures are given
 either as a JSON file path or as ``zoo:<name>``.
 """
 from __future__ import annotations
@@ -20,9 +21,11 @@ import time
 from pathlib import Path
 
 # keep BLAS deterministic and single-threaded unless the user overrides
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("OMP_NUM_THREADS", "1")
-os.environ.setdefault("MKL_NUM_THREADS", "1")
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in _THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 from . import cost, data, distill, train, transform, zoo  # noqa: E402
 from .arch import ArchSpec, build_model, load_model  # noqa: E402
@@ -67,10 +70,24 @@ def _make_run_dir(args, command: str) -> Path:
     return run_dir
 
 
+def _environment() -> dict:
+    """What decides speed and, through BLAS summation order, the exact
+    float results of a run."""
+    env = {"numpy": np.__version__,
+           "threads": {v: os.environ.get(v) for v in _THREAD_VARS}}
+    try:  # show_config(mode=...) needs numpy >= 1.25
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        env["blas"] = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):
+        pass
+    return env
+
+
 def _write_run_config(run_dir: Path, args, command: str) -> None:
     config = {k: v for k, v in sorted(vars(args).items())
               if k not in ("func", "output_root", "run_dir")}
     config["command"] = command
+    config["environment"] = _environment()
     with open(run_dir / "run.json", "w") as f:
         json.dump(config, f, indent=1, sort_keys=True, default=str)
 

@@ -11,9 +11,12 @@ shape); calling ``backward`` twice without clearing grads accumulates.
 The graph is retained, not freed. Default dtype is float32; float64 inputs
 are honored so finite-difference oracles can run at full precision.
 
-The window ops (conv2d, depthwise_conv2d, max_pool2d, batch_norm2d) keep
-the float operations of their reference formulas, in the same order and on
-the same memory layouts; only how data moves between them is tuned. Their
+The window ops (conv2d, depthwise_conv2d, max_pool2d, batch_norm2d), relu
+and the first gradient written by ``Tensor._accumulate`` keep the float
+operations of their reference formulas, in the same order and on the same
+memory layouts; only how data moves between them is tuned (a blocked
+im2col, batch norm's passes written in place into buffers of the same
+dtype, relu as ``fmax``, a first gradient without a zero fill). Their
 outputs and gradients are therefore byte-identical to the reference, and a
 given seed gives the same bytes before and after such tuning.
 
@@ -101,8 +104,11 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # +0.0 + g, as a zero buffer plus g would give, without the fill
+            self.grad = np.empty_like(self.data)
+            np.add(g, 0.0, out=self.grad)
+        else:
+            self.grad += g
 
     # -- autodiff ----------------------------------------------------------
     def backward(self) -> None:
@@ -297,7 +303,10 @@ def log(a: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     # subgradient at 0 is defined as 0
     mask = a.data > 0
-    data = np.where(mask, a.data, 0)
+    # fmax maps NaN to 0 (np.maximum would keep it), and may keep the sign
+    # of a -0.0 input, which adding +0.0 turns into +0.0
+    data = np.fmax(a.data, 0)
+    data += 0.0
 
     def backward(g):
         if a.requires_grad:
@@ -451,6 +460,39 @@ def _crop(gxp: np.ndarray, padding: int, h: int, w: int) -> np.ndarray:
     return gxp[:, :, padding:padding + h, padding:padding + w] if padding else gxp
 
 
+# bytes of ``cols`` filled per block of images: small enough that the block
+# stays in cache across its K*K taps; the result does not depend on it
+_IM2COL_BLOCK_BYTES = 512 * 1024
+
+
+def _im2col(x: np.ndarray, k: int, stride: int, padding: int,
+            ho: int, wo: int) -> np.ndarray:
+    """(N,C,H,W) -> (N*Ho*Wo, C*K*K) matrix of zero-padded windows, rows in
+    (n, oh, ow) order and columns in (c, i, j) order."""
+    n, c, h, w = x.shape
+    if k == 1 and stride == 1:
+        # a view when x is channel-last
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
+            if padding else x
+        return _patches(xp, 1, 1).transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, -1)
+    if padding:
+        xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
+        xp[:, padding:padding + h, padding:padding + w] = x.transpose(0, 2, 3, 1)
+    else:
+        xp = x.transpose(0, 2, 3, 1)
+    cols = np.empty((n, ho, wo, c, k, k), dtype=x.dtype)
+    image_bytes = max(ho * wo * c * k * k * x.itemsize, 1)
+    block = max(_IM2COL_BLOCK_BYTES // image_bytes, 1)
+    for start in range(0, n, block):
+        src = xp[start:start + block]
+        dst = cols[start:start + block]
+        for i in range(k):
+            for j in range(k):
+                dst[..., i, j] = src[:, i:i + stride * ho:stride,
+                                     j:j + stride * wo:stride]
+    return cols.reshape(n * ho * wo, -1)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of (N,C_in,H,W) with (C_out,C_in,K,K) filters."""
@@ -465,10 +507,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     ho = conv_output_size(h, k, stride, padding)
     wo = conv_output_size(w, k, stride, padding)
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
-        if padding else x.data
     # im2col + GEMM: (N*Ho*Wo, C_in*K*K) @ (C_in*K*K, C_out)
-    cols = _patches(xp, k, stride).transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, -1)
+    cols = _im2col(x.data, k, stride, padding, ho, wo)
     wmat = weight.data.reshape(c_out, -1)
     out = cols @ wmat.T
     if bias is not None:
@@ -485,7 +525,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             # col2im into a channel-last buffer, so each tap adds rows of
             # contiguous channels; taps are added in row-major order
             gcols = (g2 @ wmat).reshape(n, ho, wo, c_in, k, k)
-            gxp = np.zeros((n, xp.shape[2], xp.shape[3], c_in), dtype=gcols.dtype)
+            gxp = np.zeros((n, h + 2 * padding, w + 2 * padding, c_in),
+                           dtype=gcols.dtype)
             for i in range(k):
                 for j in range(k):
                     dst = gxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
@@ -583,6 +624,13 @@ def max_pool2d(x: Tensor, window: int = 3, stride: int = 2, padding: int = 0) ->
 
 # -- normalization & softmax ---------------------------------------------------
 
+def _into(buf: np.ndarray | None, ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``ufunc(a, b)``, written into ``buf`` when the result has its dtype."""
+    if buf is not None and np.result_type(a, b) == buf.dtype:
+        return ufunc(a, b, out=buf)
+    return ufunc(a, b)
+
+
 def batch_norm2d(x: Tensor, scale: Tensor, shift: Tensor,
                  running_mean: Tensor, running_var: Tensor,
                  training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
@@ -601,35 +649,41 @@ def batch_norm2d(x: Tensor, scale: Tensor, shift: Tensor,
         mean = x.data.mean(axis=(0, 2, 3))
         centred = x.data - mean[None, :, None, None]
         # the steps np.var takes, keeping the centred input for xhat
-        var = (centred * centred).sum(axis=(0, 2, 3)) / m
+        sq = centred * centred
+        var = sq.sum(axis=(0, 2, 3)) / m
         running_mean.data[...] = (1 - momentum) * running_mean.data + momentum * mean
         running_var.data[...] = (1 - momentum) * running_var.data + momentum * var
     else:
         mean = running_mean.data
         var = running_var.data
         centred = x.data - mean[None, :, None, None]
+        sq = None
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centred * inv_std[None, :, None, None]
-    data = scale.data[None, :, None, None] * xhat + shift.data[None, :, None, None]
+    # xhat overwrites centred, and scale * xhat + shift overwrites sq
+    xhat = _into(centred, np.multiply, centred, inv_std[None, :, None, None])
+    data = _into(sq, np.multiply, scale.data[None, :, None, None], xhat)
+    data = _into(data, np.add, data, shift.data[None, :, None, None])
 
     def backward(g):
+        scratch = None
         if scale.requires_grad:
-            scale._accumulate(np.sum(g * xhat, axis=(0, 2, 3)))
+            scratch = g * xhat
+            scale._accumulate(np.sum(scratch, axis=(0, 2, 3)))
         if shift.requires_grad:
             shift._accumulate(np.sum(g, axis=(0, 2, 3)))
         if not x.requires_grad:
             return
-        gxhat = g * scale.data[None, :, None, None]
+        gx = g * scale.data[None, :, None, None]   # d loss / d xhat
         if training:
             # batch statistics are functions of x
-            sum_gxhat = gxhat.sum(axis=(0, 2, 3))
-            sum_gxhat_xhat = (gxhat * xhat).sum(axis=(0, 2, 3))
-            gx = (gxhat
-                  - (sum_gxhat / m)[None, :, None, None]
-                  - xhat * (sum_gxhat_xhat / m)[None, :, None, None])
-            gx = gx * inv_std[None, :, None, None]
-        else:
-            gx = gxhat * inv_std[None, :, None, None]
+            sum_gxhat = gx.sum(axis=(0, 2, 3))
+            scratch = _into(scratch, np.multiply, gx, xhat)
+            sum_gxhat_xhat = scratch.sum(axis=(0, 2, 3))
+            gx = _into(gx, np.subtract, gx, (sum_gxhat / m)[None, :, None, None])
+            scratch = _into(scratch, np.multiply, xhat,
+                            (sum_gxhat_xhat / m)[None, :, None, None])
+            gx = _into(gx, np.subtract, gx, scratch)
+        gx = _into(gx, np.multiply, gx, inv_std[None, :, None, None])
         x._accumulate(gx)
 
     return _make(data, (x, scale, shift), backward, "batch_norm2d")

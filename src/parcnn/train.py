@@ -46,16 +46,6 @@ class SGDMomentum:
             p.data -= lr * v
 
 
-def sgd_momentum_step(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
-                      lr: float, momentum: float = 0.9,
-                      weight_decay: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """One update on raw arrays; returns (new_param, new_velocity)."""
-    if param.shape != grad.shape or param.shape != velocity.shape:
-        raise ValueError("parameter/gradient/velocity shapes must match")
-    v = momentum * velocity + grad + weight_decay * param
-    return param - lr * v, v
-
-
 def constant_schedule(lr: float) -> Callable[[int], float]:
     if lr <= 0:
         raise ValueError("learning rate must be positive")

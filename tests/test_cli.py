@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, reproducibility."""
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -147,6 +148,17 @@ class TestTrainCommand:
         run_json = (tmp_path / "a" / "run.json").read_text()
         assert '"command": "train"' in run_json
         assert '"seed": 7' in run_json
+
+    def test_run_json_records_environment(self, tmp_path):
+        self._train(tmp_path / "a")
+        env = json.loads((tmp_path / "a" / "run.json").read_text())["environment"]
+        assert env["numpy"] == np.__version__
+        assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                       "MKL_NUM_THREADS"}
+        for var, value in env["threads"].items():
+            assert value == os.environ.get(var)
+        if np.lib.NumpyVersion(np.__version__) >= "1.25.0":
+            assert set(env["blas"]) == {"name", "version"}
 
 
 @pytest.fixture

@@ -204,10 +204,11 @@ class TestBackward:
         assert gradcheck(fn, leaves, step=1e-5) < 1e-3
 
 
-# -- reference window ops ------------------------------------------------------
-# The window ops as they were before their data movement was rewritten. The
-# engine must keep their float operations and order, so its outputs and
-# gradients must equal these byte for byte, in value and in memory layout.
+# -- reference ops ------------------------------------------------------------
+# The window ops, relu and Tensor._accumulate as they were before their data
+# movement was rewritten. The engine must keep their float operations and
+# order, so its outputs and gradients must equal these byte for byte, in
+# value and in memory layout.
 
 def _ref_scatter_patches(shape, gpatches, kernel, stride):
     gxp = np.zeros(shape, dtype=gpatches.dtype)
@@ -339,6 +340,23 @@ def ref_batch_norm2d(x, scale, shift, running_mean, running_var,
     return T._make(data, (x, scale, shift), backward, "batch_norm2d")
 
 
+def ref_relu(a):
+    mask = a.data > 0
+    data = np.where(mask, a.data, 0)
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g * mask)
+
+    return T._make(data, (a,), backward, "relu")
+
+
+def ref_accumulate(self, g):
+    if self.grad is None:
+        self.grad = np.zeros_like(self.data)
+    self.grad += g
+
+
 def _layout(array, channel_last):
     """Same values; channel_last stores them as a conv2d output is stored."""
     if channel_last:
@@ -432,14 +450,29 @@ class TestWindowOpsMatchReference:
     @_ORACLE_CASES
     @pytest.mark.parametrize("training", [True, False])
     def test_batch_norm2d(self, dtype, channel_last, rounded, training, rng):
+        self._check_batch_norm2d(dtype, dtype, channel_last, rounded, training, rng)
+
+    @pytest.mark.parametrize("dtype,param_dtype", [(np.float32, np.float64),
+                                                   (np.float64, np.float32)])
+    @pytest.mark.parametrize("channel_last", [False, True])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batch_norm2d_mixed_dtypes(self, dtype, param_dtype, channel_last,
+                                       training, rng):
+        # results wider than a buffer must not be written into it
+        self._check_batch_norm2d(dtype, param_dtype, channel_last, False,
+                                 training, rng)
+
+    @staticmethod
+    def _check_batch_norm2d(dtype, param_dtype, channel_last, rounded, training, rng):
         draw = _sampler(rng, dtype, rounded)
         x = _layout(draw((4, 6, 12, 12)) + 0.5, channel_last)
-        scale, shift = 1.0 + 0.1 * draw((6,)), draw((6,))
+        scale = (1.0 + 0.1 * draw((6,))).astype(param_dtype)
+        shift = draw((6,)).astype(param_dtype)
         buffers = {}
 
         def with_buffers(bn):
-            rm = Tensor((0.1 * np.arange(6)).astype(dtype))
-            rv = Tensor((1.0 + 0.2 * np.arange(6)).astype(dtype))
+            rm = Tensor((0.1 * np.arange(6)).astype(param_dtype))
+            rv = Tensor((1.0 + 0.2 * np.arange(6)).astype(param_dtype))
             buffers[bn] = (rm, rv)
             return lambda *leaves: bn(*leaves, rm, rv, training=training)
 
@@ -449,6 +482,108 @@ class TestWindowOpsMatchReference:
         # the running statistics updated in training must match too
         for t, t_ref in zip(buffers[T.batch_norm2d], buffers[ref_batch_norm2d]):
             _assert_same_bytes(t.data, t_ref.data, "running statistics")
+
+    @_ORACLE_CASES
+    def test_conv2d_spanning_im2col_blocks(self, dtype, channel_last, rounded, rng):
+        draw = _sampler(rng, dtype, rounded)
+        n, c, h = 3, 16, 40
+        for k in (3, 5):
+            for s in (1, 2):
+                for p in range(k):
+                    ho = T.conv_output_size(h, k, s, p)
+                    image_bytes = ho * ho * c * k * k * np.dtype(dtype).itemsize
+                    # the batch is filled in at least two blocks of images
+                    assert max(T._IM2COL_BLOCK_BYTES // image_bytes, 1) < n
+                    x = _layout(draw((n, c, h, h)), channel_last)
+                    inputs = [x, draw((4, c, k, k)), draw((4,))]
+                    _check_against_reference(T.conv2d, ref_conv2d, inputs, rng,
+                                             stride=s, padding=p)
+
+
+class TestReluAndAccumulateMatchReference:
+    @_ORACLE_CASES
+    def test_relu(self, dtype, channel_last, rounded, rng):
+        draw = _sampler(rng, dtype, rounded)
+        x = _layout(draw((3, 5, 9, 9)), channel_last)
+        _check_against_reference(T.relu, ref_relu, [x], rng)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_non_finite_and_subnormal(self, dtype, rng):
+        tiny = np.finfo(dtype).smallest_subnormal
+        values = np.array([np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny,
+                           0.0, -0.0, 1.5, -1.5], dtype)
+        grid = rng.choice(values, size=(2, 4, 6, 6))
+        inputs = [grid, _layout(grid, True), grid[:, ::2, 1::2, ::3],
+                  np.array([-0.0], dtype), np.array([np.nan], dtype),
+                  np.array(-0.0, dtype), np.array(np.nan, dtype)]
+        with T.finite_checks(False):
+            for x in inputs:
+                y, y_ref = T.relu(Tensor(x)), ref_relu(Tensor(x))
+                _assert_same_bytes(y.data, y_ref.data, f"relu of {x.shape}")
+
+    def test_first_gradient_of_negative_zero_is_positive_zero(self):
+        t = Tensor(np.ones(3, np.float32), requires_grad=True)
+        t._accumulate(np.array([-0.0, 2.0, -0.0], np.float32))
+        assert not np.signbit(t.grad).any()
+        np.testing.assert_array_equal(t.grad, [0.0, 2.0, 0.0])
+
+    def test_first_gradient_keeps_the_layout_of_data(self, rng):
+        data = _layout(rng.normal(size=(2, 3, 4, 5)).astype(np.float32), True)
+        g = rng.normal(size=data.shape).astype(np.float32)   # C order
+        t, t_ref = Tensor(data), Tensor(data)
+        t._accumulate(g)
+        ref_accumulate(t_ref, g)
+        assert t.grad.strides == data.strides
+        _assert_same_bytes(t.grad, t_ref.grad, "first gradient")
+
+    def test_first_gradient_of_wider_dtype(self, rng):
+        data = np.zeros((3, 4), np.float32)
+        g = np.concatenate([rng.normal(size=(2, 4)) * 1e-40,
+                            [[-0.0, 1e300, np.pi, -1e-50]]])   # float64
+        t, t_ref = Tensor(data), Tensor(data)
+        with np.errstate(over="ignore"):
+            t._accumulate(g)
+            ref_accumulate(t_ref, g)
+        _assert_same_bytes(t.grad, t_ref.grad, "first gradient")
+
+
+class TestTrainingStepMatchesReference:
+    """One training step of a whole model through the reference op bodies
+    and through the engine's: layouts meet across ops here in ways that
+    the single-op oracles do not reach."""
+
+    @staticmethod
+    def _step(arch):
+        from parcnn.arch import build_model
+        from parcnn.data import make_synthetic
+        from parcnn.train import train_classifier
+        model = build_model(arch, seed=3)
+        data = make_synthetic(10, 7, seed=5).subset(64)
+        rows = train_classifier(model, data, epochs=1, batch_size=64, seed=2)
+        assert len(rows) == 1
+        return rows[0]["loss"], model.params() + model.buffers()
+
+    @pytest.mark.parametrize("student", [False, True])
+    def test_one_step(self, student, monkeypatch):
+        from parcnn.transform import DistillPolicy, distill_architecture
+        from parcnn.zoo import build_zoo_arch
+        arch = build_zoo_arch("mnist_small")
+        if student:
+            arch = distill_architecture(arch, DistillPolicy())
+        loss, state = self._step(arch)
+        with monkeypatch.context() as patch:
+            for name, ref in [("conv2d", ref_conv2d),
+                              ("depthwise_conv2d", ref_depthwise_conv2d),
+                              ("max_pool2d", ref_max_pool2d),
+                              ("batch_norm2d", ref_batch_norm2d),
+                              ("relu", ref_relu)]:
+                patch.setattr(T, name, ref)
+            patch.setattr(Tensor, "_accumulate", ref_accumulate)
+            loss_ref, state_ref = self._step(arch)
+        assert np.float64(loss).tobytes() == np.float64(loss_ref).tobytes()
+        assert [name for name, _ in state] == [name for name, _ in state_ref]
+        for (name, t), (_, t_ref) in zip(state, state_ref):
+            _assert_same_bytes(t.data, t_ref.data, name)
 
 
 class TestMaxPoolTies:

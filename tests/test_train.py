@@ -7,36 +7,43 @@ from parcnn.arch import build_model
 from parcnn.data import Dataset, make_synthetic
 from parcnn.tensor import Tensor
 from parcnn.train import (EvalResult, SGDMomentum, build_zoo_model,
-                          constant_schedule, evaluate, sgd_momentum_step,
-                          step_decay_schedule, weight_histogram)
+                          constant_schedule, evaluate, step_decay_schedule,
+                          weight_histogram)
+
+
+def sgd_step(theta, grad, lr, momentum=0.9, weight_decay=0.0):
+    """One SGDMomentum step on a single-tensor model from zero velocity;
+    returns (new parameter, velocity)."""
+    p = Tensor(np.array(theta), requires_grad=True)
+    p.grad = np.array(grad)
+    opt = SGDMomentum([("p", p)], momentum=momentum, weight_decay=weight_decay)
+    opt.step(lr)
+    return p.data, opt.velocity[0]
 
 
 class TestSgdStep:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         theta = np.array([1.0, -2.0], np.float32)
-        new, v = sgd_momentum_step(theta, np.zeros(2, np.float32),
-                                   np.zeros(2, np.float32), lr=0.1,
-                                   momentum=0.9, weight_decay=0.0)
+        new, v = sgd_step(theta, np.zeros(2, np.float32), lr=0.1,
+                          momentum=0.9, weight_decay=0.0)
         np.testing.assert_array_equal(new, theta)
         np.testing.assert_array_equal(v, np.zeros(2))
 
     def test_hand_arithmetic(self):
         # theta=1, g=0.5, lr=0.1, m=0.9, v=0, wd=0 -> v=0.5, theta=0.95
-        new, v = sgd_momentum_step(np.array([1.0]), np.array([0.5]),
-                                   np.array([0.0]), lr=0.1, momentum=0.9)
+        new, v = sgd_step(np.array([1.0]), np.array([0.5]), lr=0.1, momentum=0.9)
         assert v[0] == pytest.approx(0.5)
         assert new[0] == pytest.approx(0.95)
 
     def test_weight_decay_couples_into_gradient(self):
-        new, v = sgd_momentum_step(np.array([2.0]), np.array([0.0]),
-                                   np.array([0.0]), lr=1.0, momentum=0.0,
-                                   weight_decay=0.0001)
+        new, v = sgd_step(np.array([2.0]), np.array([0.0]), lr=1.0, momentum=0.0,
+                          weight_decay=0.0001)
         assert v[0] == pytest.approx(0.0002)
         assert new[0] == pytest.approx(2.0 - 0.0002)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            sgd_momentum_step(np.zeros(2), np.zeros(3), np.zeros(2), lr=0.1)
+            sgd_step(np.zeros(2), np.zeros(3), lr=0.1)
 
     def test_optimizer_zero_lr_is_identity(self, rng):
         p = Tensor(rng.normal(size=(3, 3)).astype(np.float32), requires_grad=True)
