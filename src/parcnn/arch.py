@@ -177,23 +177,15 @@ class ArchSpec:
             _, c, h, w = state
             if c_out < 1:
                 raise ValueError("out_channels must be positive")
+            if k < 1 or k % 2 == 0:
+                raise ValueError("kernel must be odd and >= 1")
             return ("map", c_out, h, w)
-        if kind == "parconv":
+        if kind in ("parconv", "sparconv"):
             _, c, h, w = state
             spec = parconv_spec_of(entry, c)
             if spec.include_shuffle and c % 2:
                 raise ValueError(f"channel shuffle needs an even channel count, have {c}")
             return ("map", spec.out_channels, h, w)
-        if kind == "sparconv":
-            _, c, h, w = state
-            c_out = _req_int(entry, "out_channels")
-            split = float(entry.get("split", 0.25))
-            a, b = B.sparconv_widths(c, split)
-            if a < 1 or b < 1:
-                raise ValueError(f"degenerate branch split {a}/{b} for split={split}")
-            if entry.get("shuffle", True) and c % 2:
-                raise ValueError(f"channel shuffle needs an even channel count, have {c}")
-            return ("map", c_out, h, w)
         if kind == "maxpool":
             window = int(entry.get("window", 3))
             stride = int(entry.get("stride", 2))
@@ -292,11 +284,19 @@ def _projection_stride(h: int, w: int, ho: int, wo: int) -> int:
 
 
 def parconv_spec_of(entry: dict, in_channels: int) -> ParConvSpec:
+    """Block spec of a ``parconv`` or ``sparconv`` entry; a sparconv entry is
+    a ParConv with no expanding conv whose ``split`` is the branch-A share."""
+    out_channels = _req_int(entry, "out_channels")
+    if entry.get("type") == "sparconv":
+        omega, alpha = None, float(entry.get("split", 0.25))
+    else:
+        omega = float(entry["omega"]) if "omega" in entry else _missing(entry, "omega")
+        alpha = float(entry.get("alpha", 0.5))
     return ParConvSpec(
         in_channels=in_channels,
-        out_channels=_req_int(entry, "out_channels"),
-        omega=float(entry["omega"]) if "omega" in entry else _missing(entry, "omega"),
-        alpha=float(entry.get("alpha", 0.5)),
+        out_channels=out_channels,
+        omega=omega,
+        alpha=alpha,
         kernel=int(entry.get("kernel", 3)),
         include_shuffle=bool(entry.get("shuffle", True)),
         inner_bn=bool(entry.get("inner_bn", True)),
@@ -334,7 +334,13 @@ class Model:
         return self.root.buffers()
 
     def state(self) -> dict[str, Tensor]:
-        return dict(self.params() + self.buffers())
+        items = self.params() + self.buffers()
+        state = dict(items)
+        if len(state) != len(items):
+            names = [n for n, _ in items]
+            repeated = sorted({n for n in names if names.count(n) > 1})
+            raise ValueError(f"repeated state names: {repeated}")
+        return state
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         state = self.state()
@@ -407,16 +413,9 @@ def _build_one(te: TraceEntry, rng) -> Layer:
         return B.DSConvBlock(c_in, int(entry["out_channels"]),
                              int(entry.get("kernel", 3)),
                              inner_bn=bool(entry.get("inner_bn", True)), rng=rng)
-    if te.kind == "parconv":
+    if te.kind in ("parconv", "sparconv"):
         _, c_in, _, _ = te.in_state
         return B.ParConvBlock(parconv_spec_of(entry, c_in), rng=rng)
-    if te.kind == "sparconv":
-        _, c_in, _, _ = te.in_state
-        return B.SParConvBlock(c_in, int(entry["out_channels"]),
-                               int(entry.get("kernel", 3)),
-                               split=float(entry.get("split", 0.25)),
-                               include_shuffle=bool(entry.get("shuffle", True)),
-                               inner_bn=bool(entry.get("inner_bn", True)), rng=rng)
     if te.kind == "maxpool":
         return B.MaxPool2d(int(entry.get("window", 3)), int(entry.get("stride", 2)),
                            int(entry.get("padding", 0)))

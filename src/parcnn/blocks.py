@@ -8,11 +8,12 @@ Compact blocks:
 
 * ``DSConvBlock``   - depthwise K x K over all channels, then pointwise.
 * ``ParConvBlock``  - channel shuffle, split into two branches; branch A
-  expands by a pointwise conv (channel multiplier omega), applies a
-  depthwise conv, then projects pointwise to the output width; branch B is
-  a single pointwise conv; the branch outputs are summed channelwise.
-* ``SParConvBlock`` - ParConv without the expanding pointwise conv; by
-  default a quarter of the input channels feed the depthwise branch.
+  optionally expands by a pointwise conv (channel multiplier omega),
+  applies a depthwise conv, then projects pointwise to the output width;
+  branch B is a single pointwise conv; the branch outputs are summed
+  channelwise. With ``omega=None`` there is no expanding conv: that is the
+  simplified SParConv form, in which by default a quarter of the input
+  channels feed the depthwise branch.
 
 All compact blocks preserve spatial size (stride 1, padding (K-1)/2).
 """
@@ -230,22 +231,20 @@ class ChannelShuffle(Layer):
 
 # -- compact-block width arithmetic -----------------------------------------
 
-def parconv_widths(in_channels: int, alpha: float, omega: float) -> tuple[int, int, int]:
+def parconv_widths(in_channels: int, alpha: float,
+                   omega: float | None) -> tuple[int, int, int]:
     """Realized integer widths (branch_a, expanded, branch_b).
 
     branch_a = floor(alpha * C_in); expanded = round-half-up(omega * alpha *
-    C_in), minimum 1; branch_b gets the remaining channels.
+    C_in), minimum 1, or branch_a when omega is None (no expanding conv);
+    branch_b gets the remaining channels.
     """
     a = int(np.floor(alpha * in_channels))
     b = in_channels - a
+    if omega is None:
+        return a, a, b
     e = max(1, int(np.floor(omega * alpha * in_channels + 0.5)))
     return a, e, b
-
-
-def sparconv_widths(in_channels: int, split: float) -> tuple[int, int]:
-    """Realized integer widths (branch_a, branch_b) for the simplified block."""
-    a = int(np.floor(split * in_channels))
-    return a, in_channels - a
 
 
 @dataclass
@@ -254,28 +253,27 @@ class ParConvSpec:
 
     in_channels: int
     out_channels: int
-    omega: float
+    # channel multiplier of the expanding pointwise conv; None drops that conv
+    omega: float | None
     alpha: float = 0.5
     kernel: int = 3
     include_shuffle: bool = True
-    # BN+ReLU after the expanding pointwise conv and after the depthwise conv
-    # (branch outputs are always summed raw, then normalized once).
+    # BN+ReLU after the depthwise conv (and after the expanding conv, if any;
+    # branch outputs are always summed raw, then normalized once).
     inner_bn: bool = True
 
     def __post_init__(self):
         if self.in_channels < 1 or self.out_channels < 1:
             raise ValueError("channel counts must be positive")
-        if self.omega <= 0:
+        if self.omega is not None and self.omega <= 0:
             raise ValueError("omega must be positive")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie strictly between 0 and 1")
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise ValueError("kernel must be odd and >= 1")
-        a, e, b = self.widths()
+        a, _, b = self.widths()
         if a < 1 or b < 1:
             raise ValueError(f"degenerate branch split {a}/{b} for alpha={self.alpha}")
-        if e < 1:
-            raise ValueError("expanded width must be >= 1")
 
     def widths(self) -> tuple[int, int, int]:
         return parconv_widths(self.in_channels, self.alpha, self.omega)
@@ -300,8 +298,8 @@ class BottleneckHeadSpec:
             + self.bottleneck_dim * self.output_dim
 
 
-def _bn_relu(channels: int) -> list[tuple[str, Layer]]:
-    return [("bn", BatchNorm2d(channels)), ("relu", ReLU())]
+def _bn_relu(channels: int, suffix: str = "") -> list[tuple[str, Layer]]:
+    return [(f"bn{suffix}", BatchNorm2d(channels)), (f"relu{suffix}", ReLU())]
 
 
 class ParConvBlock(Layer):
@@ -315,17 +313,18 @@ class ParConvBlock(Layer):
         pad = (spec.kernel - 1) // 2
         self.shuffle = ChannelShuffle(spec.in_channels) if spec.include_shuffle else None
 
-        expand_stack: list[tuple[str, Layer]] = [
-            ("pw_expand", Conv2d(a, e, 1, bias=True, rng=rng))]
-        if spec.inner_bn:
-            expand_stack += _bn_relu(e)
-        expand_stack.append(
+        stack: list[tuple[str, Layer]] = []
+        if spec.omega is not None:
+            stack.append(("pw_expand", Conv2d(a, e, 1, bias=True, rng=rng)))
+            if spec.inner_bn:
+                stack += _bn_relu(e, "_expand")
+        stack.append(
             ("dw", DepthwiseConv2d(e, spec.kernel, padding=pad, bias=True, rng=rng)))
         if spec.inner_bn:
-            expand_stack += _bn_relu(e)
-        expand_stack.append(
+            stack += _bn_relu(e)
+        stack.append(
             ("pw_project", Conv2d(e, spec.out_channels, 1, bias=True, rng=rng)))
-        self.branch_a = Sequential(expand_stack)
+        self.branch_a = Sequential(stack)
         self.branch_b = Conv2d(b, spec.out_channels, 1, bias=True, rng=rng)
         self.post_bn = BatchNorm2d(spec.out_channels)
 
@@ -356,56 +355,6 @@ class ParConvBlock(Layer):
         return out
 
 
-class SParConvBlock(Layer):
-    """ParConv without the expanding pointwise conv before the depthwise stage."""
-
-    def __init__(self, in_channels: int, out_channels: int, kernel: int = 3,
-                 split: float = 0.25, include_shuffle: bool = True,
-                 inner_bn: bool = True, rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
-        if min(in_channels, out_channels) < 1:
-            raise ValueError("channel counts must be positive")
-        a, b = sparconv_widths(in_channels, split)
-        if a < 1 or b < 1:
-            raise ValueError(f"degenerate branch split {a}/{b} for split={split}")
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel = kernel
-        self.split = split
-        self.widths = (a, b)
-        pad = (kernel - 1) // 2
-        self.shuffle = ChannelShuffle(in_channels) if include_shuffle else None
-        stack: list[tuple[str, Layer]] = [
-            ("dw", DepthwiseConv2d(a, kernel, padding=pad, bias=True, rng=rng))]
-        if inner_bn:
-            stack += _bn_relu(a)
-        stack.append(("pw_project", Conv2d(a, out_channels, 1, bias=True, rng=rng)))
-        self.branch_a = Sequential(stack)
-        self.branch_b = Conv2d(b, out_channels, 1, bias=True, rng=rng)
-        self.post_bn = BatchNorm2d(out_channels)
-
-    def forward(self, x, ctx):
-        if self.shuffle is not None:
-            x = self.shuffle.forward(x, ctx)
-        a, _ = self.widths
-        xa = T.narrow_channels(x, 0, a)
-        xb = T.narrow_channels(x, a, x.shape[1] - a)
-        out = T.add(self.branch_a.forward(xa, ctx), self.branch_b.forward(xb, ctx))
-        out = self.post_bn.forward(out, ctx)
-        return T.relu(out)
-
-    def params(self):
-        out = [(f"branch_a.{n}", t) for n, t in self.branch_a.params()]
-        out += [(f"branch_b.{n}", t) for n, t in self.branch_b.params()]
-        out += [(f"post_bn.{n}", t) for n, t in self.post_bn.params()]
-        return out
-
-    def buffers(self):
-        out = [(f"branch_a.{n}", t) for n, t in self.branch_a.buffers()]
-        out += [(f"post_bn.{n}", t) for n, t in self.post_bn.buffers()]
-        return out
-
-
 class DSConvBlock(Layer):
     """Depthwise K x K over all input channels followed by a pointwise conv."""
 
@@ -421,7 +370,7 @@ class DSConvBlock(Layer):
         stack: list[tuple[str, Layer]] = [
             ("dw", DepthwiseConv2d(in_channels, kernel, padding=pad, bias=True, rng=rng))]
         if inner_bn:
-            stack += _bn_relu(in_channels)
+            stack += _bn_relu(in_channels, "_dw")
         stack.append(("pw", Conv2d(in_channels, out_channels, 1, bias=True, rng=rng)))
         stack += _bn_relu(out_channels)
         self.stack = Sequential(stack)
@@ -496,30 +445,3 @@ class BottleneckHead(Layer):
     def params(self):
         return [(f"fc1.{n}", t) for n, t in self.fc1.params()] + \
                [(f"fc2.{n}", t) for n, t in self.fc2.params()]
-
-
-def build_parconv(spec: ParConvSpec, rng: np.random.Generator | None = None) -> ParConvBlock:
-    return ParConvBlock(spec, rng=rng)
-
-
-def build_sparconv(in_channels: int, out_channels: int, kernel: int = 3,
-                   split: float = 0.25,
-                   rng: np.random.Generator | None = None) -> SParConvBlock:
-    return SParConvBlock(in_channels, out_channels, kernel, split, rng=rng)
-
-
-def build_dsconv(in_channels: int, out_channels: int, kernel: int = 3,
-                 rng: np.random.Generator | None = None) -> DSConvBlock:
-    return DSConvBlock(in_channels, out_channels, kernel, rng=rng)
-
-
-def build_bottleneck_head(spec: BottleneckHeadSpec,
-                          rng: np.random.Generator | None = None) -> BottleneckHead:
-    return BottleneckHead(spec, rng=rng)
-
-
-def wrap_residual(block: Layer, in_channels: int, out_channels: int,
-                  skip_stride: int = 1, post_relu: bool = False,
-                  rng: np.random.Generator | None = None) -> ResidualBlock:
-    return ResidualBlock(block, in_channels, out_channels, skip_stride,
-                         post_relu, rng=rng)

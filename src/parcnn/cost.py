@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from .arch import ArchSpec, TraceEntry, parconv_spec_of
-from .blocks import parconv_widths, sparconv_widths
+from .blocks import parconv_widths
 from .errors import ArchError
 
 BYTES_PER_VALUE = 4
@@ -106,10 +106,12 @@ def dsconv_flops(d_h: int, d_w: int, c_in: int, c_out: int, k: int) -> int:
 
 
 def parconv_flops_realized(d_h: int, d_w: int, c_in: int, c_out: int, k: int,
-                           omega: float, alpha: float = 0.5) -> int:
-    """Two-branch block cost with the realized integer branch widths."""
+                           omega: float | None, alpha: float = 0.5) -> int:
+    """Two-branch block cost with the realized integer branch widths
+    (omega None: no expanding pointwise conv)."""
     a, e, b = parconv_widths(c_in, alpha, omega)
-    return d_h * d_w * (a * e + e * k * k + e * c_out + b * c_out)
+    expand = 0 if omega is None else a * e
+    return d_h * d_w * (expand + e * k * k + e * c_out + b * c_out)
 
 
 def parconv_flops_continuous(d: int, c_in: int, c_out: int, k: int,
@@ -118,12 +120,6 @@ def parconv_flops_continuous(d: int, c_in: int, c_out: int, k: int,
     half = c_in / 2.0
     exp = omega * half
     return d * d * (half * exp + exp * k * k + exp * c_out + half * c_out)
-
-
-def sparconv_flops(d_h: int, d_w: int, c_in: int, c_out: int, k: int,
-                   split: float = 0.25) -> int:
-    a, b = sparconv_widths(c_in, split)
-    return d_h * d_w * (a * k * k + a * c_out + b * c_out)
 
 
 def linear_flops(n_in: int, n_out: int) -> int:
@@ -176,28 +172,20 @@ def _dsconv_params(c_in: int, c_out: int, k: int, inner_bn: bool) -> int:
     return n
 
 
-def _parconv_params(c_in: int, c_out: int, k: int, omega: float, alpha: float,
-                    inner_bn: bool) -> int:
+def _parconv_params(c_in: int, c_out: int, k: int, omega: float | None,
+                    alpha: float, inner_bn: bool) -> int:
     a, e, b = parconv_widths(c_in, alpha, omega)
-    n = a * e + e                                # expanding pointwise + bias
+    n = 0
+    if omega is not None:
+        n += a * e + e                           # expanding pointwise + bias
+        if inner_bn:
+            n += BN_VALUES_PER_CHANNEL * e       # BN after expand
     n += e * k * k + e                           # depthwise + bias
     if inner_bn:
-        n += 2 * BN_VALUES_PER_CHANNEL * e       # BN after expand and after dw
+        n += BN_VALUES_PER_CHANNEL * e           # BN after dw
     n += e * c_out + c_out                       # projecting pointwise + bias
     n += b * c_out + c_out                       # branch-B pointwise + bias
     n += BN_VALUES_PER_CHANNEL * c_out           # BN on the summed output
-    return n
-
-
-def _sparconv_params(c_in: int, c_out: int, k: int, split: float,
-                     inner_bn: bool) -> int:
-    a, b = sparconv_widths(c_in, split)
-    n = a * k * k + a
-    if inner_bn:
-        n += BN_VALUES_PER_CHANNEL * a
-    n += a * c_out + c_out
-    n += b * c_out + c_out
-    n += BN_VALUES_PER_CHANNEL * c_out
     return n
 
 
@@ -232,26 +220,18 @@ def _entry_cost(te: TraceEntry) -> LayerCost | None:
         return LayerCost(te.name, "dsconv", f"F:{c_out}, K:{k}x{k}", te.spatial,
                          dsconv_flops(ho, wo, c_in, c_out, k),
                          _dsconv_params(c_in, c_out, k, inner), False)
-    if te.kind == "parconv":
+    if te.kind in ("parconv", "sparconv"):
         _, c_in, _, _ = te.in_state
         _, c_out, ho, wo = te.out_state
         spec = parconv_spec_of(entry, c_in)
-        cfg = f"F:{c_out}, K:{spec.kernel}x{spec.kernel}, omega:{spec.omega:g}"
-        return LayerCost(te.name, "parconv", cfg, te.spatial,
+        variant = (f"split:{spec.alpha:g}" if spec.omega is None
+                   else f"omega:{spec.omega:g}")
+        cfg = f"F:{c_out}, K:{spec.kernel}x{spec.kernel}, {variant}"
+        return LayerCost(te.name, te.kind, cfg, te.spatial,
                          parconv_flops_realized(ho, wo, c_in, c_out, spec.kernel,
                                                 spec.omega, spec.alpha),
                          _parconv_params(c_in, c_out, spec.kernel, spec.omega,
                                          spec.alpha, spec.inner_bn), False)
-    if te.kind == "sparconv":
-        _, c_in, _, _ = te.in_state
-        _, c_out, ho, wo = te.out_state
-        k = int(entry.get("kernel", 3))
-        split = float(entry.get("split", 0.25))
-        inner = bool(entry.get("inner_bn", True))
-        return LayerCost(te.name, "sparconv", f"F:{c_out}, K:{k}x{k}, split:{split:g}",
-                         te.spatial,
-                         sparconv_flops(ho, wo, c_in, c_out, k, split),
-                         _sparconv_params(c_in, c_out, k, split, inner), False)
     if te.kind == "maxpool":
         cfg = (f"K:{int(entry.get('window', 3))}x{int(entry.get('window', 3))}, "
                f"S:{int(entry.get('stride', 2))}")

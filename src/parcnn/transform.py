@@ -34,8 +34,8 @@ class DistillPolicy:
     ``replace_selector`` is one of the named rules ("interior" keeps the
     first and last convolution and any 1x1 convolution standard;
     "residual_body" targets convolutions inside residual blocks; "all"
-    targets every shape-preserving K>=3 convolution) or an explicit
-    comma-separated list of layer names.
+    targets every shape-preserving convolution with an odd K>=3) or an
+    explicit comma-separated list of layer names.
     """
 
     threshold: float = 0.1
@@ -75,7 +75,7 @@ def _replaceable(entry: dict) -> bool:
     k = int(entry.get("kernel", 0))
     stride = int(entry.get("stride", 1))
     padding = int(entry.get("padding", 0))
-    if k < 3:
+    if k < 3 or k % 2 == 0:
         return False
     if stride == 1:
         return padding == (k - 1) // 2    # must preserve spatial size

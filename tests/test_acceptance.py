@@ -130,7 +130,7 @@ class TestCriterion3CompactTables:
 
 class TestCriterion4NaiveOracle:
     def test_flops_equal_naive_multiply_counts(self, rng):
-        from parcnn.blocks import parconv_widths, sparconv_widths
+        from parcnn.blocks import parconv_widths
         checked = 0
         for kind in ("conv", "dsconv", "parconv", "sparconv"):
             for _ in range(20):
@@ -155,11 +155,11 @@ class TestCriterion4NaiveOracle:
                     got = cost.parconv_flops_realized(d, d, c_in, c_out, 3, omega)
                 else:
                     c_in = max(c_in, 4)
-                    a, b = sparconv_widths(c_in, 0.25)
+                    a, _, b = parconv_widths(c_in, 0.25, None)
                     naive = (count_depthwise_multiplies(d, d, a, 3)
                              + count_conv_multiplies(d, d, a, c_out, 1)
                              + count_conv_multiplies(d, d, b, c_out, 1))
-                    got = cost.sparconv_flops(d, d, c_in, c_out, 3, 0.25)
+                    got = cost.parconv_flops_realized(d, d, c_in, c_out, 3, None, 0.25)
                 assert got == naive, (kind, d, c_in, c_out)
                 checked += 1
         verdict("4", "PASS",
@@ -198,11 +198,11 @@ class TestCriterion5NumericalProperties:
                     x, scale, shift, rm, rv, training=True))),
                 [x, scale, shift])
 
-        from parcnn.blocks import ForwardContext, ParConvSpec, build_parconv
+        from parcnn.blocks import ForwardContext, ParConvBlock, ParConvSpec
         # single rng stream for weights and input: this configuration is
         # verified to keep every pre-activation away from the ReLU kinks
         block_rng = np.random.default_rng(3)
-        block = build_parconv(ParConvSpec(8, 8, omega=0.5), rng=block_rng)
+        block = ParConvBlock(ParConvSpec(8, 8, omega=0.5), rng=block_rng)
         leaves = []
         for _, p in block.params():
             p.data = p.data.astype(np.float64)

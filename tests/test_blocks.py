@@ -1,4 +1,5 @@
-"""Building blocks: shuffle, ParConv/SParConv/DSConv, residual, head."""
+"""Building blocks: shuffle, ParConv (with and without expansion), DSConv,
+residual, head."""
 import numpy as np
 import pytest
 
@@ -80,14 +81,14 @@ class TestParConvWidths:
 class TestParConvBlock:
     def test_shape_preservation(self, rng):
         spec = ParConvSpec(in_channels=100, out_channels=100, omega=0.5)
-        block = B.build_parconv(spec, rng=rng)
+        block = B.ParConvBlock(spec, rng=rng)
         x = Tensor(rng.normal(size=(2, 100, 7, 7)).astype(np.float32))
         out = block.forward(x, ForwardContext(training=True))
         assert out.shape == (2, 100, 7, 7)
 
     def test_output_channels_change(self, rng):
         spec = ParConvSpec(in_channels=16, out_channels=24, omega=1.0)
-        block = B.build_parconv(spec, rng=rng)
+        block = B.ParConvBlock(spec, rng=rng)
         x = Tensor(rng.normal(size=(1, 16, 5, 5)).astype(np.float32))
         out = block.forward(x, ForwardContext(training=True))
         assert out.shape == (1, 24, 5, 5)
@@ -95,7 +96,7 @@ class TestParConvBlock:
     def test_realized_parameter_count_matches_cost_model(self, rng):
         for c_in, c_out, omega in [(16, 24, 0.5), (32, 32, 1.0), (100, 300, 2.0)]:
             spec = ParConvSpec(in_channels=c_in, out_channels=c_out, omega=omega)
-            block = B.build_parconv(spec, rng=rng)
+            block = B.ParConvBlock(spec, rng=rng)
             expected = cost._parconv_params(c_in, c_out, 3, omega, 0.5, True)
             assert _realized_values(block) == expected
 
@@ -113,7 +114,7 @@ class TestParConvBlock:
         # kink (finite differences are meaningless across a kink).
         rng = np.random.default_rng(3)
         spec = ParConvSpec(in_channels=8, out_channels=8, omega=0.5)
-        block = B.build_parconv(spec, rng=rng)
+        block = B.ParConvBlock(spec, rng=rng)
         leaves = []
         for _, p in block.params():
             p.data = p.data.astype(np.float64)
@@ -129,10 +130,10 @@ class TestParConvBlock:
 
 class TestSParConv:
     def test_quarter_split(self):
-        assert B.sparconv_widths(100, 0.25) == (25, 75)
+        assert B.parconv_widths(100, 0.25, None) == (25, 25, 75)
 
     def test_shape_preserved(self, rng):
-        block = B.build_sparconv(16, 16, rng=rng)
+        block = B.ParConvBlock(ParConvSpec(16, 16, omega=None, alpha=0.25), rng=rng)
         x = Tensor(rng.normal(size=(2, 16, 5, 5)).astype(np.float32))
         out = block.forward(x, ForwardContext(training=True))
         assert out.shape == (2, 16, 5, 5)
@@ -142,15 +143,15 @@ class TestSParConv:
         # block spends more than ParConv(omega=0.5) because its pointwise
         # branch carries 3/4 of the channels
         d = 22
-        spar = cost.sparconv_flops(d, d, 300, 300, 3, split=0.25)
+        spar = cost.parconv_flops_realized(d, d, 300, 300, 3, omega=None, alpha=0.25)
         par = cost.parconv_flops_realized(d, d, 300, 300, 3, omega=0.5)
         assert spar == d * d * (9 * 75 + 300 * 300)
         assert par == d * d * (150 * 75 + 75 * 9 + 75 * 300 + 150 * 300)
         assert spar > par
 
     def test_realized_parameter_count_matches_cost_model(self, rng):
-        block = B.build_sparconv(32, 48, rng=rng)
-        assert _realized_values(block) == cost._sparconv_params(32, 48, 3, 0.25, True)
+        block = B.ParConvBlock(ParConvSpec(32, 48, omega=None, alpha=0.25), rng=rng)
+        assert _realized_values(block) == cost._parconv_params(32, 48, 3, None, 0.25, True)
 
 
 class TestDSConv:
@@ -162,7 +163,7 @@ class TestDSConv:
             pytest.approx(1 / 300 + 1 / 9, rel=1e-12)
 
     def test_identity_weights_reproduce_input(self, rng):
-        block = B.build_dsconv(3, 3, rng=rng)
+        block = B.DSConvBlock(3, 3, rng=rng)
         # identity depthwise kernels and identity pointwise weights
         dw = dict(block.params())["dw.weight"]
         dw.data[...] = 0.0
@@ -179,7 +180,7 @@ class TestDSConv:
         np.testing.assert_allclose(out.data, x.data, rtol=1e-4)
 
     def test_realized_parameter_count_matches_cost_model(self, rng):
-        block = B.build_dsconv(20, 30, rng=rng)
+        block = B.DSConvBlock(20, 30, rng=rng)
         assert _realized_values(block) == cost._dsconv_params(20, 30, 3, True)
 
 
@@ -189,7 +190,7 @@ class TestResidual:
             def forward(self, x, ctx):
                 return T.mul(x, Tensor(np.asarray(0.0, np.float32)))
 
-        block = B.wrap_residual(Zero(), 8, 8, rng=rng)
+        block = B.ResidualBlock(Zero(), 8, 8, rng=rng)
         x = Tensor(rng.normal(size=(2, 8, 5, 5)).astype(np.float32))
         out = block.forward(x, ForwardContext())
         np.testing.assert_array_equal(out.data, x.data)
@@ -203,14 +204,14 @@ class TestResidual:
             def forward(self, x, ctx):
                 return T.max_pool2d(x, 2, 2)
 
-        block = B.wrap_residual(Shrink(), 8, 8, skip_stride=1, rng=rng)
+        block = B.ResidualBlock(Shrink(), 8, 8, skip_stride=1, rng=rng)
         x = Tensor(rng.normal(size=(1, 8, 6, 6)).astype(np.float32))
         with pytest.raises(ValueError, match="spatial mismatch"):
             block.forward(x, ForwardContext())
 
     def test_projection_used_when_channels_differ(self, rng):
-        inner = B.build_parconv(ParConvSpec(8, 12, omega=0.5), rng=rng)
-        block = B.wrap_residual(inner, 8, 12, rng=rng)
+        inner = B.ParConvBlock(ParConvSpec(8, 12, omega=0.5), rng=rng)
+        block = B.ResidualBlock(inner, 8, 12, rng=rng)
         x = Tensor(rng.normal(size=(1, 8, 5, 5)).astype(np.float32))
         out = block.forward(x, ForwardContext(training=True))
         assert out.shape == (1, 12, 5, 5)
@@ -229,7 +230,7 @@ class TestBottleneckHead:
             BottleneckHeadSpec(700, 0, 22080)
 
     def test_forward_shape(self, rng):
-        head = B.build_bottleneck_head(BottleneckHeadSpec(12, 4, 7), rng=rng)
+        head = B.BottleneckHead(BottleneckHeadSpec(12, 4, 7), rng=rng)
         x = Tensor(rng.normal(size=(3, 12)).astype(np.float32))
         assert head.forward(x, ForwardContext()).shape == (3, 7)
 

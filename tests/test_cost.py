@@ -340,14 +340,14 @@ class TestNaiveCountOracle:
             assert cost.parconv_flops_realized(d, d, c_in, c_out, 3, omega) == naive
 
     def test_sparconv(self, rng):
-        from parcnn.blocks import sparconv_widths
+        from parcnn.blocks import parconv_widths
         for d, c_in, c_out in self._geometries(rng):
             c_in = max(c_in, 4)
-            a, b = sparconv_widths(c_in, 0.25)
+            a, _, b = parconv_widths(c_in, 0.25, None)
             naive = (count_depthwise_multiplies(d, d, a, 3)
                      + count_conv_multiplies(d, d, a, c_out, 1)
                      + count_conv_multiplies(d, d, b, c_out, 1))
-            assert cost.sparconv_flops(d, d, c_in, c_out, 3, 0.25) == naive
+            assert cost.parconv_flops_realized(d, d, c_in, c_out, 3, None, 0.25) == naive
 
     def test_linear_and_bottleneck(self, rng):
         for _ in range(self.N_GEOMETRIES):

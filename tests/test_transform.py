@@ -94,6 +94,23 @@ class TestDistillArchitecture:
         with pytest.raises(ArchError, match="matched no replaceable"):
             distill_architecture(arch, DistillPolicy(threshold=0.99))
 
+    def test_even_kernel_conv_not_replaceable(self):
+        # a 4x4 pad-1 conv shrinks 12x12 to 11x11: not shape-preserving
+        arch = ArchSpec(2, 12, 12, [
+            {"type": "conv", "name": "odd", "out_channels": 4, "kernel": 3,
+             "padding": 1},
+            {"type": "conv", "name": "even", "out_channels": 4, "kernel": 4,
+             "padding": 1},
+            {"type": "flatten"},
+            {"type": "linear", "out_features": 10},
+        ])
+        compact = distill_architecture(
+            arch, DistillPolicy(threshold=0.99, replace_selector="all"))
+        assert _layer_types(compact)[:2] == ["parconv", "conv"]
+        with pytest.raises(ArchError, match="'even' cannot be replaced"):
+            distill_architecture(arch, DistillPolicy(threshold=0.99,
+                                                     replace_selector="even"))
+
     def test_unknown_selector_names_rejected(self):
         with pytest.raises(ArchError, match="not found"):
             distill_architecture(zoo.build_zoo_arch("dcnn_table2"),
