@@ -149,7 +149,7 @@ class ArchSpec:
             te = TraceEntry(i, name, kind, entry, state, state)
             try:
                 state = self._step(te, state, names)
-            except (ValueError, KeyError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:
                 raise ArchError(f"{where}: {exc}") from exc
             te.out_state = state
             trace.append(te)
@@ -410,9 +410,9 @@ def _build_one(te: TraceEntry, rng) -> Layer:
         return B.Sequential(stack) if len(stack) > 1 else stack[0][1]
     if te.kind == "dsconv":
         _, c_in, _, _ = te.in_state
-        return B.DSConvBlock(c_in, int(entry["out_channels"]),
-                             int(entry.get("kernel", 3)),
-                             inner_bn=bool(entry.get("inner_bn", True)), rng=rng)
+        return B.dsconv_block(c_in, int(entry["out_channels"]),
+                              int(entry.get("kernel", 3)),
+                              inner_bn=bool(entry.get("inner_bn", True)), rng=rng)
     if te.kind in ("parconv", "sparconv"):
         _, c_in, _, _ = te.in_state
         return B.ParConvBlock(parconv_spec_of(entry, c_in), rng=rng)
@@ -429,7 +429,7 @@ def _build_one(te: TraceEntry, rng) -> Layer:
         return B.Linear(te.in_state[1], int(entry["out_features"]),
                         bias=bool(entry.get("bias", True)), rng=rng)
     if te.kind == "bottleneck_head":
-        return B.BottleneckHead(
+        return B.bottleneck_head(
             BottleneckHeadSpec(te.in_state[1], int(entry["bottleneck_dim"]),
                                int(entry["out_features"])), rng=rng)
     if te.kind == "residual":

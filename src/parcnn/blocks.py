@@ -1,12 +1,14 @@
 """Network building blocks: plain layers plus the compact-convolution blocks.
 
 Every layer exposes ``forward(x, ctx)``, ``params()`` and ``buffers()``.
-``ctx`` carries the training flag and an optional tap dictionary that
-``Tap`` layers write intermediate activations into.
+A composite layer lists its children once, in ``sublayers()``, and its
+state is theirs. ``ctx`` carries the training flag and an optional tap
+dictionary that ``Tap`` layers write intermediate activations into.
 
 Compact blocks:
 
-* ``DSConvBlock``   - depthwise K x K over all channels, then pointwise.
+* ``dsconv_block``  - a ``Sequential``: depthwise K x K over all channels,
+  then pointwise.
 * ``ParConvBlock``  - channel shuffle, split into two branches; branch A
   optionally expands by a pointwise conv (channel multiplier omega),
   applies a depthwise conv, then projects pointwise to the output width;
@@ -49,25 +51,41 @@ def _init_linear(rng: np.random.Generator, n_out: int, n_in: int) -> np.ndarray:
 
 
 class Layer:
-    """Base class; layers are containers of named parameters and buffers."""
+    """Base class. A layer's state is its sublayers' state, in order, each
+    name prefixed by the sublayer's name; leaves override ``params`` and
+    ``buffers`` with their own tensors."""
 
     def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
         raise NotImplementedError
 
-    def params(self) -> list[tuple[str, Tensor]]:
+    def sublayers(self) -> list[tuple[str, Layer]]:
         return []
+
+    def params(self) -> list[tuple[str, Tensor]]:
+        return [(f"{name}.{p}", t)
+                for name, child in self.sublayers() for p, t in child.params()]
 
     def buffers(self) -> list[tuple[str, Tensor]]:
-        return []
+        return [(f"{name}.{p}", t)
+                for name, child in self.sublayers() for p, t in child.buffers()]
 
 
-class Conv2d(Layer):
+class _WeightBias(Layer):
+    """A leaf holding a ``weight`` and an optional ``bias``."""
+
+    def params(self):
+        out = [("weight", self.weight)]
+        if self.bias is not None:
+            out.append(("bias", self.bias))
+        return out
+
+
+class Conv2d(_WeightBias):
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
-                 stride: int = 1, padding: int = 0, bias: bool = True,
-                 rng: np.random.Generator | None = None):
+                 stride: int = 1, padding: int = 0, bias: bool = True, *,
+                 rng: np.random.Generator):
         if min(in_channels, out_channels, kernel, stride) < 1 or padding < 0:
             raise ValueError("invalid convolution geometry")
-        rng = rng or np.random.default_rng(0)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
@@ -81,18 +99,10 @@ class Conv2d(Layer):
     def forward(self, x, ctx):
         return T.conv2d(x, self.weight, self.bias, self.stride, self.padding)
 
-    def params(self):
-        out = [("weight", self.weight)]
-        if self.bias is not None:
-            out.append(("bias", self.bias))
-        return out
 
-
-class DepthwiseConv2d(Layer):
+class DepthwiseConv2d(_WeightBias):
     def __init__(self, channels: int, kernel: int, stride: int = 1,
-                 padding: int = 0, bias: bool = True,
-                 rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
+                 padding: int = 0, bias: bool = True, *, rng: np.random.Generator):
         self.channels = channels
         self.kernel = kernel
         self.stride = stride
@@ -103,12 +113,6 @@ class DepthwiseConv2d(Layer):
 
     def forward(self, x, ctx):
         return T.depthwise_conv2d(x, self.weight, self.bias, self.stride, self.padding)
-
-    def params(self):
-        out = [("weight", self.weight)]
-        if self.bias is not None:
-            out.append(("bias", self.bias))
-        return out
 
 
 class BatchNorm2d(Layer):
@@ -156,10 +160,9 @@ class Flatten(Layer):
         return T.flatten(x)
 
 
-class Linear(Layer):
-    def __init__(self, in_features: int, out_features: int, bias: bool = True,
-                 rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
+class Linear(_WeightBias):
+    def __init__(self, in_features: int, out_features: int, bias: bool = True, *,
+                 rng: np.random.Generator):
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Tensor(_init_linear(rng, out_features, in_features),
@@ -169,12 +172,6 @@ class Linear(Layer):
 
     def forward(self, x, ctx):
         return T.linear(x, self.weight, self.bias)
-
-    def params(self):
-        out = [("weight", self.weight)]
-        if self.bias is not None:
-            out.append(("bias", self.bias))
-        return out
 
 
 class Tap(Layer):
@@ -198,13 +195,8 @@ class Sequential(Layer):
             x = child.forward(x, ctx)
         return x
 
-    def params(self):
-        return [(f"{name}.{p}", t)
-                for name, child in self.children for p, t in child.params()]
-
-    def buffers(self):
-        return [(f"{name}.{p}", t)
-                for name, child in self.children for p, t in child.buffers()]
+    def sublayers(self):
+        return self.children
 
 
 # -- channel shuffle -------------------------------------------------------
@@ -219,14 +211,6 @@ def shuffle_permutation(channels: int, groups: int = 2) -> np.ndarray:
 def channel_shuffle(x: Tensor, groups: int = 2) -> Tensor:
     """Permute channels so consecutive groups interleave; values untouched."""
     return T.permute_channels(x, shuffle_permutation(x.shape[1], groups))
-
-
-class ChannelShuffle(Layer):
-    def __init__(self, channels: int, groups: int = 2):
-        self.perm = shuffle_permutation(channels, groups)
-
-    def forward(self, x, ctx):
-        return T.permute_channels(x, self.perm)
 
 
 # -- compact-block width arithmetic -----------------------------------------
@@ -305,14 +289,11 @@ def _bn_relu(channels: int, suffix: str = "") -> list[tuple[str, Layer]]:
 class ParConvBlock(Layer):
     """Two-branch compact replacement for a stride-1 standard convolution."""
 
-    def __init__(self, spec: ParConvSpec, rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, spec: ParConvSpec, *, rng: np.random.Generator):
         self.spec = spec
-        a, e, b = spec.widths()
-        self.widths = (a, e, b)
+        self.widths = spec.widths()
+        a, e, b = self.widths
         pad = (spec.kernel - 1) // 2
-        self.shuffle = ChannelShuffle(spec.in_channels) if spec.include_shuffle else None
-
         stack: list[tuple[str, Layer]] = []
         if spec.omega is not None:
             stack.append(("pw_expand", Conv2d(a, e, 1, bias=True, rng=rng)))
@@ -328,12 +309,16 @@ class ParConvBlock(Layer):
         self.branch_b = Conv2d(b, spec.out_channels, 1, bias=True, rng=rng)
         self.post_bn = BatchNorm2d(spec.out_channels)
 
+    def sublayers(self):
+        return [("branch_a", self.branch_a), ("branch_b", self.branch_b),
+                ("post_bn", self.post_bn)]
+
     def forward(self, x, ctx):
         if x.shape[1] != self.spec.in_channels:
             raise ValueError(
                 f"expected {self.spec.in_channels} channels, got {x.shape[1]}")
-        if self.shuffle is not None:
-            x = self.shuffle.forward(x, ctx)
+        if self.spec.include_shuffle:
+            x = channel_shuffle(x)
         a, _, _ = self.widths
         xa = T.narrow_channels(x, 0, a)
         xb = T.narrow_channels(x, a, x.shape[1] - a)
@@ -343,46 +328,17 @@ class ParConvBlock(Layer):
         out = self.post_bn.forward(out, ctx)
         return T.relu(out)
 
-    def params(self):
-        out = [(f"branch_a.{n}", t) for n, t in self.branch_a.params()]
-        out += [(f"branch_b.{n}", t) for n, t in self.branch_b.params()]
-        out += [(f"post_bn.{n}", t) for n, t in self.post_bn.params()]
-        return out
 
-    def buffers(self):
-        out = [(f"branch_a.{n}", t) for n, t in self.branch_a.buffers()]
-        out += [(f"post_bn.{n}", t) for n, t in self.post_bn.buffers()]
-        return out
-
-
-class DSConvBlock(Layer):
+def dsconv_block(in_channels: int, out_channels: int, kernel: int = 3,
+                 inner_bn: bool = True, *, rng: np.random.Generator) -> Sequential:
     """Depthwise K x K over all input channels followed by a pointwise conv."""
-
-    def __init__(self, in_channels: int, out_channels: int, kernel: int = 3,
-                 inner_bn: bool = True, rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
-        if min(in_channels, out_channels) < 1:
-            raise ValueError("channel counts must be positive")
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel = kernel
-        pad = (kernel - 1) // 2
-        stack: list[tuple[str, Layer]] = [
-            ("dw", DepthwiseConv2d(in_channels, kernel, padding=pad, bias=True, rng=rng))]
-        if inner_bn:
-            stack += _bn_relu(in_channels, "_dw")
-        stack.append(("pw", Conv2d(in_channels, out_channels, 1, bias=True, rng=rng)))
-        stack += _bn_relu(out_channels)
-        self.stack = Sequential(stack)
-
-    def forward(self, x, ctx):
-        return self.stack.forward(x, ctx)
-
-    def params(self):
-        return self.stack.params()
-
-    def buffers(self):
-        return self.stack.buffers()
+    pad = (kernel - 1) // 2
+    stack: list[tuple[str, Layer]] = [
+        ("dw", DepthwiseConv2d(in_channels, kernel, padding=pad, bias=True, rng=rng))]
+    if inner_bn:
+        stack += _bn_relu(in_channels, "_dw")
+    stack.append(("pw", Conv2d(in_channels, out_channels, 1, bias=True, rng=rng)))
+    return Sequential(stack + _bn_relu(out_channels))
 
 
 class ResidualBlock(Layer):
@@ -394,9 +350,8 @@ class ResidualBlock(Layer):
     """
 
     def __init__(self, body: Layer, in_channels: int, out_channels: int,
-                 skip_stride: int = 1, post_relu: bool = False,
-                 rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
+                 skip_stride: int = 1, post_relu: bool = False, *,
+                 rng: np.random.Generator):
         self.body = body
         self.post_relu = post_relu
         if in_channels == out_channels and skip_stride == 1:
@@ -408,6 +363,11 @@ class ResidualBlock(Layer):
                 ("bn", BatchNorm2d(out_channels)),
             ])
 
+    def sublayers(self):
+        if self.projection is None:
+            return [("body", self.body)]
+        return [("body", self.body), ("projection", self.projection)]
+
     def forward(self, x, ctx):
         y = self.body.forward(x, ctx)
         skip = x if self.projection is None else self.projection.forward(x, ctx)
@@ -417,31 +377,10 @@ class ResidualBlock(Layer):
         out = T.add(y, skip)
         return T.relu(out) if self.post_relu else out
 
-    def params(self):
-        out = [(f"body.{n}", t) for n, t in self.body.params()]
-        if self.projection is not None:
-            out += [(f"projection.{n}", t) for n, t in self.projection.params()]
-        return out
 
-    def buffers(self):
-        out = [(f"body.{n}", t) for n, t in self.body.buffers()]
-        if self.projection is not None:
-            out += [(f"projection.{n}", t) for n, t in self.projection.buffers()]
-        return out
-
-
-class BottleneckHead(Layer):
+def bottleneck_head(spec: BottleneckHeadSpec, *, rng: np.random.Generator) -> Sequential:
     """Two linear layers M -> B -> O, no nonlinearity in between."""
-
-    def __init__(self, spec: BottleneckHeadSpec, rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
-        self.spec = spec
-        self.fc1 = Linear(spec.feature_dim, spec.bottleneck_dim, rng=rng)
-        self.fc2 = Linear(spec.bottleneck_dim, spec.output_dim, rng=rng)
-
-    def forward(self, x, ctx):
-        return self.fc2.forward(self.fc1.forward(x, ctx), ctx)
-
-    def params(self):
-        return [(f"fc1.{n}", t) for n, t in self.fc1.params()] + \
-               [(f"fc2.{n}", t) for n, t in self.fc2.params()]
+    return Sequential([
+        ("fc1", Linear(spec.feature_dim, spec.bottleneck_dim, rng=rng)),
+        ("fc2", Linear(spec.bottleneck_dim, spec.output_dim, rng=rng)),
+    ])

@@ -287,20 +287,6 @@ def analyze(arch: ArchSpec) -> CostReport:
     return CostReport(layers)
 
 
-def storage_of(arch: ArchSpec) -> tuple[dict[str, float], float]:
-    """Per-layer and total storage in MB."""
-    report = analyze(arch)
-    return ({l.name: l.storage_mb for l in report.layers if l.kind != "input"},
-            report.total_storage_mb)
-
-
-def flops_of(arch: ArchSpec) -> tuple[dict[str, int], int]:
-    """Per-layer and total FLOPs."""
-    report = analyze(arch)
-    return ({l.name: l.flops for l in report.layers if l.kind != "input"},
-            report.total_flops)
-
-
 def gamma(arch: ArchSpec) -> float:
     """Fully-connected storage share of the whole network."""
     return analyze(arch).gamma

@@ -96,9 +96,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -146,46 +143,6 @@ class Tensor:
             old = prior.get(id(node))
             if old is not None:
                 node.grad = old if node.grad is None else node.grad + old
-
-    # -- operator sugar ------------------------------------------------------
-    def __add__(self, other):
-        return add(self, _wrap(other, self.dtype))
-
-    def __radd__(self, other):
-        return add(_wrap(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other, self.dtype))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other, self.dtype), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other, self.dtype))
-
-    def __neg__(self):
-        return mul(self, Tensor(np.asarray(-1.0, dtype=self.dtype)))
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) != 1 else shape[0])
-
-
-def _wrap(value, dtype) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=dtype))
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
@@ -332,16 +289,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         a._accumulate(np.broadcast_to(g, a.shape).astype(a.dtype, copy=False))
 
     return _make(data, (a,), backward, "sum")
-
-
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = a.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = int(np.prod([a.shape[ax] for ax in axes]))
-    s = tsum(a, axis=axis, keepdims=keepdims)
-    return mul(s, Tensor(np.asarray(1.0 / count, dtype=a.dtype)))
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -8,11 +8,10 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .arch import Model, build_model
+from .arch import Model
 from .data import Dataset, batches
 from .errors import NumericalError
 from .tensor import Tensor
-from .zoo import build_zoo_arch
 
 
 class SGDMomentum:
@@ -152,11 +151,6 @@ def train_classifier(model: Model, train_data: Dataset, epochs: int,
         if checkpoint_prefix is not None:
             model.save(checkpoint_prefix)
     return metrics
-
-
-def build_zoo_model(name: str, seed: int = 0) -> Model:
-    """Instantiate a named zoo architecture with seeded initialization."""
-    return build_model(build_zoo_arch(name), seed=seed)
 
 
 def weight_histogram(model: Model, bins: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,8 @@
-"""Built models: checkpoint round trips, parameter counts against the cost
-analyzer, repeated state names, and compact-block kernel validation."""
+"""Built models: pinned seed-0 state, checkpoint round trips, parameter
+counts against the cost analyzer, repeated state names, and entry
+validation."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,41 @@ ARCH_IDS = [name if variant is None else
             f"{name}-{variant}-{'residual' if residual else 'plain'}"
             for name, variant, residual in ARCHS]
 
+# seed-0 state of each arch: (tensor count, sha256 of the newline-joined
+# ordered state names, sha256 of the concatenated tensor bytes in that order)
+SEED0_STATE = {
+    "dcnn_table2": (
+        88, "cfef21d4dd89a34037ab45330e44ce785c20bbf6665347d08d48255e73ecc805",
+        "156526c69575e965258fc9234d2d7ca74da09fd9ac204d9ce7067dedeaa4236e"),
+    "mnist_small": (
+        40, "2f9b3186b9950189edfeaa1803009b745de817001c14379a9dc93abc6b014d25",
+        "a1f06c0ed40dc40be42ec96eb180a7972b76090ba2e0f3d5175e3540b7d523a6"),
+    "res18_mini": (
+        122, "e5af49a6cdf497513201748daab029311abdd72b8685f62db2d6329deb976669",
+        "ad2d6c43183f77341558fd4e1b979cc940c7fc5a1f06bcf7111a5812d57435e6"),
+    "parres18_mini": (
+        346, "466967f3ef7e4575d01c252791c6c503ef9a496731624b379cf2a3a64407763f",
+        "aea3fb25c84a7ed0e1f868b66acbe7fbdddebb05ecf2d5a4e90eb45355dd7200"),
+    "mnist_small-parconv-plain": (
+        96, "ce632c0b86dd77cbfa944f15638f59585956b9c31ad49a7a1de8a3051c6adc49",
+        "de597eadaaade0694dce608a0b76103a8d3d69537bcd1edd5a729a27dc272d0a"),
+    "mnist_small-parconv-residual": (
+        108, "e40b7f8695a532f00cf796efd6bac55fc2a884b5f0934640950668b951fbeaa9",
+        "c7587e2db90fc14a1d0d223283733d9645ab7ad938ec13ede6f4b902c927ee09"),
+    "mnist_small-sparconv-plain": (
+        72, "a7f2e6048854fe5440408e0c4c959067d9587da2ece7131c5d1f7ccefaca6786",
+        "ca84081d917d69df7c314802f258bdbb968900038e60dabf6d504381e186453a"),
+    "mnist_small-sparconv-residual": (
+        84, "c02a14a799e97aa3d6137629fd523defe73db085c9ad12284b9bffaaa657f60e",
+        "8e4f1a46cc26d57760d2b2c2269124c09137c4477248cba36c4d6c8e35b69203"),
+    "mnist_small-dsconv-plain": (
+        64, "71c5067ef3a262bcc3e695785d29f4a16e7f9362f63c082b5458f5dea8b0079f",
+        "48ca80432b27719546212b26e156f1a9bcbcc6317eb9fd9457f7f98271ebceae"),
+    "mnist_small-dsconv-residual": (
+        76, "f18aad17ce79a397ccfd09db42436309e1c4b9b9648a473c11328ef70843dfd4",
+        "b17c85a38292c5189b88dfd915d5b21da3faa4df42a310be126ec156b02a966b"),
+}
+
 
 def _arch(name, variant, residual) -> ArchSpec:
     arch = zoo.build_zoo_arch(name)
@@ -23,6 +61,19 @@ def _arch(name, variant, residual) -> ArchSpec:
         return arch
     return transform.distill_architecture(
         arch, transform.DistillPolicy(variant=variant, residual=residual))
+
+
+@pytest.mark.parametrize("arch_id", ARCH_IDS)
+def test_seed0_state_is_pinned(arch_id):
+    # catches a renamed, reordered or re-drawn tensor, which a round trip
+    # of a model against itself cannot see
+    model = build_model(_arch(*ARCHS[ARCH_IDS.index(arch_id)]), seed=0)
+    items = model.params() + model.buffers()
+    names = hashlib.sha256("\n".join(n for n, _ in items).encode()).hexdigest()
+    data = hashlib.sha256()
+    for _, t in items:
+        data.update(t.data.tobytes())
+    assert (len(items), names, data.hexdigest()) == SEED0_STATE[arch_id]
 
 
 @pytest.mark.parametrize("name,variant,residual", ARCHS, ids=ARCH_IDS)
@@ -83,3 +134,14 @@ def test_unrunnable_compact_kernel_rejected(kind, kernel):
         arch.validate()
     with pytest.raises(ArchError, match=r"^layers\[0\]"):
         cost.analyze(arch)
+
+
+@pytest.mark.parametrize("entry", [
+    {"type": "parconv", "out_channels": 4, "omega": None},
+    {"type": "parconv", "out_channels": None, "omega": 0.5},
+    {"type": "dsconv", "out_channels": 4, "kernel": [3]},
+    {"type": "conv", "out_channels": 4, "kernel": [3]},
+], ids=["null-omega", "null-out-channels", "list-kernel-dsconv", "list-kernel-conv"])
+def test_wrongly_typed_field_rejected(entry):
+    with pytest.raises(ArchError, match=r"^layers\[0\]: "):
+        ArchSpec(4, 6, 6, [entry]).validate()

@@ -163,7 +163,7 @@ class TestDSConv:
             pytest.approx(1 / 300 + 1 / 9, rel=1e-12)
 
     def test_identity_weights_reproduce_input(self, rng):
-        block = B.DSConvBlock(3, 3, rng=rng)
+        block = B.dsconv_block(3, 3, rng=rng)
         # identity depthwise kernels and identity pointwise weights
         dw = dict(block.params())["dw.weight"]
         dw.data[...] = 0.0
@@ -180,7 +180,7 @@ class TestDSConv:
         np.testing.assert_allclose(out.data, x.data, rtol=1e-4)
 
     def test_realized_parameter_count_matches_cost_model(self, rng):
-        block = B.DSConvBlock(20, 30, rng=rng)
+        block = B.dsconv_block(20, 30, rng=rng)
         assert _realized_values(block) == cost._dsconv_params(20, 30, 3, True)
 
 
@@ -230,7 +230,7 @@ class TestBottleneckHead:
             BottleneckHeadSpec(700, 0, 22080)
 
     def test_forward_shape(self, rng):
-        head = B.BottleneckHead(BottleneckHeadSpec(12, 4, 7), rng=rng)
+        head = B.bottleneck_head(BottleneckHeadSpec(12, 4, 7), rng=rng)
         x = Tensor(rng.normal(size=(3, 12)).astype(np.float32))
         assert head.forward(x, ForwardContext()).shape == (3, 7)
 

@@ -85,6 +85,13 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "layers[0]" in err and "out_channels" in err
 
+    def test_null_field_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "arch.json"
+        bad.write_text('{"input": {"channels": 4, "height": 6, "width": 6}, "layers":'
+                       ' [{"type": "parconv", "out_channels": 4, "omega": null}]}')
+        assert run_cli("analyze", str(bad)) == 3
+        assert capsys.readouterr().err.startswith("error: layers[0]: ")
+
 
 class TestTransform:
     def test_default_transform_shows_flops_drop(self, tmp_path, capsys):

@@ -188,8 +188,11 @@ class TestClosedForms:
 
     def test_per_layer_dict_interfaces(self):
         arch = zoo.build_zoo_arch("dcnn_table2")
-        per_layer_flops, total_flops = cost.flops_of(arch)
-        per_layer_mb, total_mb = cost.storage_of(arch)
+        report = cost.analyze(arch)
+        rows = [l for l in report.layers if l.kind != "input"]
+        per_layer_flops = {l.name: l.flops for l in rows}
+        per_layer_mb = {l.name: l.storage_mb for l in rows}
+        total_flops, total_mb = report.total_flops, report.total_storage_mb
         assert per_layer_flops["fc2"] == 11_040_000
         assert total_flops == 1_602_104_400
         assert per_layer_mb["fc2"] == pytest.approx(42.1985, abs=5e-5)
@@ -246,8 +249,7 @@ class TestGamma:
 
     def test_empty_storage_is_zero(self):
         arch = ArchSpec(1, 8, 8, [{"type": "maxpool", "window": 2, "stride": 2}])
-        _, total = cost.storage_of(arch)
-        assert total == 0.0
+        assert cost.analyze(arch).total_storage_mb == 0.0
 
 
 class TestMiniResNets:
@@ -306,7 +308,8 @@ def count_linear_multiplies(n_in, n_out):
 
 
 class TestNaiveCountOracle:
-    """flops_of must equal a brute-force multiply count at batch 1, exactly."""
+    """The closed-form FLOP rules must equal a brute-force multiply count at
+    batch 1, exactly."""
 
     N_GEOMETRIES = 20
 

@@ -6,9 +6,8 @@ from parcnn import cost, train, zoo
 from parcnn.arch import build_model
 from parcnn.data import Dataset, make_synthetic
 from parcnn.tensor import Tensor
-from parcnn.train import (EvalResult, SGDMomentum, build_zoo_model,
-                          constant_schedule, evaluate, step_decay_schedule,
-                          weight_histogram)
+from parcnn.train import (EvalResult, SGDMomentum, constant_schedule, evaluate,
+                          step_decay_schedule, weight_histogram)
 
 
 def sgd_step(theta, grad, lr, momentum=0.9, weight_decay=0.0):
@@ -156,14 +155,14 @@ class TestZooModels:
             zoo.build_zoo_arch("resnet152")
 
     def test_mnist_small_forward_shape(self, rng):
-        model = build_zoo_model("mnist_small", seed=0)
+        model = build_model(zoo.build_zoo_arch("mnist_small"), seed=0)
         x = rng.normal(size=(3, 1, 28, 28)).astype(np.float32)
         assert model.forward(x).shape == (3, 10)
 
     def test_res18_pair_forward_shapes(self, rng):
         x = rng.normal(size=(2, 1, 28, 28)).astype(np.float32)
         for name in ("res18_mini", "parres18_mini"):
-            model = build_zoo_model(name, seed=0)
+            model = build_model(zoo.build_zoo_arch(name), seed=0)
             assert model.forward(x, training=True).shape == (2, 10)
 
     def test_dcnn_table2_analyzed_totals(self):
@@ -182,7 +181,7 @@ class TestTrainingSanity:
         # sanity-of-training: ~512 blob samples, lr 0.01. Per-iteration
         # minibatch losses are noisy, so "decreases" is asserted on epoch
         # means (strictly) plus the early-vs-late trend.
-        model = build_zoo_model("mnist_small", seed=2)
+        model = build_model(zoo.build_zoo_arch("mnist_small"), seed=2)
         ds = make_synthetic(classes=10, per_class=52, seed=6, separation=5.0)
         metrics = train.train_classifier(
             model, ds, epochs=7, batch_size=64,
@@ -194,7 +193,7 @@ class TestTrainingSanity:
         assert np.mean(losses[:5]) > 3 * np.mean(losses[45:50])
 
     def test_metrics_columns(self):
-        model = build_zoo_model("mnist_small", seed=2)
+        model = build_model(zoo.build_zoo_arch("mnist_small"), seed=2)
         ds = make_synthetic(classes=10, per_class=13, seed=6)
         metrics = train.train_classifier(model, ds, epochs=1, batch_size=64,
                                          eval_data=ds.subset(20))
@@ -204,7 +203,7 @@ class TestTrainingSanity:
 
 class TestWeightHistogram:
     def test_all_zero_weights_single_central_bin(self):
-        model = build_zoo_model("mnist_small", seed=0)
+        model = build_model(zoo.build_zoo_arch("mnist_small"), seed=0)
         for name, p in model.params():
             if name.endswith("weight"):
                 p.data[...] = 0.0
@@ -212,7 +211,7 @@ class TestWeightHistogram:
         assert counts.sum() == counts[3]      # everything in the middle bin
 
     def test_symmetric_init_low_skew(self):
-        model = build_zoo_model("mnist_small", seed=1)
+        model = build_model(zoo.build_zoo_arch("mnist_small"), seed=1)
         weights = np.concatenate([p.data.reshape(-1) for n, p in model.params()
                                   if n.endswith("weight") and p.ndim >= 2])
         assert len(weights) >= 10_000
@@ -222,12 +221,12 @@ class TestWeightHistogram:
         assert counts.sum() == len(weights)
 
     def test_zero_bins_rejected(self):
-        model = build_zoo_model("mnist_small", seed=0)
+        model = build_model(zoo.build_zoo_arch("mnist_small"), seed=0)
         with pytest.raises(ValueError, match="bins"):
             weight_histogram(model, bins=0)
 
     def test_histogram_csv_shape(self):
-        model = build_zoo_model("mnist_small", seed=0)
+        model = build_model(zoo.build_zoo_arch("mnist_small"), seed=0)
         edges, counts = weight_histogram(model, bins=11)
         text = train.histogram_csv(edges, counts)
         lines = text.strip().split("\n")
