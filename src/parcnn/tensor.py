@@ -554,16 +554,21 @@ def max_pool2d(x: Tensor, window: int = 3, stride: int = 2, padding: int = 0) ->
     def backward(g):
         if not x.requires_grad:
             return
-        gxp = np.zeros(xp.shape, dtype=g.dtype)
-        free = np.ones(data.shape, dtype=bool)   # outputs not yet routed
+        # routed into a buffer laid out like the (padded) input, through
+        # per-tap buffers that are reused rather than allocated per tap
+        gxp = np.zeros_like(xp, dtype=g.dtype)
+        free = np.ones_like(data, dtype=bool)   # outputs not yet routed
+        first = np.empty_like(free)
+        routed = np.empty_like(data, dtype=g.dtype)
         for i, j in taps:
-            first = _tap(xp, i, j, stride, ho, wo) == data
+            np.equal(_tap(xp, i, j, stride, ho, wo), data, out=first)
             first &= free
             free ^= first
             # g * False is +-0.0, which leaves a sum that started at +0.0
             # unchanged: a buffer started at +0.0 never holds -0.0
+            np.multiply(g, first, out=routed)
             dst = _tap(gxp, i, j, stride, ho, wo)
-            dst += g * first
+            dst += routed
         x._accumulate(_crop(gxp, padding, h, w))
 
     return _make(data, (x,), backward, "max_pool2d")
