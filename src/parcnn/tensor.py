@@ -530,7 +530,8 @@ def max_pool2d(x: Tensor, window: int = 3, stride: int = 2, padding: int = 0) ->
 
     Ties go to the first maximum in row-major window order (+0.0 and -0.0
     tie, and the earlier one's sign is kept); backward sends each output's
-    whole gradient to that one position.
+    whole gradient to that one position. The output has the input's memory
+    order (channel-last after a conv), so no layout change is paid here.
     """
     if x.ndim != 4:
         raise ValueError("max_pool2d expects 4-D input")
@@ -540,12 +541,14 @@ def max_pool2d(x: Tensor, window: int = 3, stride: int = 2, padding: int = 0) ->
     ho = conv_output_size(h, window, stride, padding)
     wo = conv_output_size(w, window, stride, padding)
     if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-                    constant_values=-np.inf)
+        # padded in the input's memory order, which the output then keeps
+        xp = np.full_like(x.data, -np.inf,
+                          shape=(n, c, h + 2 * padding, w + 2 * padding))
+        xp[:, :, padding:padding + h, padding:padding + w] = x.data
     else:
         xp = x.data
     taps = [(i, j) for i in range(window) for j in range(window)]
-    data = _tap(xp, 0, 0, stride, ho, wo).copy()
+    data = _tap(xp, 0, 0, stride, ho, wo).copy(order="K")
     for i, j in taps[1:]:
         # the running maximum is the second operand: np.maximum returns it
         # on ties, so the first maximum wins
@@ -583,6 +586,27 @@ def _into(buf: np.ndarray | None, ufunc, a: np.ndarray, b: np.ndarray) -> np.nda
     return ufunc(a, b)
 
 
+def _channel_sums(a: np.ndarray) -> np.ndarray:
+    """Sums of a (N, C, H, W) array over (N, H, W), one per channel.
+
+    On the 2-D view with channels on one axis, the sum is a GEMM against two
+    rows (or columns) of ones. A GEMM's threads share out its output, not
+    the summed axis, so the bytes do not depend on the BLAS thread count.
+    One row of ones would make it a GEMV, whose bytes do (OpenBLAS gives
+    other bytes at 2 threads than at 1), and which is slower at 2 threads.
+    Any other layout falls back to ``sum``.
+    """
+    n, c, h, w = a.shape
+    m = n * h * w
+    rows = a.transpose(0, 2, 3, 1)   # channel-last, as conv2d stores its output
+    if rows.flags.c_contiguous:
+        return (np.ones((2, m), dtype=a.dtype) @ rows.reshape(m, c))[0]
+    cols = a.transpose(1, 0, 2, 3)   # channels-first, as the depthwise einsum does
+    if cols.flags.c_contiguous:
+        return (cols.reshape(c, m) @ np.ones((m, 2), dtype=a.dtype))[:, 0]
+    return a.sum(axis=(0, 2, 3))
+
+
 def batch_norm2d(x: Tensor, scale: Tensor, shift: Tensor,
                  running_mean: Tensor, running_var: Tensor,
                  training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
@@ -596,13 +620,13 @@ def batch_norm2d(x: Tensor, scale: Tensor, shift: Tensor,
     c = x.shape[1]
     if scale.shape != (c,) or shift.shape != (c,):
         raise ValueError("batch_norm2d scale/shift must be per-channel vectors")
+    m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
     if training:
-        m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
-        mean = x.data.mean(axis=(0, 2, 3))
+        mean = _channel_sums(x.data) / m
         centred = x.data - mean[None, :, None, None]
-        # the steps np.var takes, keeping the centred input for xhat
+        # two-pass variance: the sum of squared centred values
         sq = centred * centred
-        var = sq.sum(axis=(0, 2, 3)) / m
+        var = _channel_sums(sq) / m
         running_mean.data[...] = (1 - momentum) * running_mean.data + momentum * mean
         running_var.data[...] = (1 - momentum) * running_var.data + momentum * var
     else:
@@ -617,25 +641,29 @@ def batch_norm2d(x: Tensor, scale: Tensor, shift: Tensor,
     data = _into(data, np.add, data, shift.data[None, :, None, None])
 
     def backward(g):
-        scratch = None
-        if scale.requires_grad:
+        need_sums = training and x.requires_grad
+        sum_g = sum_g_xhat = scratch = None
+        if shift.requires_grad or need_sums:
+            sum_g = _channel_sums(g)
+            if shift.requires_grad:
+                shift._accumulate(sum_g)
+        if scale.requires_grad or need_sums:
             scratch = g * xhat
-            scale._accumulate(np.sum(scratch, axis=(0, 2, 3)))
-        if shift.requires_grad:
-            shift._accumulate(np.sum(g, axis=(0, 2, 3)))
+            sum_g_xhat = _channel_sums(scratch)
+            if scale.requires_grad:
+                scale._accumulate(sum_g_xhat)
         if not x.requires_grad:
             return
-        gx = g * scale.data[None, :, None, None]   # d loss / d xhat
-        if training:
-            # batch statistics are functions of x
-            sum_gxhat = gx.sum(axis=(0, 2, 3))
-            scratch = _into(scratch, np.multiply, gx, xhat)
-            sum_gxhat_xhat = scratch.sum(axis=(0, 2, 3))
-            gx = _into(gx, np.subtract, gx, (sum_gxhat / m)[None, :, None, None])
-            scratch = _into(scratch, np.multiply, xhat,
-                            (sum_gxhat_xhat / m)[None, :, None, None])
-            gx = _into(gx, np.subtract, gx, scratch)
-        gx = _into(gx, np.multiply, gx, inv_std[None, :, None, None])
+        gain = (scale.data * inv_std)[None, :, None, None]
+        if not training:
+            x._accumulate(g * gain)
+            return
+        # batch statistics are functions of x: the two sums above are the
+        # whole correction, (g - xhat * sum(g xhat) / m - sum(g) / m) * gain
+        scratch = _into(scratch, np.multiply, xhat, (sum_g_xhat / m)[None, :, None, None])
+        gx = _into(scratch, np.subtract, g, scratch)
+        gx = _into(gx, np.subtract, gx, (sum_g / m)[None, :, None, None])
+        gx = _into(gx, np.multiply, gx, gain)
         x._accumulate(gx)
 
     return _make(data, (x, scale, shift), backward, "batch_norm2d")
