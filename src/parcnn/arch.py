@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -84,10 +85,16 @@ class ArchSpec:
     def from_obj(cls, obj: dict) -> "ArchSpec":
         try:
             inp = obj["input"]
-            spec = cls(int(inp["channels"]), int(inp["height"]), int(inp["width"]),
-                       [dict(e) for e in obj["layers"]])
+            layers = [dict(e) for e in obj["layers"]]
+            if not isinstance(inp, dict):
+                raise TypeError("'input' must be an object")
         except (KeyError, TypeError) as exc:
             raise ArchError(f"architecture object missing field: {exc}") from exc
+        try:
+            extents = [_int_field(inp, key) for key in ("channels", "height", "width")]
+        except _FieldError as exc:
+            raise ArchError(f"input.{exc.key}: {exc}") from exc
+        spec = cls(*extents, layers)
         spec.validate()
         return spec
 
@@ -149,6 +156,10 @@ class ArchSpec:
             te = TraceEntry(i, name, kind, entry, state, state)
             try:
                 state = self._step(te, state, names)
+            except ArchError:
+                raise   # from a residual body, already naming its path
+            except _FieldError as exc:
+                raise ArchError(f"{where}.{exc.key}: {exc}") from exc
             except (ValueError, KeyError, TypeError) as exc:
                 raise ArchError(f"{where}: {exc}") from exc
             te.out_state = state
@@ -161,10 +172,10 @@ class ArchSpec:
             if state[0] != "map":
                 raise ValueError(f"{kind} requires a feature map, have flat features")
         if kind == "conv":
-            c_out = _req_int(entry, "out_channels")
-            k = _req_int(entry, "kernel")
-            stride = int(entry.get("stride", 1))
-            padding = int(entry.get("padding", 0))
+            c_out = _int_field(entry, "out_channels")
+            k = _int_field(entry, "kernel")
+            stride = _int_field(entry, "stride", 1)
+            padding = _int_field(entry, "padding", 0)
             if k < 1 or stride < 1 or padding < 0:
                 raise ValueError("kernel/stride must be >= 1 and padding >= 0")
             _, c, h, w = state
@@ -172,8 +183,8 @@ class ArchSpec:
             wo = T.conv_output_size(w, k, stride, padding)
             return ("map", c_out, ho, wo)
         if kind == "dsconv":
-            c_out = _req_int(entry, "out_channels")
-            k = int(entry.get("kernel", 3))
+            c_out = _int_field(entry, "out_channels")
+            k = _int_field(entry, "kernel", 3)
             _, c, h, w = state
             if c_out < 1:
                 raise ValueError("out_channels must be positive")
@@ -187,9 +198,9 @@ class ArchSpec:
                 raise ValueError(f"channel shuffle needs an even channel count, have {c}")
             return ("map", spec.out_channels, h, w)
         if kind == "maxpool":
-            window = int(entry.get("window", 3))
-            stride = int(entry.get("stride", 2))
-            padding = int(entry.get("padding", 0))
+            window = _int_field(entry, "window", 3)
+            stride = _int_field(entry, "stride", 2)
+            padding = _int_field(entry, "padding", 0)
             _, c, h, w = state
             ho = T.conv_output_size(h, window, stride, padding)
             wo = T.conv_output_size(w, window, stride, padding)
@@ -206,16 +217,16 @@ class ArchSpec:
         if kind == "linear":
             if state[0] != "flat":
                 raise ValueError("linear requires flat features (insert a flatten)")
-            n_out = _req_int(entry, "out_features")
+            n_out = _int_field(entry, "out_features")
             if n_out < 1:
                 raise ValueError("out_features must be positive")
             return ("flat", n_out)
         if kind == "bottleneck_head":
             if state[0] != "flat":
                 raise ValueError("bottleneck_head requires flat features")
-            BottleneckHeadSpec(state[1], _req_int(entry, "bottleneck_dim"),
-                               _req_int(entry, "out_features"))
-            return ("flat", int(entry["out_features"]))
+            n_out = _int_field(entry, "out_features")
+            BottleneckHeadSpec(state[1], _int_field(entry, "bottleneck_dim"), n_out)
+            return ("flat", n_out)
         if kind == "residual":
             body = entry.get("body")
             if not isinstance(body, list) or not body:
@@ -261,10 +272,42 @@ class ArchSpec:
         return pairs
 
 
-def _req_int(entry: dict, key: str) -> int:
-    if key not in entry:
-        raise KeyError(f"missing required field {key!r}")
-    return int(entry[key])
+class _FieldError(ValueError):
+    """A field of the entry being validated is missing or wrongly typed; the
+    entry's path and ``key`` prefix the message."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
+
+
+_REQUIRED = object()
+
+
+def _int_field(entry: dict, key: str, default=_REQUIRED) -> int:
+    """``entry[key]`` as an int. Bools, strings, nulls and non-integral
+    numbers are rejected rather than coerced (``int(3.9)`` would be 3)."""
+    value = entry.get(key, default)
+    if type(value) is int:
+        return value
+    if value is _REQUIRED:
+        raise _FieldError(key, "missing required field")
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise _FieldError(key, f"expected an integer, got {value!r}")
+
+
+def _float_field(entry: dict, key: str, default=_REQUIRED) -> float:
+    """``entry[key]`` as a finite float; bools, strings and nulls are rejected."""
+    value = entry.get(key, default)
+    if value is _REQUIRED:
+        raise _FieldError(key, "missing required field")
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise _FieldError(key, f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _req_str(entry: dict, key: str) -> str:
@@ -286,25 +329,21 @@ def _projection_stride(h: int, w: int, ho: int, wo: int) -> int:
 def parconv_spec_of(entry: dict, in_channels: int) -> ParConvSpec:
     """Block spec of a ``parconv`` or ``sparconv`` entry; a sparconv entry is
     a ParConv with no expanding conv whose ``split`` is the branch-A share."""
-    out_channels = _req_int(entry, "out_channels")
+    out_channels = _int_field(entry, "out_channels")
     if entry.get("type") == "sparconv":
-        omega, alpha = None, float(entry.get("split", 0.25))
+        omega, alpha = None, _float_field(entry, "split", 0.25)
     else:
-        omega = float(entry["omega"]) if "omega" in entry else _missing(entry, "omega")
-        alpha = float(entry.get("alpha", 0.5))
+        omega = _float_field(entry, "omega")
+        alpha = _float_field(entry, "alpha", 0.5)
     return ParConvSpec(
         in_channels=in_channels,
         out_channels=out_channels,
         omega=omega,
         alpha=alpha,
-        kernel=int(entry.get("kernel", 3)),
+        kernel=_int_field(entry, "kernel", 3),
         include_shuffle=bool(entry.get("shuffle", True)),
         inner_bn=bool(entry.get("inner_bn", True)),
     )
-
-
-def _missing(entry: dict, key: str):
-    raise KeyError(f"missing required field {key!r}")
 
 
 # -- model building ------------------------------------------------------------

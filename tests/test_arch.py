@@ -136,12 +136,63 @@ def test_unrunnable_compact_kernel_rejected(kind, kernel):
         cost.analyze(arch)
 
 
-@pytest.mark.parametrize("entry", [
-    {"type": "parconv", "out_channels": 4, "omega": None},
-    {"type": "parconv", "out_channels": None, "omega": 0.5},
-    {"type": "dsconv", "out_channels": 4, "kernel": [3]},
-    {"type": "conv", "out_channels": 4, "kernel": [3]},
-], ids=["null-omega", "null-out-channels", "list-kernel-dsconv", "list-kernel-conv"])
-def test_wrongly_typed_field_rejected(entry):
-    with pytest.raises(ArchError, match=r"^layers\[0\]: "):
+@pytest.mark.parametrize("entry,message", [
+    ({"type": "parconv", "out_channels": 4, "omega": None},
+     "omega: expected a number, got None"),
+    ({"type": "parconv", "out_channels": None, "omega": 0.5},
+     "out_channels: expected an integer, got None"),
+    ({"type": "dsconv", "out_channels": 4, "kernel": [3]},
+     "kernel: expected an integer, got [3]"),
+    ({"type": "conv", "out_channels": 4, "kernel": [3]},
+     "kernel: expected an integer, got [3]"),
+    ({"type": "conv", "out_channels": 4.7, "kernel": 3},
+     "out_channels: expected an integer, got 4.7"),
+    ({"type": "conv", "out_channels": 4, "kernel": 3.9},
+     "kernel: expected an integer, got 3.9"),
+    ({"type": "conv", "out_channels": 4, "kernel": "3"},
+     "kernel: expected an integer, got '3'"),
+    ({"type": "maxpool", "window": True},
+     "window: expected an integer, got True"),
+    ({"type": "parconv", "out_channels": 4, "omega": "0.5"},
+     "omega: expected a number, got '0.5'"),
+    ({"type": "sparconv", "out_channels": 4, "split": True},
+     "split: expected a number, got True"),
+    ({"type": "conv", "out_channels": 4},
+     "kernel: missing required field"),
+], ids=["null-omega", "null-out-channels", "list-kernel-dsconv", "list-kernel-conv",
+        "fractional-out-channels", "fractional-kernel", "string-kernel",
+        "bool-window", "string-omega", "bool-split", "missing-kernel"])
+def test_wrongly_typed_field_rejected(entry, message):
+    with pytest.raises(ArchError) as info:
         ArchSpec(4, 6, 6, [entry]).validate()
+    assert str(info.value) == f"layers[0].{message}"
+
+
+def test_wrongly_typed_field_in_a_residual_body_names_its_path():
+    body = [{"type": "conv", "out_channels": 4, "kernel": 3, "padding": 1.5}]
+    with pytest.raises(ArchError) as info:
+        ArchSpec(4, 6, 6, [{"type": "residual", "body": body}]).validate()
+    assert str(info.value) == \
+        "layers[0].body[0].padding: expected an integer, got 1.5"
+
+
+@pytest.mark.parametrize("channels,message", [
+    (1.5, "input.channels: expected an integer, got 1.5"),
+    (None, "input.channels: expected an integer, got None"),
+    ("1", "input.channels: expected an integer, got '1'"),
+    (True, "input.channels: expected an integer, got True"),
+])
+def test_wrongly_typed_input_field_rejected(channels, message):
+    obj = {"input": {"channels": channels, "height": 6, "width": 6},
+           "layers": [{"type": "flatten"}]}
+    with pytest.raises(ArchError) as info:
+        ArchSpec.from_obj(obj)
+    assert str(info.value) == message
+
+
+def test_integral_float_fields_are_accepted_as_integers():
+    obj = {"input": {"channels": 1.0, "height": 6, "width": 6},
+           "layers": [{"type": "conv", "out_channels": 4.0, "kernel": 3.0}]}
+    spec = ArchSpec.from_obj(obj)
+    assert spec.in_channels == 1 and type(spec.in_channels) is int
+    assert spec.validate()[0].out_state == ("map", 4, 4, 4)

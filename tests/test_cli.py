@@ -90,7 +90,8 @@ class TestAnalyze:
         bad.write_text('{"input": {"channels": 4, "height": 6, "width": 6}, "layers":'
                        ' [{"type": "parconv", "out_channels": 4, "omega": null}]}')
         assert run_cli("analyze", str(bad)) == 3
-        assert capsys.readouterr().err.startswith("error: layers[0]: ")
+        assert capsys.readouterr().err == \
+            "error: layers[0].omega: expected a number, got None\n"
 
 
 class TestTransform:
