@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -705,6 +707,12 @@ def save_checkpoint(prefix: str | Path, tensors: dict[str, Tensor | np.ndarray],
     The manifest lists, per tensor: shape and byte offset into the blob.
     Round-tripping float32 values is bit-exact. ``extra`` entries (for
     example the architecture description) are stored alongside.
+
+    The blob is written first and the manifest second, each to a temporary
+    file in the same directory that is then moved into place, so neither
+    file is ever left half written. The two moves are not one atomic step:
+    a crash between them leaves the new blob beside the old manifest, which
+    ``load_checkpoint`` rejects unless its tensor sizes still add up.
     """
     prefix = Path(prefix)
     manifest: dict = {"format": _CKPT_MAGIC, "tensors": {}}
@@ -719,10 +727,25 @@ def save_checkpoint(prefix: str | Path, tensors: dict[str, Tensor | np.ndarray],
         offset += len(blob)
         chunks.append(blob)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    with open(prefix.with_suffix(prefix.suffix + ".json"), "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-    with open(prefix.with_suffix(prefix.suffix + ".bin"), "wb") as f:
-        f.write(b"".join(chunks))
+    _write_then_replace(prefix.with_suffix(prefix.suffix + ".bin"), b"".join(chunks))
+    _write_then_replace(prefix.with_suffix(prefix.suffix + ".json"),
+                        json.dumps(manifest, indent=1, sort_keys=True).encode())
+
+
+def _write_then_replace(path: Path, payload: bytes) -> None:
+    """Write ``payload`` to a temporary file beside ``path``, then move it
+    over ``path``; the temporary file is removed if either step fails."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(payload)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_manifest(prefix: str | Path) -> dict:
@@ -744,12 +767,16 @@ def load_checkpoint(prefix: str | Path) -> dict[str, np.ndarray]:
     if not blob_path.exists():
         raise DataFormatError(f"checkpoint blob not found: {blob_path}")
     blob = blob_path.read_bytes()
+    entries = manifest["tensors"]
+    expected = sum(4 * math.prod(entry["shape"]) for entry in entries.values())
+    if len(blob) != expected:
+        raise DataFormatError(f"checkpoint blob {blob_path} holds {len(blob)} bytes; "
+                              f"its manifest describes {expected}")
     out: dict[str, np.ndarray] = {}
-    for name, entry in manifest["tensors"].items():
+    for name, entry in entries.items():
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
-        end = start + 4 * count
+        end = start + 4 * math.prod(shape)
         if end > len(blob):
             raise DataFormatError(f"checkpoint blob truncated at tensor {name!r}")
         arr = np.frombuffer(blob[start:end], dtype="<f4").reshape(shape)

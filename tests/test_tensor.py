@@ -628,6 +628,65 @@ class TestTrainingStepMatchesReference:
             _assert_same_bytes(t.data, t_ref.data, name)
 
 
+# One stem conv2d with its batch norm, and a depthwise conv with its batch
+# norm, at kd-synthetic's batch size, through a training forward and
+# backward; prints a digest of every output, gradient and running statistic.
+_THREAD_PROBE = """
+import hashlib, json
+import numpy as np
+from parcnn import tensor as T
+from parcnn.tensor import Tensor
+
+rng = np.random.default_rng(0)
+def leaf(*shape):
+    return Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+def bn(x, c):
+    scale, shift = leaf(c), leaf(c)
+    rm, rv = Tensor(np.zeros(c, np.float32)), Tensor(np.ones(c, np.float32))
+    y = T.batch_norm2d(x, scale, shift, rm, rv, training=True)
+    return y, [scale, shift], [rm, rv]
+image, w, b = leaf(64, 1, 28, 28), leaf(16, 1, 3, 3), leaf(16)
+conv = T.conv2d(image, w, b)                       # (64, 16, 26, 26), channel-last
+y1, p1, s1 = bn(conv, 16)
+x2, k = leaf(64, 8, 14, 14), leaf(8, 3, 3)
+dw = T.depthwise_conv2d(x2, k)                     # (64, 8, 12, 12), channels-first
+y2, p2, s2 = bn(dw, 8)
+loss = T.add(T.tsum(T.mul(y1, Tensor(rng.normal(size=y1.shape).astype(np.float32)))),
+             T.tsum(T.mul(y2, Tensor(rng.normal(size=y2.shape).astype(np.float32)))))
+loss.backward()
+arrays = {"conv": conv.data, "bn1": y1.data, "dw": dw.data, "bn2": y2.data}
+for name, t in [("image", image), ("w", w), ("b", b), ("x2", x2), ("k", k)]:
+    arrays["grad_" + name] = t.grad
+for i, t in enumerate(p1 + p2):
+    arrays[f"grad_bn_param{i}"] = t.grad
+for i, t in enumerate(s1 + s2):
+    arrays[f"running{i}"] = t.data
+print(json.dumps({name: hashlib.sha256(a.tobytes()).hexdigest()
+                  for name, a in arrays.items()}))
+"""
+
+
+class TestBlasThreadInvariance:
+    """Same-seed bytes must not depend on the BLAS thread count, which
+    library and test callers may leave unpinned."""
+
+    def test_conv_and_batch_norm_bytes_equal_at_one_and_two_threads(self):
+        import json
+        import subprocess
+        import sys
+        from test_cli import child_env
+        digests = []
+        for threads in ("1", "2"):
+            env = {**child_env(), "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(json.loads(proc.stdout))
+        assert len(digests[0]) == 17
+        assert digests[0] == digests[1]
+
+
 class TestMaxPoolTies:
     def test_tied_window_routes_gradient_to_first_maximum(self):
         # the maximum 2 sits at (0, 2) and (1, 0): (0, 2) comes first in
@@ -713,6 +772,60 @@ class TestCheckpoint:
         from parcnn.errors import DataFormatError
         with pytest.raises(DataFormatError):
             load_checkpoint(tmp_path / "nope")
+
+    @pytest.mark.parametrize("change", ["trailing", "truncated"])
+    def test_blob_of_the_wrong_length_rejected(self, tmp_path, change):
+        from parcnn.errors import DataFormatError
+        save_checkpoint(tmp_path / "c", {"a": Tensor(np.ones((2, 3), np.float32)),
+                                         "b": Tensor(np.ones(4, np.float32))})
+        blob = tmp_path / "c.bin"
+        data = blob.read_bytes()
+        assert len(data) == 40
+        blob.write_bytes(data + b"\0" * 4 if change == "trailing" else data[:-4])
+        with pytest.raises(DataFormatError, match="holds (44|36) bytes; its manifest "
+                                                  "describes 40"):
+            load_checkpoint(tmp_path / "c")
+
+    @staticmethod
+    def _crash_at_manifest_replace(monkeypatch):
+        import os
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if str(dst).endswith(".json"):
+                raise OSError("simulated crash before the manifest is replaced")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+
+    def test_crash_between_the_replaces_leaves_the_previous_manifest_loadable(
+            self, tmp_path, monkeypatch, rng):
+        from parcnn.tensor import load_manifest
+        shapes = {"w": (3, 4), "b": (4,)}
+        save_checkpoint(tmp_path / "c", {k: Tensor(np.zeros(v, np.float32))
+                                         for k, v in shapes.items()}, extra={"step": 1})
+        with monkeypatch.context() as patch:
+            self._crash_at_manifest_replace(patch)
+            with pytest.raises(OSError, match="simulated crash"):
+                save_checkpoint(tmp_path / "c",
+                                {k: Tensor(rng.normal(size=v).astype(np.float32))
+                                 for k, v in shapes.items()}, extra={"step": 2})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bin", "c.json"]
+        assert load_manifest(tmp_path / "c")["step"] == 1
+        loaded = load_checkpoint(tmp_path / "c")
+        assert {k: a.shape for k, a in loaded.items()} == shapes
+
+    def test_crash_between_the_replaces_with_resized_tensors_is_rejected(
+            self, tmp_path, monkeypatch):
+        from parcnn.errors import DataFormatError
+        save_checkpoint(tmp_path / "c", {"w": Tensor(np.zeros((3, 4), np.float32))})
+        with monkeypatch.context() as patch:
+            self._crash_at_manifest_replace(patch)
+            with pytest.raises(OSError, match="simulated crash"):
+                save_checkpoint(tmp_path / "c", {"w": Tensor(np.zeros((5, 4), np.float32))})
+        with pytest.raises(DataFormatError, match="holds 80 bytes; its manifest "
+                                                  "describes 48"):
+            load_checkpoint(tmp_path / "c")
 
 
 class TestDeterminism:
