@@ -643,17 +643,13 @@ def batch_norm2d(x: Tensor, scale: Tensor, shift: Tensor,
     data = _into(data, np.add, data, shift.data[None, :, None, None])
 
     def backward(g):
-        need_sums = training and x.requires_grad
-        sum_g = sum_g_xhat = scratch = None
-        if shift.requires_grad or need_sums:
-            sum_g = _channel_sums(g)
-            if shift.requires_grad:
-                shift._accumulate(sum_g)
-        if scale.requires_grad or need_sums:
-            scratch = g * xhat
-            sum_g_xhat = _channel_sums(scratch)
-            if scale.requires_grad:
-                scale._accumulate(sum_g_xhat)
+        sum_g = _channel_sums(g)
+        scratch = g * xhat
+        sum_g_xhat = _channel_sums(scratch)
+        if shift.requires_grad:
+            shift._accumulate(sum_g)
+        if scale.requires_grad:
+            scale._accumulate(sum_g_xhat)
         if not x.requires_grad:
             return
         gain = (scale.data * inv_std)[None, :, None, None]
