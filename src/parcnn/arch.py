@@ -302,7 +302,10 @@ def _int_field(entry: dict, key: str, default=_REQUIRED) -> int:
 def _float_field(entry: dict, key: str, default=_REQUIRED) -> float:
     """``entry[key]`` as a finite float; bools, strings and nulls are rejected."""
     value = entry.get(key, default)
-    if value is _REQUIRED:
+    if type(value) is float or type(value) is int:
+        if math.isfinite(value):
+            return float(value)
+    elif value is _REQUIRED:
         raise _FieldError(key, "missing required field")
     if isinstance(value, bool) or not isinstance(value, numbers.Real) \
             or not math.isfinite(value):
