@@ -11,14 +11,19 @@ shape); calling ``backward`` twice without clearing grads accumulates.
 The graph is retained, not freed. Default dtype is float32; float64 inputs
 are honored so finite-difference oracles can run at full precision.
 
-The window ops (conv2d, depthwise_conv2d, max_pool2d, batch_norm2d), relu
-and the first gradient written by ``Tensor._accumulate`` keep the float
-operations of their reference formulas, in the same order and on the same
-memory layouts; only how data moves between them is tuned (a blocked
-im2col, batch norm's passes written in place into buffers of the same
-dtype, relu as ``fmax``, a first gradient without a zero fill). Their
-outputs and gradients are therefore byte-identical to the reference, and a
-given seed gives the same bytes before and after such tuning.
+The window ops (conv2d, depthwise_conv2d, max_pool2d), relu and the first
+gradient written by ``Tensor._accumulate`` keep the float operations of
+their reference formulas, in the same order; only how data moves between
+them is tuned (a blocked im2col, relu as ``fmax``, a first gradient without
+a zero fill). Their outputs and gradients are therefore byte-identical to
+the reference, and a given seed gives the same bytes before and after such
+tuning. max_pool2d's output keeps its input's memory order, so after a
+conv it is channel-last; its values are the reference's.
+
+batch_norm2d is held to its plain formula within float tolerance, not byte
+for byte: it sums over (N, H, W) as GEMMs against ones (``_channel_sums``),
+chosen over GEMVs because a GEMM's bytes do not depend on the BLAS thread
+count. A given seed therefore gives the same bytes at any thread count.
 
 Forward ops verify their outputs are finite and raise NumericalError
 otherwise; disable with ``finite_checks(False)`` in hot loops at your own
@@ -592,11 +597,11 @@ def _channel_sums(a: np.ndarray) -> np.ndarray:
     """Sums of a (N, C, H, W) array over (N, H, W), one per channel.
 
     On the 2-D view with channels on one axis, the sum is a GEMM against two
-    rows (or columns) of ones. A GEMM's threads share out its output, not
-    the summed axis, so the bytes do not depend on the BLAS thread count.
-    One row of ones would make it a GEMV, whose bytes do (OpenBLAS gives
-    other bytes at 2 threads than at 1), and which is slower at 2 threads.
-    Any other layout falls back to ``sum``.
+    rows (or columns) of ones. BLAS threads share out a GEMM's output, not
+    its summed axis, so its bytes do not depend on the thread count. One row
+    of ones would make it a GEMV, whose bytes do (OpenBLAS gives other bytes
+    at 2 threads than at 1) and which is slower at 2 threads. Any other
+    layout falls back to ``sum``.
     """
     n, c, h, w = a.shape
     m = n * h * w
