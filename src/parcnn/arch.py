@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,6 +48,12 @@ _COMPACT_KINDS = ("dsconv", "parconv", "sparconv")
 _KNOWN_KINDS = _COMPACT_KINDS + (
     "conv", "maxpool", "relu", "batchnorm", "flatten", "linear",
     "bottleneck_head", "residual", "tap")
+# Boolean fields per entry type; each must be JSON true or false when given.
+_SWITCHES = {
+    "conv": ("bias", "bn", "relu"), "dsconv": ("inner_bn",),
+    "parconv": ("shuffle", "inner_bn"), "sparconv": ("shuffle", "inner_bn"),
+    "linear": ("bias",), "residual": ("post_relu",),
+}
 
 
 @dataclass
@@ -153,6 +158,10 @@ class ArchSpec:
             if name in names:
                 raise ArchError(f"{where}.name: duplicate layer name {name!r}")
             names.add(name)
+            for key in _SWITCHES.get(kind, ()):
+                value = entry.get(key, False)
+                if value is not True and value is not False:
+                    raise ArchError(f"{where}.{key}: expected true or false, got {value!r}")
             te = TraceEntry(i, name, kind, entry, state, state)
             try:
                 state = self._step(te, state, names)
@@ -285,32 +294,33 @@ _REQUIRED = object()
 
 
 def _int_field(entry: dict, key: str, default=_REQUIRED) -> int:
-    """``entry[key]`` as an int. Bools, strings, nulls and non-integral
+    """``entry[key]`` as an int. Only a JSON integer, or a float with an
+    integral value, is accepted: bools, strings, nulls and non-integral
     numbers are rejected rather than coerced (``int(3.9)`` would be 3)."""
     value = entry.get(key, default)
     if type(value) is int:
         return value
+    if type(value) is float and value.is_integer():
+        return int(value)
     if value is _REQUIRED:
         raise _FieldError(key, "missing required field")
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
     raise _FieldError(key, f"expected an integer, got {value!r}")
 
 
 def _float_field(entry: dict, key: str, default=_REQUIRED) -> float:
-    """``entry[key]`` as a finite float; bools, strings and nulls are rejected."""
+    """``entry[key]`` as a finite float. Only a JSON number is accepted:
+    bools, strings, nulls and integers too large for a float are rejected."""
     value = entry.get(key, default)
     if type(value) is float or type(value) is int:
-        if math.isfinite(value):
-            return float(value)
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
     elif value is _REQUIRED:
         raise _FieldError(key, "missing required field")
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not math.isfinite(value):
-        raise _FieldError(key, f"expected a number, got {value!r}")
-    return float(value)
+    raise _FieldError(key, f"expected a number, got {value!r}")
 
 
 def _req_str(entry: dict, key: str) -> str:

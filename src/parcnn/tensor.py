@@ -22,8 +22,10 @@ conv it is channel-last; its values are the reference's.
 
 batch_norm2d is held to its plain formula within float tolerance, not byte
 for byte: it sums over (N, H, W) as GEMMs against ones (``_channel_sums``),
-chosen over GEMVs because a GEMM's bytes do not depend on the BLAS thread
-count. A given seed therefore gives the same bytes at any thread count.
+chosen over GEMVs because, on the OpenBLAS 0.3.31 build numpy 2.4.6 ships,
+the GEMM's bytes were measured equal at 1, 2, 3, 4 and 8 threads while the
+GEMV's differ between 1 and 2. Other BLAS builds may split the summed axis
+across threads; a tier-1 test compares 1 against 2 threads.
 
 Forward ops verify their outputs are finite and raise NumericalError
 otherwise; disable with ``finite_checks(False)`` in hot loops at your own
@@ -35,6 +37,7 @@ import contextlib
 import json
 import math
 import os
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -597,11 +600,10 @@ def _channel_sums(a: np.ndarray) -> np.ndarray:
     """Sums of a (N, C, H, W) array over (N, H, W), one per channel.
 
     On the 2-D view with channels on one axis, the sum is a GEMM against two
-    rows (or columns) of ones. BLAS threads share out a GEMM's output, not
-    its summed axis, so its bytes do not depend on the thread count. One row
-    of ones would make it a GEMV, whose bytes do (OpenBLAS gives other bytes
-    at 2 threads than at 1) and which is slower at 2 threads. Any other
-    layout falls back to ``sum``.
+    rows (or columns) of ones. On OpenBLAS 0.3.31 its bytes were measured
+    equal at 1, 2, 3, 4 and 8 threads at shape (43264, 16). One row of ones
+    would make it a GEMV, whose bytes there differ between 1 and 2 threads
+    and which is slower at 2 threads. Any other layout falls back to ``sum``.
     """
     n, c, h, w = a.shape
     m = n * h * w
@@ -705,15 +707,17 @@ def save_checkpoint(prefix: str | Path, tensors: dict[str, Tensor | np.ndarray],
                     extra: dict | None = None) -> None:
     """Write ``prefix``.json (manifest) + ``prefix``.bin (little-endian f32 blob).
 
-    The manifest lists, per tensor: shape and byte offset into the blob.
-    Round-tripping float32 values is bit-exact. ``extra`` entries (for
-    example the architecture description) are stored alongside.
+    The manifest lists, per tensor: shape and byte offset into the blob, and
+    the blob's CRC-32. Round-tripping float32 values is bit-exact. ``extra``
+    entries (for example the architecture description) are stored alongside.
 
     The blob is written first and the manifest second, each to a temporary
-    file in the same directory that is then moved into place, so neither
-    file is ever left half written. The two moves are not one atomic step:
-    a crash between them leaves the new blob beside the old manifest, which
-    ``load_checkpoint`` rejects unless its tensor sizes still add up.
+    file in the same directory that is then moved into place, and the
+    directory is synced after each move, so neither file is ever left half
+    written and the blob is on disk before the manifest that names it. The
+    two moves are not one atomic step: a crash between them leaves the new
+    blob beside the old manifest, which ``load_checkpoint`` rejects by its
+    CRC-32 rather than returning new values under the old ``extra``.
     """
     prefix = Path(prefix)
     manifest: dict = {"format": _CKPT_MAGIC, "tensors": {}}
@@ -727,15 +731,18 @@ def save_checkpoint(prefix: str | Path, tensors: dict[str, Tensor | np.ndarray],
         manifest["tensors"][name] = {"shape": list(arr.shape), "offset": offset}
         offset += len(blob)
         chunks.append(blob)
+    blob = b"".join(chunks)
+    manifest["crc32"] = zlib.crc32(blob)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    _write_then_replace(prefix.with_suffix(prefix.suffix + ".bin"), b"".join(chunks))
+    _write_then_replace(prefix.with_suffix(prefix.suffix + ".bin"), blob)
     _write_then_replace(prefix.with_suffix(prefix.suffix + ".json"),
                         json.dumps(manifest, indent=1, sort_keys=True).encode())
 
 
 def _write_then_replace(path: Path, payload: bytes) -> None:
-    """Write ``payload`` to a temporary file beside ``path``, then move it
-    over ``path``; the temporary file is removed if either step fails."""
+    """Write ``payload`` to a temporary file beside ``path``, move it over
+    ``path`` and sync the directory so the move itself is durable; the
+    temporary file is removed if writing or moving fails."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as f:
@@ -747,6 +754,11 @@ def _write_then_replace(path: Path, payload: bytes) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def load_manifest(prefix: str | Path) -> dict:
@@ -773,6 +785,10 @@ def load_checkpoint(prefix: str | Path) -> dict[str, np.ndarray]:
     if len(blob) != expected:
         raise DataFormatError(f"checkpoint blob {blob_path} holds {len(blob)} bytes; "
                               f"its manifest describes {expected}")
+    # manifests written before the CRC-32 was recorded get the length check only
+    if "crc32" in manifest and zlib.crc32(blob) != manifest["crc32"]:
+        raise DataFormatError(f"checkpoint blob {blob_path} does not match the CRC-32 "
+                              f"of its manifest")
     out: dict[str, np.ndarray] = {}
     for name, entry in entries.items():
         shape = tuple(entry["shape"])

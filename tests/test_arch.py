@@ -159,9 +159,28 @@ def test_unrunnable_compact_kernel_rejected(kind, kernel):
      "split: expected a number, got True"),
     ({"type": "conv", "out_channels": 4},
      "kernel: missing required field"),
+    ({"type": "parconv", "out_channels": 4, "omega": 10 ** 400},
+     f"omega: expected a number, got {10 ** 400!r}"),
+    ({"type": "parconv", "out_channels": 4, "omega": 0.5, "alpha": float("nan")},
+     "alpha: expected a number, got nan"),
+    ({"type": "conv", "out_channels": 4, "kernel": 3, "bias": "false"},
+     "bias: expected true or false, got 'false'"),
+    ({"type": "conv", "out_channels": 4, "kernel": 3, "relu": 0},
+     "relu: expected true or false, got 0"),
+    ({"type": "parconv", "out_channels": 4, "omega": 0.5, "shuffle": "no"},
+     "shuffle: expected true or false, got 'no'"),
+    ({"type": "dsconv", "out_channels": 4, "inner_bn": None},
+     "inner_bn: expected true or false, got None"),
+    ({"type": "conv", "out_channels": np.int64(4), "kernel": 3},
+     f"out_channels: expected an integer, got {np.int64(4)!r}"),
+    ({"type": "residual", "post_relu": 1,
+      "body": [{"type": "conv", "out_channels": 4, "kernel": 1}]},
+     "post_relu: expected true or false, got 1"),
 ], ids=["null-omega", "null-out-channels", "list-kernel-dsconv", "list-kernel-conv",
         "fractional-out-channels", "fractional-kernel", "string-kernel",
-        "bool-window", "string-omega", "bool-split", "missing-kernel"])
+        "bool-window", "string-omega", "bool-split", "missing-kernel",
+        "huge-int-omega", "nan-alpha", "string-bias", "int-relu", "string-shuffle",
+        "null-inner-bn", "numpy-out-channels", "int-post-relu"])
 def test_wrongly_typed_field_rejected(entry, message):
     with pytest.raises(ArchError) as info:
         ArchSpec(4, 6, 6, [entry]).validate()

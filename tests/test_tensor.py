@@ -798,8 +798,9 @@ class TestCheckpoint:
 
         monkeypatch.setattr(os, "replace", replace)
 
-    def test_crash_between_the_replaces_leaves_the_previous_manifest_loadable(
+    def test_crash_between_the_replaces_is_rejected_not_mixed(
             self, tmp_path, monkeypatch, rng):
+        from parcnn.errors import DataFormatError
         from parcnn.tensor import load_manifest
         shapes = {"w": (3, 4), "b": (4,)}
         save_checkpoint(tmp_path / "c", {k: Tensor(np.zeros(v, np.float32))
@@ -812,8 +813,9 @@ class TestCheckpoint:
                                  for k, v in shapes.items()}, extra={"step": 2})
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bin", "c.json"]
         assert load_manifest(tmp_path / "c")["step"] == 1
-        loaded = load_checkpoint(tmp_path / "c")
-        assert {k: a.shape for k, a in loaded.items()} == shapes
+        # same sizes, so only the CRC-32 tells the new blob from the old one
+        with pytest.raises(DataFormatError, match="does not match the CRC-32"):
+            load_checkpoint(tmp_path / "c")
 
     def test_crash_between_the_replaces_with_resized_tensors_is_rejected(
             self, tmp_path, monkeypatch):
