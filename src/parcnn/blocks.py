@@ -208,11 +208,6 @@ def shuffle_permutation(channels: int, groups: int = 2) -> np.ndarray:
     return np.arange(channels).reshape(groups, channels // groups).T.reshape(-1)
 
 
-def channel_shuffle(x: Tensor, groups: int = 2) -> Tensor:
-    """Permute channels so consecutive groups interleave; values untouched."""
-    return T.permute_channels(x, shuffle_permutation(x.shape[1], groups))
-
-
 # -- compact-block width arithmetic -----------------------------------------
 
 def parconv_widths(in_channels: int, alpha: float,
@@ -317,11 +312,12 @@ class ParConvBlock(Layer):
         if x.shape[1] != self.spec.in_channels:
             raise ValueError(
                 f"expected {self.spec.in_channels} channels, got {x.shape[1]}")
-        if self.spec.include_shuffle:
-            x = channel_shuffle(x)
+        # shuffle and split in one gather per branch
+        order = shuffle_permutation(x.shape[1]) if self.spec.include_shuffle \
+            else np.arange(x.shape[1])
         a, _, _ = self.widths
-        xa = T.narrow_channels(x, 0, a)
-        xb = T.narrow_channels(x, a, x.shape[1] - a)
+        xa = T.permute_channels(x, order[:a])
+        xb = T.permute_channels(x, order[a:])
         ya = self.branch_a.forward(xa, ctx)
         yb = self.branch_b.forward(xb, ctx)
         out = T.add(ya, yb)

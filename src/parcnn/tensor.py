@@ -342,15 +342,33 @@ def narrow_channels(a: Tensor, start: int, length: int) -> Tensor:
     return _make(data, (a,), backward, "narrow_channels")
 
 
-def permute_channels(a: Tensor, perm: np.ndarray) -> Tensor:
-    """Reorder axis-1 slices; ``perm`` must be a permutation of range(C)."""
-    perm = np.asarray(perm, dtype=np.int64)
-    data = a.data[:, perm]
-    inv = np.argsort(perm)
+def permute_channels(a: Tensor, index) -> Tensor:
+    """Gather channels: output channel i is input channel ``index[i]``.
+
+    ``index`` lists distinct channels of ``a`` in any order: a permutation
+    of range(C), or a part of one, such as one branch of a shuffled split.
+    The output keeps the input's memory order (channel-last after a conv),
+    and the backward scatters the gradient into a zero buffer laid out like
+    the input.
+    """
+    index = np.asarray(index, dtype=np.int64)
+    c = a.shape[1]
+    if index.ndim != 1 or len(np.unique(index)) != len(index) \
+            or (len(index) and not 0 <= index.min() <= index.max() < c):
+        raise ValueError(f"channel index must list distinct channels of {c}")
+    data = np.empty_like(a.data, shape=(a.shape[0], len(index)) + a.shape[2:])
+    if data.ndim == 4 and data.transpose(0, 2, 3, 1).flags.c_contiguous:
+        # channel-last: take along the contiguous last axis of both views
+        np.take(a.data.transpose(0, 2, 3, 1), index, axis=3,
+                out=data.transpose(0, 2, 3, 1), mode="clip")
+    else:
+        np.take(a.data, index, axis=1, out=data, mode="clip")
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g[:, inv])
+            full = np.zeros_like(a.data, dtype=g.dtype)
+            full[:, index] = g
+            a._accumulate(full)
 
     return _make(data, (a,), backward, "permute_channels")
 
@@ -478,17 +496,23 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             weight._accumulate((g2.T @ cols).reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(g2.sum(axis=0))
-        if x.requires_grad:
-            # col2im into a channel-last buffer, so each tap adds rows of
-            # contiguous channels; taps are added in row-major order
-            gcols = (g2 @ wmat).reshape(n, ho, wo, c_in, k, k)
-            gxp = np.zeros((n, h + 2 * padding, w + 2 * padding, c_in),
-                           dtype=gcols.dtype)
-            for i in range(k):
-                for j in range(k):
-                    dst = gxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
-                    dst += gcols[..., i, j]
-            x._accumulate(_crop(gxp.transpose(0, 3, 1, 2), padding, h, w))
+        if not x.requires_grad:
+            return
+        gcols = g2 @ wmat
+        if k == 1 and stride == 1 and padding == 0:
+            # one tap covering every position: the channel-last product is
+            # the gradient (``_accumulate`` adds it to +0.0, as col2im did)
+            x._accumulate(gcols.reshape(n, h, w, c_in).transpose(0, 3, 1, 2))
+            return
+        # col2im into a channel-last buffer, so each tap adds rows of
+        # contiguous channels; taps are added in row-major order
+        gcols = gcols.reshape(n, ho, wo, c_in, k, k)
+        gxp = np.zeros((n, h + 2 * padding, w + 2 * padding, c_in), dtype=gcols.dtype)
+        for i in range(k):
+            for j in range(k):
+                dst = gxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
+                dst += gcols[..., i, j]
+        x._accumulate(_crop(gxp.transpose(0, 3, 1, 2), padding, h, w))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(data, parents, backward, "conv2d")

@@ -7,7 +7,7 @@ from parcnn import blocks as B
 from parcnn import cost
 from parcnn import tensor as T
 from parcnn.blocks import (BottleneckHeadSpec, ForwardContext, ParConvSpec,
-                           channel_shuffle, shuffle_permutation)
+                           shuffle_permutation)
 from parcnn.tensor import Tensor
 
 from conftest import gradcheck
@@ -16,6 +16,12 @@ from conftest import gradcheck
 def _channel_tagged(channels: int) -> Tensor:
     """(1, C, 1, 1) tensor whose channel c holds the value c."""
     return Tensor(np.arange(channels, dtype=np.float32).reshape(1, channels, 1, 1))
+
+
+def channel_shuffle(x: Tensor, groups: int = 2) -> Tensor:
+    """The channel shuffle as ParConvBlock applies it: one gather through
+    ``shuffle_permutation``."""
+    return T.permute_channels(x, shuffle_permutation(x.shape[1], groups))
 
 
 def _realized_values(block) -> int:
@@ -64,6 +70,59 @@ class TestChannelShuffle:
         perm = shuffle_permutation(6)
         for i, src in enumerate(perm):
             np.testing.assert_array_equal(out.data[:, i], x.data[:, src])
+
+
+class TestShuffleSplitGather:
+    """ParConvBlock shuffles and splits its input as one gather per branch;
+    that must give the bytes of the whole permutation followed by two
+    narrowing copies, in the outputs and in the input gradient."""
+
+    @pytest.mark.parametrize("shuffle", [True, False])
+    @pytest.mark.parametrize("alpha,omega", [(0.5, 0.5), (0.25, None)])
+    @pytest.mark.parametrize("channel_last", [False, True])
+    def test_gathers_equal_permute_then_narrow(self, shuffle, alpha, omega,
+                                               channel_last, rng):
+        c = 12
+        a, _, b = ParConvSpec(c, 8, omega=omega, alpha=alpha).widths()
+        order = shuffle_permutation(c) if shuffle else np.arange(c)
+        # halves with zeros of both signs, stored as given or as a conv's output
+        values = np.round(rng.normal(size=(3, c, 5, 4)) * 2) / 2
+        values = np.where(rng.random(values.shape) < 0.1, -0.0, values)
+        x = values.astype(np.float32)
+        if channel_last:
+            x = x.transpose(0, 2, 3, 1).copy().transpose(0, 3, 1, 2)
+        upstream = [rng.normal(size=(3, w, 5, 4)).astype(np.float32) for w in (a, b)]
+        runs = []
+        for gathered in (True, False):
+            leaf = Tensor(x.copy(order="K"), requires_grad=True)
+            if gathered:
+                parts = [T.permute_channels(leaf, order[:a]),
+                         T.permute_channels(leaf, order[a:])]
+            else:
+                whole = T.permute_channels(leaf, order)
+                parts = [T.narrow_channels(whole, 0, a), T.narrow_channels(whole, a, b)]
+            T.add(T.tsum(T.mul(parts[0], Tensor(upstream[0]))),
+                  T.tsum(T.mul(parts[1], Tensor(upstream[1])))).backward()
+            runs.append(([p.data for p in parts], leaf.grad))
+        (parts, grad), (parts_ref, grad_ref) = runs
+        for p, p_ref in zip(parts, parts_ref):
+            assert p.shape == p_ref.shape
+            assert p.tobytes() == p_ref.tobytes()
+        assert grad.strides == grad_ref.strides == x.strides
+        assert grad.tobytes() == grad_ref.tobytes()
+
+    def test_gather_keeps_the_input_layout(self, rng):
+        x = rng.normal(size=(2, 5, 3, 4)).astype(np.float32)
+        last = x.transpose(0, 2, 3, 1).copy().transpose(0, 3, 1, 2)
+        for source in (x, last):
+            out = T.permute_channels(Tensor(source), [4, 0, 2])
+            assert out.data.strides == np.empty_like(source, shape=out.shape).strides
+            np.testing.assert_array_equal(out.data, x[:, [4, 0, 2]])
+
+    @pytest.mark.parametrize("index", [[0, 0], [5], [-1], [[0, 1]]])
+    def test_gather_rejects_repeated_or_missing_channels(self, index):
+        with pytest.raises(ValueError, match="distinct channels"):
+            T.permute_channels(_channel_tagged(4), index)
 
 
 class TestParConvWidths:
