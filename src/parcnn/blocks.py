@@ -15,7 +15,10 @@ Compact blocks:
   branch B is a single pointwise conv; the branch outputs are summed
   channelwise. With ``omega=None`` there is no expanding conv: that is the
   simplified SParConv form, in which by default a quarter of the input
-  channels feed the depthwise branch.
+  channels feed the depthwise branch. The shuffle and split run as one
+  channel gather per branch, and branch A's projection and branch B run as
+  one pointwise conv over both branches' inputs, their weights joined at
+  call time; the parameters are still those of the two convs.
 
 All compact blocks preserve spatial size (stride 1, padding (K-1)/2).
 """
@@ -103,6 +106,8 @@ class Conv2d(_WeightBias):
 class DepthwiseConv2d(_WeightBias):
     def __init__(self, channels: int, kernel: int, stride: int = 1,
                  padding: int = 0, bias: bool = True, *, rng: np.random.Generator):
+        if min(channels, kernel, stride) < 1 or padding < 0:
+            raise ValueError("invalid convolution geometry")
         self.channels = channels
         self.kernel = kernel
         self.stride = stride
@@ -282,7 +287,14 @@ def _bn_relu(channels: int, suffix: str = "") -> list[tuple[str, Layer]]:
 
 
 class ParConvBlock(Layer):
-    """Two-branch compact replacement for a stride-1 standard convolution."""
+    """Two-branch compact replacement for a stride-1 standard convolution.
+
+    ``branch_a`` ends in ``pw_project`` and ``branch_b`` is one pointwise
+    conv; their sum is computed as a single conv over [branch A before its
+    projection | branch B's input] with weights [W_project | W_b] and the
+    two biases added, so the state names and tensors are those of the two
+    convs while the forward makes one GEMM and no add of activations.
+    """
 
     def __init__(self, spec: ParConvSpec, *, rng: np.random.Generator):
         self.spec = spec
@@ -318,9 +330,14 @@ class ParConvBlock(Layer):
         a, _, _ = self.widths
         xa = T.permute_channels(x, order[:a])
         xb = T.permute_channels(x, order[a:])
-        ya = self.branch_a.forward(xa, ctx)
-        yb = self.branch_b.forward(xb, ctx)
-        out = T.add(ya, yb)
+        *inner, (_, project) = self.branch_a.children
+        for _, layer in inner:
+            xa = layer.forward(xa, ctx)
+        # pw_project and branch_b feed one sum: compute it as one pointwise
+        # conv over both inputs, with their weights and biases joined here
+        out = T.conv2d(T.concat_channels([xa, xb]),
+                       T.concat_channels([project.weight, self.branch_b.weight]),
+                       T.add(project.bias, self.branch_b.bias))
         out = self.post_bn.forward(out, ctx)
         return T.relu(out)
 

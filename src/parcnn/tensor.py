@@ -11,21 +11,25 @@ shape); calling ``backward`` twice without clearing grads accumulates.
 The graph is retained, not freed. Default dtype is float32; float64 inputs
 are honored so finite-difference oracles can run at full precision.
 
-The window ops (conv2d, depthwise_conv2d, max_pool2d), relu and the first
-gradient written by ``Tensor._accumulate`` keep the float operations of
-their reference formulas, in the same order; only how data moves between
-them is tuned (a blocked im2col, relu as ``fmax``, a first gradient without
-a zero fill). Their outputs and gradients are therefore byte-identical to
-the reference, and a given seed gives the same bytes before and after such
-tuning. max_pool2d's output keeps its input's memory order, so after a
-conv it is channel-last; its values are the reference's.
+conv2d, max_pool2d, relu, the channel gather and the first gradient
+written by ``Tensor._accumulate`` keep the float operations of their
+reference formulas, in the same order; only how data moves between them is
+tuned (a blocked im2col, a pointwise input gradient without col2im, relu as
+``fmax``, a first gradient without a zero fill). Their outputs and gradients
+are therefore byte-identical to the reference, and a given seed gives the
+same bytes before and after such tuning. max_pool2d's and the gather's
+outputs keep their input's memory order, so after a conv they are
+channel-last; their values are the reference's.
 
-batch_norm2d is held to its plain formula within float tolerance, not byte
-for byte: it sums over (N, H, W) as GEMMs against ones (``_channel_sums``),
-chosen over GEMVs because, on the OpenBLAS 0.3.31 build numpy 2.4.6 ships,
-the GEMM's bytes were measured equal at 1, 2, 3, 4 and 8 threads while the
-GEMV's differ between 1 and 2. Other BLAS builds may split the summed axis
-across threads; a tier-1 test compares 1 against 2 threads.
+batch_norm2d and depthwise_conv2d are held to their plain formulas within
+float tolerance, not byte for byte. Batch norm sums over (N, H, W) as GEMMs
+against ones (``_channel_sums``), chosen over GEMVs because, on the
+OpenBLAS 0.3.31 build numpy 2.4.6 ships, the GEMM's bytes were measured
+equal at 1, 2, 3, 4 and 8 threads while the GEMV's differ between 1 and 2.
+Depthwise convolution adds its K*K taps as channel-last multiply-adds and
+sums its kernel and bias gradients through the same GEMMs; its output is
+channel-last. Other BLAS builds may split the summed axis across threads; a
+tier-1 test compares 1 against 2 threads.
 
 Forward ops verify their outputs are finite and raise NumericalError
 otherwise; disable with ``finite_checks(False)`` in hot loops at your own
@@ -317,8 +321,16 @@ def flatten(a: Tensor) -> Tensor:
 
 
 def concat_channels(parts: list[Tensor]) -> Tensor:
-    data = np.concatenate([p.data for p in parts], axis=1)
+    """Join along axis 1, in the memory order of the first part (channel-last
+    after a conv), so that a pointwise conv reads the result as a view."""
     widths = [p.shape[1] for p in parts]
+    data = np.empty_like(parts[0].data, shape=(parts[0].shape[0], sum(widths))
+                         + parts[0].shape[2:],
+                         dtype=np.result_type(*(p.data for p in parts)))
+    start = 0
+    for p, w in zip(parts, widths):
+        data[:, start:start + w] = p.data
+        start += w
 
     def backward(g):
         start = 0
@@ -522,7 +534,12 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
                      stride: int = 1, padding: int = 0) -> Tensor:
     """Channelwise convolution: output channel c depends only on input channel c.
 
-    ``kernel`` is shaped (C_in, K, K).
+    ``kernel`` is shaped (C_in, K, K). The input is copied once into a
+    zero-padded channel-last buffer, and each of the K*K taps is one
+    multiply-add of a (N, Ho, Wo, C) view of it with that tap's kernel
+    values, tiled to a contiguous (Wo, C) block so that at stride 1 the
+    inner loop runs over Wo*C contiguous values. Taps are added in
+    row-major order, then the bias. The output is channel-last.
     """
     if x.ndim != 4 or kernel.ndim != 3:
         raise ValueError("depthwise_conv2d expects 4-D input and 3-D kernel")
@@ -534,28 +551,51 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         raise ValueError(f"channel mismatch: input has {c}, kernel has {kc}")
     ho = conv_output_size(h, k, stride, padding)
     wo = conv_output_size(w, k, stride, padding)
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    dtype = np.result_type(*(t.data for t in parents))
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
-        if padding else x.data
-    pv = _patches(xp, k, stride)
-    data = np.einsum("nchwij,cij->nchw", pv, kernel.data, optimize=True)
+    if padding:
+        xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
+        xp[:, padding:padding + h, padding:padding + w] = x.data.transpose(0, 2, 3, 1)
+    else:
+        xp = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1))
+    taps = [(i, j) for i in range(k) for j in range(k)]
+
+    def tap(a, i, j):
+        """The (N,Ho,Wo,C) view of padded channel-last ``a`` under tap (i, j)."""
+        return a[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
+
+    # tiled[i, j] is kernel[:, i, j] repeated over a contiguous (Wo, C) block
+    tiled = np.empty((k, k, wo, c), dtype=dtype)
+    tiled[...] = kernel.data.transpose(1, 2, 0)[:, :, None, :]
+    out = np.empty((n, ho, wo, c), dtype=dtype)
+    np.multiply(tap(xp, 0, 0), tiled[0, 0], out=out)
+    scratch = np.empty_like(out)
+    for i, j in taps[1:]:
+        out += np.multiply(tap(xp, i, j), tiled[i, j], out=scratch)
     if bias is not None:
-        data = data + bias.data[None, :, None, None]
+        out += np.broadcast_to(bias.data, (wo, c)).copy()
+    data = out.transpose(0, 3, 1, 2)
 
     def backward(g):
+        gl = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
+        prod = np.empty_like(gl, dtype=np.result_type(gl, dtype))
         if kernel.requires_grad:
-            kernel._accumulate(np.einsum("nchwij,nchw->cij", pv, g, optimize=True))
+            gk = np.empty((c, k, k), dtype=prod.dtype)
+            for i, j in taps:
+                np.multiply(gl, tap(xp, i, j), out=prod)
+                gk[:, i, j] = _channel_sums(prod.transpose(0, 3, 1, 2))
+            kernel._accumulate(gk)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, 2, 3)))
+            bias._accumulate(_channel_sums(gl.transpose(0, 3, 1, 2)))
         if x.requires_grad:
-            gxp = np.zeros(xp.shape, dtype=np.result_type(g, kernel.data))
-            for i in range(k):
-                for j in range(k):
-                    dst = _tap(gxp, i, j, stride, ho, wo)
-                    dst += g * kernel.data[None, :, i, j, None, None]
-            x._accumulate(_crop(gxp, padding, h, w))
+            gxp = np.zeros(xp.shape, dtype=prod.dtype)
+            for i, j in taps:
+                dst = tap(gxp, i, j)
+                dst += np.multiply(gl, tiled[i, j], out=prod)
+            gx = gxp[:, padding:padding + h, padding:padding + w] if padding else gxp
+            x._accumulate(gx.transpose(0, 3, 1, 2))
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
     return _make(data, parents, backward, "depthwise_conv2d")
 
 
@@ -634,7 +674,7 @@ def _channel_sums(a: np.ndarray) -> np.ndarray:
     rows = a.transpose(0, 2, 3, 1)   # channel-last, as conv2d stores its output
     if rows.flags.c_contiguous:
         return (np.ones((2, m), dtype=a.dtype) @ rows.reshape(m, c))[0]
-    cols = a.transpose(1, 0, 2, 3)   # channels-first, as the depthwise einsum does
+    cols = a.transpose(1, 0, 2, 3)   # channel axis outermost
     if cols.flags.c_contiguous:
         return (cols.reshape(c, m) @ np.ones((m, 2), dtype=a.dtype))[:, 0]
     return a.sum(axis=(0, 2, 3))

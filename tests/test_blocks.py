@@ -125,6 +125,19 @@ class TestShuffleSplitGather:
             T.permute_channels(_channel_tagged(4), index)
 
 
+class TestConvGeometry:
+    @pytest.mark.parametrize("layer", ["conv", "depthwise"])
+    @pytest.mark.parametrize("channels,kernel,stride,padding", [
+        (0, 3, 1, 1), (4, 0, 1, 0), (4, 3, 0, 1), (4, 3, 1, -1), (-2, 3, 1, 1)])
+    def test_invalid_geometry_rejected(self, layer, channels, kernel, stride,
+                                       padding, rng):
+        with pytest.raises(ValueError, match="invalid convolution geometry"):
+            if layer == "conv":
+                B.Conv2d(channels, 4, kernel, stride, padding, rng=rng)
+            else:
+                B.DepthwiseConv2d(channels, kernel, stride, padding, rng=rng)
+
+
 class TestParConvWidths:
     def test_even_split(self):
         assert B.parconv_widths(200, 0.5, 0.5) == (100, 50, 100)

@@ -205,13 +205,14 @@ class TestBackward:
 
 
 # -- reference ops ------------------------------------------------------------
-# conv2d, depthwise_conv2d, max_pool2d, relu and Tensor._accumulate as they
-# were before their data movement was rewritten. The engine must keep their
-# float operations and order, so its outputs and gradients must equal these
-# byte for byte, in value and (apart from max pooling's output, which keeps
-# its input's memory order) in memory layout. ref_batch_norm2d is the plain
-# formula; batch norm sums its channels as GEMMs, so the engine is held to it
-# run in float64, within a tolerance.
+# conv2d, max_pool2d, relu and Tensor._accumulate as they were before their
+# data movement was rewritten. The engine must keep their float operations
+# and order, so its outputs and gradients must equal these byte for byte, in
+# value and (apart from max pooling's output, which keeps its input's memory
+# order) in memory layout. ref_depthwise_conv2d (an einsum over sliding
+# windows) and ref_batch_norm2d (the plain formula) sum in another order than
+# the engine's tap multiply-adds and GEMM channel sums, so the engine is held
+# to them run in float64, within a tolerance.
 
 def _ref_scatter_patches(shape, gpatches, kernel, stride):
     gxp = np.zeros(shape, dtype=gpatches.dtype)
@@ -371,9 +372,9 @@ _BN_LAYOUTS = ("c_order", "channel_last", "channels_first", "strided")
 
 
 def _bn_layout(array, layout):
-    """Same values, stored as a conv2d output is (channel_last), as the
-    depthwise einsum's output is (channels_first), in C order, or as a
-    strided view that neither GEMM reduction takes."""
+    """Same values, stored as a conv2d output is (channel_last), with the
+    channel axis outermost (channels_first), in C order, or as a strided
+    view that neither GEMM reduction takes."""
     if layout == "channel_last":
         return _layout(array, True)
     if layout == "channels_first":
@@ -429,6 +430,32 @@ def _check_against_reference(op, ref, inputs, upstream_rng,
         _assert_same_bytes(t.grad, t_ref.grad, f"gradient of input {k}")
 
 
+def _check_against_float64_reference(op, ref, inputs, upstream_rng, **kwargs):
+    """Run ``op`` on ``inputs`` and ``ref`` on float64 copies of them through
+    one backward pass with a shared upstream gradient; the output and every
+    leaf gradient must keep the engine's dtypes and agree within 1e-4 when
+    an input is float32 (it bounds the precision), 1e-10 in float64.
+    Returns the engine's output array."""
+    runs = []
+    upstream = None
+    for fn, cast in ((op, lambda a: a.copy(order="K")),
+                     (ref, lambda a: a.astype(np.float64))):
+        leaves = [Tensor(cast(a), requires_grad=True) for a in inputs]
+        y = fn(*leaves, **kwargs)
+        if upstream is None:
+            upstream = _rounded(upstream_rng, y.shape, y.dtype)
+        T.tsum(T.mul(y, Tensor(cast(upstream)))).backward()
+        runs.append([y.data] + [t.grad for t in leaves])
+    engine, reference = runs
+    tol = 1e-4 if any(a.dtype == np.float32 for a in inputs) else 1e-10
+    names = ["output"] + [f"gradient of input {k}" for k in range(len(inputs))]
+    dtypes = [np.result_type(*inputs)] + [a.dtype for a in inputs]
+    for name, want, a, a_ref in zip(names, dtypes, engine, reference):
+        assert a.dtype == want, name
+        np.testing.assert_allclose(a, a_ref, rtol=tol, atol=tol, err_msg=name)
+    return engine[0]
+
+
 _WINDOWS = [(k, s, p) for k in (1, 3, 5) for s in (1, 2) for p in range(k)]
 _ORACLE_CASES = pytest.mark.parametrize("dtype,channel_last,rounded", [
     (dtype, channel_last, rounded)
@@ -453,8 +480,11 @@ class TestWindowOpsMatchReference:
         for k, s, p in _WINDOWS:
             x = _layout(draw((2, 5, 11, 11)), channel_last)
             inputs = [x, draw((5, k, k)), draw((5,))]
-            _check_against_reference(T.depthwise_conv2d, ref_depthwise_conv2d,
-                                     inputs, rng, stride=s, padding=p)
+            out = _check_against_float64_reference(
+                T.depthwise_conv2d, ref_depthwise_conv2d, inputs, rng,
+                stride=s, padding=p)
+            # the output is channel-last whatever the input's layout
+            assert out.strides == _layout(out, True).strides
 
     @_ORACLE_CASES
     def test_max_pool2d(self, dtype, channel_last, rounded, rng):
@@ -592,8 +622,9 @@ class TestReluAndAccumulateMatchReference:
 class TestTrainingStepMatchesReference:
     """One training step of a whole model through the reference op bodies
     and through the engine's: layouts meet across ops here in ways that
-    the single-op oracles do not reach. Batch norm runs the engine's body
-    on both sides, since its GEMM reductions have no byte-equal reference."""
+    the single-op oracles do not reach. Depthwise convolution and batch norm
+    run the engine's body on both sides, since their tap multiply-adds and
+    GEMM reductions have no byte-equal reference."""
 
     @staticmethod
     def _step(arch):
@@ -616,7 +647,6 @@ class TestTrainingStepMatchesReference:
         loss, state = self._step(arch)
         with monkeypatch.context() as patch:
             for name, ref in [("conv2d", ref_conv2d),
-                              ("depthwise_conv2d", ref_depthwise_conv2d),
                               ("max_pool2d", ref_max_pool2d),
                               ("relu", ref_relu)]:
                 patch.setattr(T, name, ref)
@@ -628,13 +658,15 @@ class TestTrainingStepMatchesReference:
             _assert_same_bytes(t.data, t_ref.data, name)
 
 
-# One stem conv2d with its batch norm, and a depthwise conv with its batch
-# norm, at kd-synthetic's batch size, through a training forward and
-# backward; prints a digest of every output, gradient and running statistic.
+# One stem conv2d with its batch norm, a depthwise conv with its batch norm,
+# and a whole ParConv block (omega 0.5) at conv2_2's shape, at kd-synthetic's
+# batch size, through a training forward and backward; prints a digest of
+# every output, gradient and running statistic.
 _THREAD_PROBE = """
 import hashlib, json
 import numpy as np
 from parcnn import tensor as T
+from parcnn.blocks import ForwardContext, ParConvBlock, ParConvSpec
 from parcnn.tensor import Tensor
 
 rng = np.random.default_rng(0)
@@ -645,22 +677,30 @@ def bn(x, c):
     rm, rv = Tensor(np.zeros(c, np.float32)), Tensor(np.ones(c, np.float32))
     y = T.batch_norm2d(x, scale, shift, rm, rv, training=True)
     return y, [scale, shift], [rm, rv]
+def weigh(y):
+    return T.tsum(T.mul(y, Tensor(rng.normal(size=y.shape).astype(np.float32))))
 image, w, b = leaf(64, 1, 28, 28), leaf(16, 1, 3, 3), leaf(16)
 conv = T.conv2d(image, w, b)                       # (64, 16, 26, 26), channel-last
 y1, p1, s1 = bn(conv, 16)
 x2, k = leaf(64, 8, 14, 14), leaf(8, 3, 3)
-dw = T.depthwise_conv2d(x2, k)                     # (64, 8, 12, 12), channels-first
+dw = T.depthwise_conv2d(x2, k)                     # (64, 8, 12, 12), channel-last
 y2, p2, s2 = bn(dw, 8)
-loss = T.add(T.tsum(T.mul(y1, Tensor(rng.normal(size=y1.shape).astype(np.float32)))),
-             T.tsum(T.mul(y2, Tensor(rng.normal(size=y2.shape).astype(np.float32)))))
+block = ParConvBlock(ParConvSpec(32, 32, omega=0.5), rng=rng)
+x3 = Tensor(rng.normal(size=(64, 12, 12, 32)).astype(np.float32).transpose(0, 3, 1, 2),
+            requires_grad=True)                    # channel-last, as conv2_2 sees it
+y3 = block.forward(x3, ForwardContext(training=True))
+loss = T.add(T.add(weigh(y1), weigh(y2)), weigh(y3))
 loss.backward()
-arrays = {"conv": conv.data, "bn1": y1.data, "dw": dw.data, "bn2": y2.data}
-for name, t in [("image", image), ("w", w), ("b", b), ("x2", x2), ("k", k)]:
+arrays = {"conv": conv.data, "bn1": y1.data, "dw": dw.data, "bn2": y2.data,
+          "parconv": y3.data}
+for name, t in [("image", image), ("w", w), ("b", b), ("x2", x2), ("k", k), ("x3", x3)]:
     arrays["grad_" + name] = t.grad
 for i, t in enumerate(p1 + p2):
     arrays[f"grad_bn_param{i}"] = t.grad
 for i, t in enumerate(s1 + s2):
     arrays[f"running{i}"] = t.data
+for name, t in block.params():
+    arrays["grad_parconv." + name] = t.grad
 print(json.dumps({name: hashlib.sha256(a.tobytes()).hexdigest()
                   for name, a in arrays.items()}))
 """
@@ -683,7 +723,9 @@ class TestBlasThreadInvariance:
                                   capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr
             digests.append(json.loads(proc.stdout))
-        assert len(digests[0]) == 17
+        # 17 for the conv and depthwise pairs; the ParConv block's output,
+        # its input gradient and 14 parameter gradients
+        assert len(digests[0]) == 33
         assert digests[0] == digests[1]
 
 
