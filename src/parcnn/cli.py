@@ -13,6 +13,7 @@ either as a JSON file path or as ``zoo:<name>``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -92,12 +93,19 @@ def _write_run_config(run_dir: Path, args, command: str) -> None:
         json.dump(config, f, indent=1, sort_keys=True, default=str)
 
 
-def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
+@contextlib.contextmanager
+def _csv_rows(path: Path, columns: list[str]):
+    """Yield a function that appends one row to the CSV file at ``path`` and
+    flushes it, so the rows written before an abort stay in the file."""
     with open(path, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=columns, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
+
+        def write(row: dict) -> None:
             writer.writerow({c: row.get(c, "") for c in columns})
+            f.flush()
+
+        yield write
 
 
 def _load_train_test(args) -> tuple[data.Dataset, data.Dataset]:
@@ -169,12 +177,12 @@ def cmd_train(args) -> int:
         else train.step_decay_schedule(args.lr, floor=args.lr_floor)
     run_dir = _make_run_dir(args, "train")
     _write_run_config(run_dir, args, "train")
-    metrics = train.train_classifier(
-        model, train_set, epochs=args.epochs, batch_size=args.batch,
-        schedule=schedule, momentum=args.momentum,
-        weight_decay=args.weight_decay, seed=args.seed, eval_data=test_set,
-        checkpoint_prefix=run_dir / "model")
-    _write_csv(run_dir / "metrics.csv", metrics, _TRAIN_COLUMNS)
+    with _csv_rows(run_dir / "metrics.csv", _TRAIN_COLUMNS) as write_row:
+        train.train_classifier(
+            model, train_set, epochs=args.epochs, batch_size=args.batch,
+            schedule=schedule, momentum=args.momentum,
+            weight_decay=args.weight_decay, seed=args.seed, eval_data=test_set,
+            checkpoint_prefix=run_dir / "model", on_row=write_row)
     result = train.evaluate(model, test_set)
     print(f"[train] test error {100 * result.cer:.2f}% "
           f"({result.substitutions}/{result.total}); "
@@ -205,9 +213,9 @@ def cmd_distill(args) -> int:
     run_dir = _make_run_dir(args, "distill")
     _write_run_config(run_dir, args, "distill")
     student_arch.save(run_dir / "student_arch.json")
-    metrics = distill.distill_train(teacher, student, train_set, config,
-                                    run_dir=run_dir)
-    _write_csv(run_dir / "metrics.csv", metrics, _DISTILL_COLUMNS)
+    with _csv_rows(run_dir / "metrics.csv", _DISTILL_COLUMNS) as write_row:
+        metrics = distill.distill_train(teacher, student, train_set, config,
+                                        run_dir=run_dir, on_row=write_row)
     student.save(run_dir / "student")
     print(f"[distill] {len(metrics)} iterations; student checkpoint "
           f"{run_dir}/student, metrics {run_dir}/metrics.csv")

@@ -22,6 +22,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -200,12 +201,14 @@ def spms_from_taps(taps: dict[str, Tensor],
 
 def distill_train(teacher: Model, student: Model, train_data: Dataset,
                   config: DistillConfig, run_dir: str | Path | None = None,
-                  ) -> list[dict]:
+                  on_row: Callable[[dict], None] | None = None) -> list[dict]:
     """Minibatch SGD of the student against the frozen teacher.
 
     Returns one metrics row per iteration: iteration, kl, ce, sp, total, lr
-    (component losses pre-weighting). A NaN/Inf loss aborts with
-    NumericalError; the most recent periodic checkpoint is left in place.
+    (component losses pre-weighting); ``on_row`` is called with each row as
+    it is recorded. A NaN/Inf loss aborts with NumericalError; the rows
+    before it have been passed to ``on_row``, and the most recent periodic
+    checkpoint is left in place.
     """
     pairs = resolve_tap_pairs(teacher, student, config)
     teacher.set_requires_grad(False)
@@ -242,9 +245,11 @@ def distill_train(teacher: Model, student: Model, train_data: Dataset,
             loss.backward()
             lr = schedule(iteration)
             opt.step(lr)
-            metrics.append({"iteration": iteration, "kl": kl.item(),
-                            "ce": ce.item(), "sp": sp.item(), "total": value,
-                            "lr": lr})
+            row = {"iteration": iteration, "kl": kl.item(), "ce": ce.item(),
+                   "sp": sp.item(), "total": value, "lr": lr}
+            metrics.append(row)
+            if on_row is not None:
+                on_row(row)
             iteration += 1
             if run_dir is not None and config.checkpoint_every \
                     and iteration % config.checkpoint_every == 0:

@@ -114,18 +114,27 @@ def train_classifier(model: Model, train_data: Dataset, epochs: int,
                      schedule: Callable[[int], float] | None = None,
                      momentum: float = 0.9, weight_decay: float = 1e-4,
                      seed: int = 0, eval_data: Dataset | None = None,
-                     checkpoint_prefix=None) -> list[dict]:
+                     checkpoint_prefix=None,
+                     on_row: Callable[[dict], None] | None = None) -> list[dict]:
     """Plain cross-entropy training; returns per-iteration metrics rows
     (epoch, iteration, loss, lr, test_error).
 
-    With ``checkpoint_prefix`` the model is saved after every epoch, so a
-    divergence abort leaves the last completed epoch's weights in place.
+    ``on_row`` is called with each row as it is recorded, so the rows before
+    a divergence abort can be kept. With ``checkpoint_prefix`` the model is
+    saved after every epoch, so such an abort leaves the last completed
+    epoch's weights in place.
     """
     from .distill import cross_entropy  # local import to avoid a cycle
 
     schedule = schedule or constant_schedule(0.01)
     opt = SGDMomentum(model.params(), momentum=momentum, weight_decay=weight_decay)
     metrics: list[dict] = []
+
+    def record(row: dict) -> None:
+        metrics.append(row)
+        if on_row is not None:
+            on_row(row)
+
     iteration = 0
     for epoch in range(epochs):
         for images, labels in batches(train_data, batch_size,
@@ -141,13 +150,13 @@ def train_classifier(model: Model, train_data: Dataset, epochs: int,
             loss.backward()
             lr = schedule(iteration)
             opt.step(lr)
-            metrics.append({"epoch": epoch, "iteration": iteration,
-                            "loss": value, "lr": lr, "test_error": ""})
+            record({"epoch": epoch, "iteration": iteration,
+                    "loss": value, "lr": lr, "test_error": ""})
             iteration += 1
         if eval_data is not None:
             err = evaluate(model, eval_data).cer
-            metrics.append({"epoch": epoch, "iteration": iteration,
-                            "loss": "", "lr": "", "test_error": err})
+            record({"epoch": epoch, "iteration": iteration,
+                    "loss": "", "lr": "", "test_error": err})
         if checkpoint_prefix is not None:
             model.save(checkpoint_prefix)
     return metrics

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import parcnn
+from parcnn import distill
 from parcnn.arch import build_model
 from parcnn.cli import main
+from parcnn.tensor import Tensor
 from parcnn.zoo import build_zoo_arch
 
 
@@ -24,6 +26,34 @@ def child_env() -> dict:
     or not."""
     path = [str(Path(parcnn.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+
+
+def diverge_from_call(monkeypatch, module, name: str, call: int) -> None:
+    """Make the loss function ``module.name`` return NaN from its ``call``-th
+    call (counting from 0) on, as a training run that diverges there."""
+    real = getattr(module, name)
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        loss = real(*args, **kwargs)
+        calls.append(None)
+        if len(calls) > call:
+            return Tensor(np.full(loss.shape, np.nan, loss.dtype))
+        return loss
+
+    monkeypatch.setattr(module, name, poisoned)
+
+
+def assert_rows_kept_before(run_dir, complete_run_dir, iteration: int) -> None:
+    """metrics.csv of an aborted run holds the header and exactly the rows
+    of the complete run before ``iteration``."""
+    kept = (run_dir / "metrics.csv").read_text().splitlines()
+    complete = (complete_run_dir / "metrics.csv").read_text().splitlines()
+    assert len(complete) > iteration + 1
+    assert kept == complete[:iteration + 1]
+    column = complete[0].split(",").index("iteration")
+    assert [row.split(",")[column] for row in kept[1:]] == \
+        [str(i) for i in range(iteration)]
 
 
 class TestAnalyze:
@@ -137,6 +167,16 @@ class TestTrainCommand:
         assert (tmp_path / "a" / "model.bin").read_bytes() == \
             (tmp_path / "b" / "model.bin").read_bytes()
 
+    def test_divergence_mid_epoch_keeps_earlier_metrics(self, tmp_path, capsys,
+                                                        monkeypatch):
+        assert self._train(tmp_path / "a") == 0
+        # the epoch has 7 iterations; the loss is NaN from iteration 3 on
+        with monkeypatch.context() as patch:
+            diverge_from_call(patch, distill, "cross_entropy", 3)
+            assert self._train(tmp_path / "b") == 4
+        assert "diverged at iteration 3" in capsys.readouterr().err
+        assert_rows_kept_before(tmp_path / "b", tmp_path / "a", 3)
+
     def test_different_seed_changes_metrics(self, tmp_path):
         self._train(tmp_path / "a", seed="7")
         self._train(tmp_path / "c", seed="8")
@@ -193,6 +233,20 @@ class TestDistillCommand:
         assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
             (tmp_path / "b" / "metrics.csv").read_bytes()
         assert (tmp_path / "a" / "student.json").exists()
+
+    def test_divergence_mid_epoch_keeps_earlier_metrics(self, tmp_path, teacher_ckpt,
+                                                        capsys, monkeypatch):
+        def once(name):
+            return run_cli("distill", "--teacher", str(teacher_ckpt), "--synthetic",
+                           "--per-class", "16", "--batch", "32", "--epochs", "1",
+                           "--seed", "3", "--run-dir", str(tmp_path / name))
+        assert once("a") == 0
+        # the epoch has 5 iterations; the loss is NaN from iteration 3 on
+        with monkeypatch.context() as patch:
+            diverge_from_call(patch, distill, "total_loss", 3)
+            assert once("b") == 4
+        assert "diverged at iteration 3" in capsys.readouterr().err
+        assert_rows_kept_before(tmp_path / "b", tmp_path / "a", 3)
 
     def test_negative_lambda_exits_2(self, teacher_ckpt):
         with pytest.raises(SystemExit) as exc:
