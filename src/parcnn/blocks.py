@@ -300,6 +300,10 @@ class ParConvBlock(Layer):
         self.spec = spec
         self.widths = spec.widths()
         a, e, b = self.widths
+        # the shuffle and split, as the channels each branch gathers
+        order = shuffle_permutation(spec.in_channels) if spec.include_shuffle \
+            else np.arange(spec.in_channels)
+        self.gathers = (order[:a], order[a:])
         pad = (spec.kernel - 1) // 2
         stack: list[tuple[str, Layer]] = []
         if spec.omega is not None:
@@ -324,12 +328,7 @@ class ParConvBlock(Layer):
         if x.shape[1] != self.spec.in_channels:
             raise ValueError(
                 f"expected {self.spec.in_channels} channels, got {x.shape[1]}")
-        # shuffle and split in one gather per branch
-        order = shuffle_permutation(x.shape[1]) if self.spec.include_shuffle \
-            else np.arange(x.shape[1])
-        a, _, _ = self.widths
-        xa = T.permute_channels(x, order[:a])
-        xb = T.permute_channels(x, order[a:])
+        xa, xb = (T.permute_channels(x, index) for index in self.gathers)
         *inner, (_, project) = self.branch_a.children
         for _, layer in inner:
             xa = layer.forward(xa, ctx)
