@@ -5,7 +5,8 @@ descriptor. Entries are plain dicts (JSON-serializable); ``validate()``
 walks the spatial/channel trace front to back and returns per-entry
 ``TraceEntry`` records that both the cost model and the model builder
 consume, raising ``ArchError`` with a ``layers[i].field`` diagnostic on the
-first inconsistency.
+first inconsistency. Each entry's fields are read once, through
+``_SCHEMA``, into ``TraceEntry.fields``; nothing downstream reads the dict.
 
 Supported entry types and their fields (defaults in parentheses):
 
@@ -44,30 +45,43 @@ from .blocks import ForwardContext, Layer, ParConvSpec, BottleneckHeadSpec
 from .errors import ArchError
 from .tensor import Tensor
 
-_COMPACT_KINDS = ("dsconv", "parconv", "sparconv")
-_KNOWN_KINDS = _COMPACT_KINDS + (
-    "conv", "maxpool", "relu", "batchnorm", "flatten", "linear",
-    "bottleneck_head", "residual", "tap")
-# Boolean fields per entry type; each must be JSON true or false when given.
-_SWITCHES = {
-    "conv": ("bias", "bn", "relu"), "dsconv": ("inner_bn",),
-    "parconv": ("shuffle", "inner_bn"), "sparconv": ("shuffle", "inner_bn"),
-    "linear": ("bias",), "residual": ("post_relu",),
+# Each entry type's fields, in the order they are checked, mapped to their
+# defaults; a required field maps to its type instead. A field's type picks
+# its reader in ``_READERS``: an int must be a JSON integer (or integral
+# float), a float a finite JSON number, a bool JSON true or false.
+_SCHEMA: dict[str, dict[str, object]] = {
+    "conv": {"out_channels": int, "kernel": int, "stride": 1, "padding": 0,
+             "bias": True, "bn": True, "relu": True},
+    "dsconv": {"out_channels": int, "kernel": 3, "inner_bn": True},
+    "parconv": {"out_channels": int, "omega": float, "alpha": 0.5, "kernel": 3,
+                "shuffle": True, "inner_bn": True},
+    "sparconv": {"out_channels": int, "split": 0.25, "kernel": 3, "shuffle": True,
+                 "inner_bn": True},
+    "maxpool": {"window": 3, "stride": 2, "padding": 0},
+    "relu": {},
+    "batchnorm": {},
+    "flatten": {},
+    "linear": {"out_features": int, "bias": True},
+    "bottleneck_head": {"bottleneck_dim": int, "out_features": int},
+    "residual": {"body": list, "post_relu": False},
+    "tap": {"name": str},
 }
 
 
 @dataclass
 class TraceEntry:
-    """Resolved geometry of one ArchSpec entry."""
+    """Resolved fields and geometry of one ArchSpec entry."""
 
     index: int
     name: str
     kind: str
-    entry: dict
+    entry: dict              # the entry itself, as it sits in its layer list
     in_state: tuple          # ("map", C, H, W) or ("flat", D)
     out_state: tuple
+    fields: dict             # every ``_SCHEMA`` field, typed, defaults filled in
     body: list["TraceEntry"] | None = None
     skip_stride: int = 1     # residual only; 1 and equal channels => identity
+    parconv: ParConvSpec | None = None   # parconv and sparconv only
 
     @property
     def spatial(self) -> str:
@@ -152,18 +166,14 @@ class ArchSpec:
             if not isinstance(entry, dict) or "type" not in entry:
                 raise ArchError(f"{where}: each layer entry needs a 'type' field")
             kind = entry["type"]
-            if kind not in _KNOWN_KINDS:
+            if not isinstance(kind, str) or kind not in _SCHEMA:
                 raise ArchError(f"{where}.type: unknown layer type {kind!r}")
             name = entry.get("name", f"{kind}{i}")
             if name in names:
                 raise ArchError(f"{where}.name: duplicate layer name {name!r}")
             names.add(name)
-            for key in _SWITCHES.get(kind, ()):
-                value = entry.get(key, False)
-                if value is not True and value is not False:
-                    raise ArchError(f"{where}.{key}: expected true or false, got {value!r}")
-            te = TraceEntry(i, name, kind, entry, state, state)
             try:
+                te = TraceEntry(i, name, kind, entry, state, state, _resolve(kind, entry))
                 state = self._step(te, state, names)
             except ArchError:
                 raise   # from a residual body, already naming its path
@@ -176,47 +186,45 @@ class ArchSpec:
         return trace, state
 
     def _step(self, te: TraceEntry, state: tuple, names: set[str]) -> tuple:
-        entry, kind = te.entry, te.kind
-        if kind in ("conv", "maxpool", "batchnorm", "residual") + _COMPACT_KINDS:
+        """Check the resolved entry's ranges against ``state``; return its
+        output state."""
+        f, kind = te.fields, te.kind
+        if kind in ("conv", "dsconv", "parconv", "sparconv", "maxpool", "batchnorm",
+                    "residual"):
             if state[0] != "map":
                 raise ValueError(f"{kind} requires a feature map, have flat features")
         if kind == "conv":
-            c_out = _int_field(entry, "out_channels")
-            k = _int_field(entry, "kernel")
-            stride = _int_field(entry, "stride", 1)
-            padding = _int_field(entry, "padding", 0)
+            k, stride, padding = f["kernel"], f["stride"], f["padding"]
+            if f["out_channels"] < 1:
+                raise ValueError("out_channels must be positive")
             if k < 1 or stride < 1 or padding < 0:
                 raise ValueError("kernel/stride must be >= 1 and padding >= 0")
-            _, c, h, w = state
+            _, _, h, w = state
             ho = T.conv_output_size(h, k, stride, padding)
             wo = T.conv_output_size(w, k, stride, padding)
-            return ("map", c_out, ho, wo)
+            return ("map", f["out_channels"], ho, wo)
         if kind == "dsconv":
-            c_out = _int_field(entry, "out_channels")
-            k = _int_field(entry, "kernel", 3)
             _, c, h, w = state
-            if c_out < 1:
+            if f["out_channels"] < 1:
                 raise ValueError("out_channels must be positive")
-            if k < 1 or k % 2 == 0:
+            if f["kernel"] < 1 or f["kernel"] % 2 == 0:
                 raise ValueError("kernel must be odd and >= 1")
-            return ("map", c_out, h, w)
+            return ("map", f["out_channels"], h, w)
         if kind in ("parconv", "sparconv"):
             _, c, h, w = state
-            spec = parconv_spec_of(entry, c)
-            if spec.include_shuffle and c % 2:
-                raise ValueError(f"channel shuffle needs an even channel count, have {c}")
-            return ("map", spec.out_channels, h, w)
+            te.parconv = _parconv_spec(kind, f, c)
+            return ("map", te.parconv.out_channels, h, w)
         if kind == "maxpool":
-            window = _int_field(entry, "window", 3)
-            stride = _int_field(entry, "stride", 2)
-            padding = _int_field(entry, "padding", 0)
+            window, stride, padding = f["window"], f["stride"], f["padding"]
+            if window < 1 or stride < 1:
+                raise ValueError("window/stride must be >= 1")
+            if not 0 <= padding < window:
+                raise ValueError("padding must be >= 0 and smaller than the window")
             _, c, h, w = state
             ho = T.conv_output_size(h, window, stride, padding)
             wo = T.conv_output_size(w, window, stride, padding)
             return ("map", c, ho, wo)
         if kind in ("relu", "tap", "batchnorm"):
-            if kind == "tap":
-                _req_str(entry, "name")
             return state
         if kind == "flatten":
             if state[0] != "map":
@@ -226,22 +234,16 @@ class ArchSpec:
         if kind == "linear":
             if state[0] != "flat":
                 raise ValueError("linear requires flat features (insert a flatten)")
-            n_out = _int_field(entry, "out_features")
-            if n_out < 1:
+            if f["out_features"] < 1:
                 raise ValueError("out_features must be positive")
-            return ("flat", n_out)
+            return ("flat", f["out_features"])
         if kind == "bottleneck_head":
             if state[0] != "flat":
                 raise ValueError("bottleneck_head requires flat features")
-            n_out = _int_field(entry, "out_features")
-            BottleneckHeadSpec(state[1], _int_field(entry, "bottleneck_dim"), n_out)
-            return ("flat", n_out)
+            BottleneckHeadSpec(state[1], f["bottleneck_dim"], f["out_features"])
+            return ("flat", f["out_features"])
         if kind == "residual":
-            body = entry.get("body")
-            if not isinstance(body, list) or not body:
-                raise ValueError("residual entry needs a non-empty 'body' list")
-            sub, out = self._walk(body, state, f"layers[{te.index}].body", names)
-            te.body = sub
+            te.body, out = self._walk(f["body"], state, f"layers[{te.index}].body", names)
             if out[0] != "map":
                 raise ValueError("residual body must produce a feature map")
             _, c_in, h, w = state
@@ -253,17 +255,8 @@ class ArchSpec:
     # -- convenience ------------------------------------------------------
     def tap_shapes(self) -> dict[str, tuple]:
         """Tap name -> (C, H, W) at that point, in arch order."""
-        out: dict[str, tuple] = {}
-
-        def visit(trace: list[TraceEntry]):
-            for te in trace:
-                if te.kind == "tap":
-                    out[te.entry["name"]] = te.out_state[1:]
-                if te.body:
-                    visit(te.body)
-
-        visit(self.validate())
-        return out
+        return {te.name: te.out_state[1:]
+                for te, _ in walk_trace(self.validate(), self.layers) if te.kind == "tap"}
 
     def default_tap_pairs(self) -> list[tuple[str, str]]:
         """Pair consecutive taps of equal spatial size: one pair per stage."""
@@ -323,10 +316,65 @@ def _float_field(entry: dict, key: str, default=_REQUIRED) -> float:
     raise _FieldError(key, f"expected a number, got {value!r}")
 
 
-def _req_str(entry: dict, key: str) -> str:
-    if key not in entry or not isinstance(entry[key], str):
+def _bool_field(entry: dict, key: str, default=_REQUIRED) -> bool:
+    value = entry.get(key, default)
+    if value is not True and value is not False:
+        raise _FieldError(key, f"expected true or false, got {value!r}")
+    return value
+
+
+def _str_field(entry: dict, key: str, default=_REQUIRED) -> str:
+    value = entry.get(key, default)
+    if not isinstance(value, str):
         raise KeyError(f"missing required string field {key!r}")
-    return entry[key]
+    return value
+
+
+def _body_field(entry: dict, key: str, default=_REQUIRED) -> list:
+    body = entry.get(key, default)
+    if not isinstance(body, list) or not body:
+        raise ValueError(f"residual entry needs a non-empty {key!r} list")
+    return body
+
+
+_READERS = {int: _int_field, float: _float_field, bool: _bool_field,
+            str: _str_field, list: _body_field}
+
+
+def _field_readers(fields: dict) -> tuple:
+    """(key, reader, default, exact) per field of one ``_SCHEMA`` entry type.
+    A value of type ``exact`` is one the reader would return unchanged;
+    floats (checked for finiteness) and bodies (for emptiness) have none."""
+    readers = []
+    for key, default in fields.items():
+        of_type = default if isinstance(default, type) else type(default)
+        if of_type is default:
+            default = _REQUIRED
+        exact = of_type if of_type in (int, bool, str) else None
+        readers.append((key, _READERS[of_type], default, exact))
+    return tuple(readers)
+
+
+# worked out once, as every validate() reads every field of every entry
+_FIELD_READERS = {kind: _field_readers(fields) for kind, fields in _SCHEMA.items()}
+
+
+def _resolve(kind: str, entry: dict) -> dict:
+    """The fields ``_SCHEMA`` lists for ``kind``, read from ``entry`` by type."""
+    fields = {}
+    for key, read, default, exact in _FIELD_READERS[kind]:
+        value = entry.get(key, default)
+        fields[key] = value if type(value) is exact else read(entry, key, default)
+    return fields
+
+
+def walk_trace(trace: list[TraceEntry], owner: list[dict]):
+    """Every entry of a ``validate()`` trace, each residual's body right after
+    it, as (entry, the layer list ``owner`` or body list that holds its dict)."""
+    for te in trace:
+        yield te, owner
+        if te.body:
+            yield from walk_trace(te.body, te.fields["body"])
 
 
 def _projection_stride(h: int, w: int, ho: int, wo: int) -> int:
@@ -339,24 +387,27 @@ def _projection_stride(h: int, w: int, ho: int, wo: int) -> int:
         f"pointwise projection")
 
 
-def parconv_spec_of(entry: dict, in_channels: int) -> ParConvSpec:
-    """Block spec of a ``parconv`` or ``sparconv`` entry; a sparconv entry is
-    a ParConv with no expanding conv whose ``split`` is the branch-A share."""
-    out_channels = _int_field(entry, "out_channels")
-    if entry.get("type") == "sparconv":
-        omega, alpha = None, _float_field(entry, "split", 0.25)
+def _parconv_spec(kind: str, fields: dict, in_channels: int) -> ParConvSpec:
+    """Block spec of resolved ``parconv`` or ``sparconv`` fields; a sparconv
+    entry is a ParConv with no expanding conv whose ``split`` is the branch-A
+    share."""
+    if kind == "sparconv":
+        omega, alpha = None, fields["split"]
     else:
-        omega = _float_field(entry, "omega")
-        alpha = _float_field(entry, "alpha", 0.5)
-    return ParConvSpec(
-        in_channels=in_channels,
-        out_channels=out_channels,
-        omega=omega,
-        alpha=alpha,
-        kernel=_int_field(entry, "kernel", 3),
-        include_shuffle=bool(entry.get("shuffle", True)),
-        inner_bn=bool(entry.get("inner_bn", True)),
-    )
+        omega, alpha = fields["omega"], fields["alpha"]
+    spec = ParConvSpec(in_channels, fields["out_channels"], omega, alpha,
+                       fields["kernel"], fields["shuffle"], fields["inner_bn"])
+    if spec.include_shuffle and in_channels % 2:
+        raise ValueError(
+            f"channel shuffle needs an even channel count, have {in_channels}")
+    return spec
+
+
+def parconv_spec_of(entry: dict, in_channels: int) -> ParConvSpec:
+    """Block spec of a ``parconv`` or ``sparconv`` entry that follows
+    ``in_channels`` channels; raise ValueError if that input cannot feed it."""
+    kind = entry["type"]
+    return _parconv_spec(kind, _resolve(kind, entry), in_channels)
 
 
 # -- model building ------------------------------------------------------------
@@ -441,36 +492,27 @@ def load_model(prefix: str | Path) -> Model:
 
 
 def _build_entries(trace: list[TraceEntry], rng) -> list[tuple[str, Layer]]:
-    out: list[tuple[str, Layer]] = []
-    for te in trace:
-        out.append((te.name, _build_one(te, rng)))
-    return out
+    return [(te.name, _build_one(te, rng)) for te in trace]
 
 
 def _build_one(te: TraceEntry, rng) -> Layer:
-    entry = te.entry
+    f = te.fields
     if te.kind == "conv":
-        _, c_in, h, w = te.in_state
         stack: list[tuple[str, Layer]] = [
-            ("conv", B.Conv2d(c_in, int(entry["out_channels"]), int(entry["kernel"]),
-                              int(entry.get("stride", 1)), int(entry.get("padding", 0)),
-                              bias=bool(entry.get("bias", True)), rng=rng))]
-        if entry.get("bn", True):
-            stack.append(("bn", B.BatchNorm2d(int(entry["out_channels"]))))
-        if entry.get("relu", True):
+            ("conv", B.Conv2d(te.in_state[1], f["out_channels"], f["kernel"],
+                              f["stride"], f["padding"], bias=f["bias"], rng=rng))]
+        if f["bn"]:
+            stack.append(("bn", B.BatchNorm2d(f["out_channels"])))
+        if f["relu"]:
             stack.append(("relu", B.ReLU()))
         return B.Sequential(stack) if len(stack) > 1 else stack[0][1]
     if te.kind == "dsconv":
-        _, c_in, _, _ = te.in_state
-        return B.dsconv_block(c_in, int(entry["out_channels"]),
-                              int(entry.get("kernel", 3)),
-                              inner_bn=bool(entry.get("inner_bn", True)), rng=rng)
+        return B.dsconv_block(te.in_state[1], f["out_channels"], f["kernel"],
+                              inner_bn=f["inner_bn"], rng=rng)
     if te.kind in ("parconv", "sparconv"):
-        _, c_in, _, _ = te.in_state
-        return B.ParConvBlock(parconv_spec_of(entry, c_in), rng=rng)
+        return B.ParConvBlock(te.parconv, rng=rng)
     if te.kind == "maxpool":
-        return B.MaxPool2d(int(entry.get("window", 3)), int(entry.get("stride", 2)),
-                           int(entry.get("padding", 0)))
+        return B.MaxPool2d(f["window"], f["stride"], f["padding"])
     if te.kind == "relu":
         return B.ReLU()
     if te.kind == "batchnorm":
@@ -478,18 +520,16 @@ def _build_one(te: TraceEntry, rng) -> Layer:
     if te.kind == "flatten":
         return B.Flatten()
     if te.kind == "linear":
-        return B.Linear(te.in_state[1], int(entry["out_features"]),
-                        bias=bool(entry.get("bias", True)), rng=rng)
+        return B.Linear(te.in_state[1], f["out_features"], bias=f["bias"], rng=rng)
     if te.kind == "bottleneck_head":
         return B.bottleneck_head(
-            BottleneckHeadSpec(te.in_state[1], int(entry["bottleneck_dim"]),
-                               int(entry["out_features"])), rng=rng)
+            BottleneckHeadSpec(te.in_state[1], f["bottleneck_dim"], f["out_features"]),
+            rng=rng)
     if te.kind == "residual":
         body = B.Sequential(_build_entries(te.body, rng))
-        c_in = te.in_state[1]
-        c_out = te.out_state[1]
-        return B.ResidualBlock(body, c_in, c_out, skip_stride=te.skip_stride,
-                               post_relu=bool(entry.get("post_relu", False)), rng=rng)
+        return B.ResidualBlock(body, te.in_state[1], te.out_state[1],
+                               skip_stride=te.skip_stride, post_relu=f["post_relu"],
+                               rng=rng)
     if te.kind == "tap":
-        return B.Tap(entry["name"])
+        return B.Tap(te.name)
     raise ArchError(f"cannot build layer type {te.kind!r}")

@@ -20,7 +20,7 @@ import io
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
-from .arch import ArchSpec, TraceEntry, parconv_spec_of
+from .arch import ArchSpec, TraceEntry
 from .blocks import parconv_widths
 from .errors import ArchError
 
@@ -199,31 +199,25 @@ _SKIP_REPORT = ("tap", "flatten", "relu")
 
 
 def _entry_cost(te: TraceEntry) -> LayerCost | None:
-    entry = te.entry
     if te.kind in _SKIP_REPORT:
         return None
+    f = te.fields
+    # channels, or features once flat; the output's spatial size
+    c_in, c_out = te.in_state[1], te.out_state[1]
+    ho, wo = te.out_state[2:] if te.out_state[0] == "map" else (1, 1)
     if te.kind == "conv":
-        _, c_in, _, _ = te.in_state
-        _, c_out, ho, wo = te.out_state
-        k = int(entry["kernel"])
-        cfg = (f"F:{c_out}, K:{k}x{k}, S:{int(entry.get('stride', 1))}, "
-               f"P:{int(entry.get('padding', 0))}")
+        k = f["kernel"]
+        cfg = f"F:{c_out}, K:{k}x{k}, S:{f['stride']}, P:{f['padding']}"
         return LayerCost(te.name, "conv", cfg, te.spatial,
                          conv_flops(ho, wo, c_in, c_out, k),
-                         _conv_params(c_in, c_out, k, bool(entry.get("bias", True)),
-                                      bool(entry.get("bn", True))), False)
+                         _conv_params(c_in, c_out, k, f["bias"], f["bn"]), False)
     if te.kind == "dsconv":
-        _, c_in, _, _ = te.in_state
-        _, c_out, ho, wo = te.out_state
-        k = int(entry.get("kernel", 3))
-        inner = bool(entry.get("inner_bn", True))
+        k = f["kernel"]
         return LayerCost(te.name, "dsconv", f"F:{c_out}, K:{k}x{k}", te.spatial,
                          dsconv_flops(ho, wo, c_in, c_out, k),
-                         _dsconv_params(c_in, c_out, k, inner), False)
+                         _dsconv_params(c_in, c_out, k, f["inner_bn"]), False)
     if te.kind in ("parconv", "sparconv"):
-        _, c_in, _, _ = te.in_state
-        _, c_out, ho, wo = te.out_state
-        spec = parconv_spec_of(entry, c_in)
+        spec = te.parconv
         variant = (f"split:{spec.alpha:g}" if spec.omega is None
                    else f"omega:{spec.omega:g}")
         cfg = f"F:{c_out}, K:{spec.kernel}x{spec.kernel}, {variant}"
@@ -233,22 +227,17 @@ def _entry_cost(te: TraceEntry) -> LayerCost | None:
                          _parconv_params(c_in, c_out, spec.kernel, spec.omega,
                                          spec.alpha, spec.inner_bn), False)
     if te.kind == "maxpool":
-        cfg = (f"K:{int(entry.get('window', 3))}x{int(entry.get('window', 3))}, "
-               f"S:{int(entry.get('stride', 2))}")
+        cfg = f"K:{f['window']}x{f['window']}, S:{f['stride']}"
         return LayerCost(te.name, "maxpool", cfg, te.spatial, 0, 0, False)
     if te.kind == "batchnorm":
-        c = te.in_state[1]
-        return LayerCost(te.name, "batchnorm", f"F:{c}", te.spatial, 0,
-                         BN_VALUES_PER_CHANNEL * c, False)
+        return LayerCost(te.name, "batchnorm", f"F:{c_in}", te.spatial, 0,
+                         BN_VALUES_PER_CHANNEL * c_in, False)
     if te.kind == "linear":
-        n_in, n_out = te.in_state[1], te.out_state[1]
-        params = n_in * n_out + (n_out if entry.get("bias", True) else 0)
-        return LayerCost(te.name, "linear", f"{n_in}x{n_out}", "1x1",
-                         linear_flops(n_in, n_out), params, True)
+        params = c_in * c_out + (c_out if f["bias"] else 0)
+        return LayerCost(te.name, "linear", f"{c_in}x{c_out}", "1x1",
+                         linear_flops(c_in, c_out), params, True)
     if te.kind == "bottleneck_head":
-        m = te.in_state[1]
-        b = int(entry["bottleneck_dim"])
-        o = int(entry["out_features"])
+        m, b, o = c_in, f["bottleneck_dim"], c_out
         params = m * b + b + b * o + o
         return LayerCost(te.name, "bottleneck_head", f"{m}x{b}x{o}", "1x1",
                          bottleneck_flops(m, b, o), params, True)
@@ -264,8 +253,6 @@ def _entry_cost(te: TraceEntry) -> LayerCost | None:
                 if c.kind != "maxpool":
                     kinds.append(c.kind)
         cfg = "residual[" + ",".join(kinds) + "]"
-        _, c_in, _, _ = te.in_state
-        _, c_out, ho, wo = te.out_state
         if c_in != c_out or te.skip_stride != 1:
             flops += conv_flops(ho, wo, c_in, c_out, 1)
             params += _projection_params(c_in, c_out)

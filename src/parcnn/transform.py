@@ -8,9 +8,12 @@ The transformation has two independent steps, applied in order:
    (ParConv by default), optionally wrapping each replacement in a
    residual connection.
 
-Replaced layers keep their names; everything else is untouched, so the
-spatial/channel trace of the result still validates and logits keep their
-shape.
+Both steps choose what to change from the ``validate()`` trace of the
+architecture, reading each layer's resolved fields and input shape rather
+than its raw entry, and write new entries only. Replaced layers keep their
+names (an unnamed one its ``<type><index>`` name); everything else is
+untouched, so the spatial/channel trace of the result still validates and
+logits keep their shape.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ import logging
 from dataclasses import dataclass
 
 from . import cost
-from .arch import ArchSpec
+from .arch import ArchSpec, TraceEntry, parconv_spec_of, walk_trace
 from .errors import ArchError
 
 log = logging.getLogger(__name__)
@@ -34,8 +37,12 @@ class DistillPolicy:
     ``replace_selector`` is one of the named rules ("interior" keeps the
     first and last convolution and any 1x1 convolution standard;
     "residual_body" targets convolutions inside residual blocks; "all"
-    targets every shape-preserving convolution with an odd K>=3) or an
-    explicit comma-separated list of layer names.
+    targets every convolution) or an explicit comma-separated list of layer
+    names. Only a shape-preserving convolution with an odd K>=3 whose input
+    the chosen block can take is replaced: a rule skips the others (a
+    ParConv block needs an even channel count and both branches non-empty,
+    so a 1-channel stem stays standard), and a named one raises ArchError
+    saying why.
     """
 
     threshold: float = 0.1
@@ -56,126 +63,94 @@ class DistillPolicy:
             raise ValueError(f"variant must be one of {VARIANTS}")
 
 
-def _conv_entries(layers: list[dict]) -> list[tuple[list[dict], int, bool]]:
-    """All conv entries as (owning list, index, inside_residual), in order."""
-    found: list[tuple[list[dict], int, bool]] = []
-
-    def visit(entries: list[dict], inside: bool):
-        for i, e in enumerate(entries):
-            if e.get("type") == "conv":
-                found.append((entries, i, inside))
-            elif e.get("type") == "residual":
-                visit(e.get("body", []), True)
-
-    visit(layers, False)
-    return found
-
-
-def _replaceable(entry: dict) -> bool:
-    k = int(entry.get("kernel", 0))
-    stride = int(entry.get("stride", 1))
-    padding = int(entry.get("padding", 0))
-    if k < 3 or k % 2 == 0:
-        return False
-    if stride == 1:
-        return padding == (k - 1) // 2    # must preserve spatial size
-    return stride == 2 and padding == (k - 1) // 2
+def _obstacle(te: TraceEntry, policy: DistillPolicy) -> str | None:
+    """Why the policy's block cannot stand in for conv ``te``, or None."""
+    k, stride, padding = te.fields["kernel"], te.fields["stride"], te.fields["padding"]
+    # the block (after a stride-2 pool) must give the conv's output size
+    if k < 3 or k % 2 == 0 or stride not in (1, 2) or padding != (k - 1) // 2:
+        return "cannot be replaced shape-preservingly"
+    if policy.variant != "dsconv":
+        try:
+            parconv_spec_of(_compact_entry(te, policy), te.in_state[1])
+        except ValueError as exc:
+            return f"cannot be replaced by a {policy.variant} block: {exc}"
+    return None
 
 
-def select_replacements(arch: ArchSpec, selector: str) -> list[tuple[list[dict], int]]:
-    """Resolve a selector to concrete (owning list, index) conv positions."""
-    convs = _conv_entries(arch.layers)
-    if selector == "interior":
-        picked = [(lst, i) for lst, i, _ in convs[1:-1] if _replaceable(lst[i])] \
-            if len(convs) > 2 else []
-    elif selector == "residual_body":
-        picked = [(lst, i) for lst, i, inside in convs
-                  if inside and _replaceable(lst[i])]
-    elif selector == "all":
-        picked = [(lst, i) for lst, i, _ in convs if _replaceable(lst[i])]
-    else:
-        wanted = {name.strip() for name in selector.split(",") if name.strip()}
-        picked = []
-        for lst, i, _ in convs:
-            if lst[i].get("name") in wanted:
-                if not _replaceable(lst[i]):
-                    raise ArchError(
-                        f"layer {lst[i].get('name')!r} cannot be replaced "
-                        f"shape-preservingly")
-                picked.append((lst, i))
-        missing = wanted - {lst[i].get("name") for lst, i in picked}
-        if missing:
-            raise ArchError(f"selector names not found: {sorted(missing)}")
+def select_replacements(arch: ArchSpec, trace: list[TraceEntry], policy: DistillPolicy,
+                        ) -> list[tuple[list[dict], TraceEntry]]:
+    """Resolve the policy's selector, over ``arch``'s validate trace, to the
+    convs to replace, as (owning layer list, trace entry) in arch order."""
+    convs = [(owner, te, owner is not arch.layers)
+             for te, owner in walk_trace(trace, arch.layers) if te.kind == "conv"]
+    selector = policy.replace_selector
+    if selector in SELECTORS:
+        if selector == "interior":
+            convs = convs[1:-1]
+        elif selector == "residual_body":
+            convs = [(owner, te, inside) for owner, te, inside in convs if inside]
+        return [(owner, te) for owner, te, _ in convs if _obstacle(te, policy) is None]
+    wanted = {name.strip() for name in selector.split(",") if name.strip()}
+    picked = []
+    for owner, te, _ in convs:
+        if te.name in wanted:
+            obstacle = _obstacle(te, policy)
+            if obstacle is not None:
+                raise ArchError(f"layer {te.name!r} {obstacle}")
+            picked.append((owner, te))
+    missing = wanted - {te.name for _, te in picked}
+    if missing:
+        raise ArchError(f"selector names not found: {sorted(missing)}")
     return picked
 
 
-def _has_compact_blocks(layers: list[dict]) -> bool:
-    for e in layers:
-        if e.get("type") in ("parconv", "sparconv", "dsconv"):
-            return True
-        if e.get("type") == "residual" and _has_compact_blocks(e.get("body", [])):
-            return True
-    return False
-
-
-def _compact_entry(conv: dict, policy: DistillPolicy) -> dict:
-    name = conv.get("name")
-    out_channels = int(conv["out_channels"])
-    kernel = int(conv["kernel"])
+def _compact_entry(conv: TraceEntry, policy: DistillPolicy) -> dict:
+    block = {"type": policy.variant, "out_channels": conv.fields["out_channels"],
+             "kernel": conv.fields["kernel"]}
     if policy.variant == "parconv":
-        block = {"type": "parconv", "out_channels": out_channels,
-                 "kernel": kernel, "omega": policy.omega}
-    elif policy.variant == "sparconv":
-        block = {"type": "sparconv", "out_channels": out_channels, "kernel": kernel}
-    else:
-        block = {"type": "dsconv", "out_channels": out_channels, "kernel": kernel}
-    if name:
-        block["name"] = name
+        block["omega"] = policy.omega
+    block["name"] = conv.name
     return block
 
 
-def _replace_one(owner: list[dict], index: int, policy: DistillPolicy) -> None:
-    conv = owner[index]
-    name = conv.get("name", f"conv{index}")
-    stride = int(conv.get("stride", 1))
+def _replace_one(owner: list[dict], conv: TraceEntry, policy: DistillPolicy) -> None:
     block = _compact_entry(conv, policy)
     if policy.residual:
         inner = dict(block)
-        inner["name"] = f"{name}_block"
-        block = {"type": "residual", "name": name, "body": [inner],
+        inner["name"] = f"{conv.name}_block"
+        block = {"type": "residual", "name": conv.name, "body": [inner],
                  "post_relu": False}
     replacement = [block]
-    if stride == 2:
+    if conv.fields["stride"] == 2:
         # compact blocks are stride-1; downsample first
-        pool = {"type": "maxpool", "name": f"{name}_pool", "window": 3,
+        pool = {"type": "maxpool", "name": f"{conv.name}_pool", "window": 3,
                 "stride": 2, "padding": 1}
         if policy.residual:
             block["body"].insert(0, pool)
         else:
             replacement = [pool, block]
-    owner[index:index + 1] = replacement
+    owner[conv.index:conv.index + 1] = replacement
 
 
 def apply_bottleneck(arch: ArchSpec, bottleneck_dim: int) -> ArchSpec:
     """Insert or resize the pre-output bottleneck; the rest is untouched."""
     if bottleneck_dim < 1:
         raise ArchError("bottleneck dimension must be >= 1")
-    new = arch.copy()
-    head = [(i, e) for i, e in enumerate(new.layers)
-            if e.get("type") in ("linear", "bottleneck_head")]
+    head = [te for te in arch.validate() if te.kind in ("linear", "bottleneck_head")]
     if not head:
         raise ArchError("architecture has no linear head to bottleneck")
-    last_i, last = head[-1]
-    if last["type"] == "bottleneck_head":
-        last["bottleneck_dim"] = bottleneck_dim
-    elif len(head) >= 2 and head[-2][1]["type"] == "linear":
-        head[-2][1]["out_features"] = bottleneck_dim
+    new = arch.copy()
+    last = head[-1]
+    if last.kind == "bottleneck_head":
+        new.layers[last.index]["bottleneck_dim"] = bottleneck_dim
+    elif len(head) >= 2 and head[-2].kind == "linear":
+        new.layers[head[-2].index]["out_features"] = bottleneck_dim
     else:
-        new.layers[last_i] = {
+        new.layers[last.index] = {
             "type": "bottleneck_head",
-            "name": last.get("name", "head"),
+            "name": last.name,
             "bottleneck_dim": bottleneck_dim,
-            "out_features": int(last["out_features"]),
+            "out_features": last.fields["out_features"],
         }
     new.validate()
     return new
@@ -197,30 +172,26 @@ def distill_architecture(arch: ArchSpec, policy: DistillPolicy) -> ArchSpec:
 
 
 def transform_with_report(arch: ArchSpec, policy: DistillPolicy) -> TransformResult:
-    arch.validate()
-    gamma_before = cost.gamma(arch)
-    new = arch.copy()
-    head_changed = False
-    if gamma_before > policy.threshold:
-        new = apply_bottleneck(new, policy.bottleneck_dim)
-        head_changed = True
+    gamma_before = cost.gamma(arch)     # validates arch first
+    head_changed = gamma_before > policy.threshold
+    new = apply_bottleneck(arch, policy.bottleneck_dim) if head_changed else arch.copy()
     gamma_after = cost.gamma(new)
     if head_changed and gamma_after > policy.threshold:
         log.warning("bottleneck dim %d only reaches gamma=%.4f (> threshold %.4f)",
                     policy.bottleneck_dim, gamma_after, policy.threshold)
-    picked = select_replacements(new, policy.replace_selector)
+    trace = new.validate()
+    picked = select_replacements(new, trace, policy)
     if not picked:
         # re-running on an already-compact architecture is a no-op, but a
         # selector that finds nothing on a plain network is a misconfiguration
-        if _has_compact_blocks(new.layers):
-            new.validate()
+        if any(te.kind in VARIANTS for te, _ in walk_trace(trace, new.layers)):
             return TransformResult(new, gamma_before, gamma_after, head_changed, 0)
         raise ArchError(
             f"selector {policy.replace_selector!r} matched no replaceable "
             f"convolutions")
     # replace back to front so stride-2 expansions don't shift later indices
-    for owner, index in reversed(picked):
-        _replace_one(owner, index, policy)
+    for owner, conv in reversed(picked):
+        _replace_one(owner, conv, policy)
     new.validate()
     return TransformResult(new, gamma_before, gamma_after, head_changed, len(picked))
 

@@ -137,6 +137,32 @@ def test_unrunnable_compact_kernel_rejected(kind, kernel):
 
 
 @pytest.mark.parametrize("entry,message", [
+    ({"type": "conv", "out_channels": 0, "kernel": 3},
+     "out_channels must be positive"),
+    ({"type": "conv", "out_channels": -4, "kernel": 3},
+     "out_channels must be positive"),
+    ({"type": "maxpool", "stride": 0}, "window/stride must be >= 1"),
+    ({"type": "maxpool", "window": 0}, "window/stride must be >= 1"),
+    ({"type": "maxpool", "window": 2, "padding": 2},
+     "padding must be >= 0 and smaller than the window"),
+    ({"type": "maxpool", "padding": 3},
+     "padding must be >= 0 and smaller than the window"),
+    ({"type": "maxpool", "padding": -1},
+     "padding must be >= 0 and smaller than the window"),
+], ids=["zero-conv-channels", "negative-conv-channels", "zero-pool-stride",
+        "zero-pool-window", "pool-padding-equals-window", "pool-padding-over-window",
+        "negative-pool-padding"])
+def test_out_of_range_field_rejected(entry, message):
+    # each of these once passed validate() and failed later, in analyze, the
+    # builder or the forward pass
+    arch = ArchSpec(4, 6, 6, [entry])
+    for check in (arch.validate, lambda: cost.analyze(arch)):
+        with pytest.raises(ArchError) as info:
+            check()
+        assert str(info.value) == f"layers[0]: {message}"
+
+
+@pytest.mark.parametrize("entry,message", [
     ({"type": "parconv", "out_channels": 4, "omega": None},
      "omega: expected a number, got None"),
     ({"type": "parconv", "out_channels": None, "omega": 0.5},

@@ -123,6 +123,14 @@ class TestAnalyze:
         assert capsys.readouterr().err == \
             "error: layers[0].omega: expected a number, got None\n"
 
+    def test_zero_stride_pool_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "arch.json"
+        bad.write_text('{"input": {"channels": 4, "height": 6, "width": 6}, "layers":'
+                       ' [{"type": "maxpool", "stride": 0}]}')
+        assert run_cli("analyze", str(bad)) == 3
+        assert capsys.readouterr().err == \
+            "error: layers[0]: window/stride must be >= 1\n"
+
 
 class TestTransform:
     def test_default_transform_shows_flops_drop(self, tmp_path, capsys):

@@ -111,6 +111,48 @@ class TestDistillArchitecture:
             distill_architecture(arch, DistillPolicy(threshold=0.99,
                                                      replace_selector="even"))
 
+    @pytest.mark.parametrize("variant,replaced,stem", [
+        ("parconv", 16, "conv"), ("sparconv", 16, "conv"), ("dsconv", 17, "dsconv")])
+    def test_all_selector_skips_a_stem_its_block_cannot_take(self, variant, replaced,
+                                                             stem):
+        # the stem sees the 1-channel input, which no two-branch split fits;
+        # a depthwise-separable block takes any channel count
+        result = transform.transform_with_report(
+            zoo.build_zoo_arch("res18_mini"),
+            DistillPolicy(variant=variant, replace_selector="all"))
+        assert result.replaced == replaced
+        assert result.arch.layers[0]["name"] == "stem"
+        assert result.arch.layers[0]["type"] == stem
+
+    @pytest.mark.parametrize("channels,reason", [
+        (1, "degenerate branch split 0/1 for alpha=0.5"),
+        (3, "channel shuffle needs an even channel count, have 3"),
+    ])
+    def test_named_conv_its_block_cannot_take_rejected(self, channels, reason):
+        arch = ArchSpec(channels, 8, 8, [
+            {"type": "conv", "name": "first", "out_channels": 4, "kernel": 3,
+             "padding": 1},
+            {"type": "flatten"},
+            {"type": "linear", "out_features": 10},
+        ])
+        with pytest.raises(ArchError) as info:
+            distill_architecture(arch, DistillPolicy(threshold=0.99,
+                                                     replace_selector="first"))
+        assert str(info.value) == \
+            f"layer 'first' cannot be replaced by a parconv block: {reason}"
+
+    def test_unnamed_layers_keep_their_derived_names(self):
+        arch = ArchSpec(2, 8, 8, [
+            {"type": "conv", "out_channels": 4, "kernel": 3, "padding": 1},
+            {"type": "flatten"},
+            {"type": "linear", "out_features": 10},
+        ])
+        compact = distill_architecture(arch, DistillPolicy(replace_selector="all"))
+        assert compact.layers[0] == {"type": "parconv", "out_channels": 4, "kernel": 3,
+                                     "omega": 0.5, "name": "conv0"}
+        assert compact.layers[2]["type"] == "bottleneck_head"
+        assert compact.layers[2]["name"] == "linear2"
+
     def test_unknown_selector_names_rejected(self):
         with pytest.raises(ArchError, match="not found"):
             distill_architecture(zoo.build_zoo_arch("dcnn_table2"),
