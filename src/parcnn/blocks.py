@@ -277,10 +277,6 @@ class BottleneckHeadSpec:
         if self.feature_dim < 1 or self.output_dim < 1:
             raise ValueError("head dimensions must be positive")
 
-    def flops(self) -> int:
-        return self.feature_dim * self.bottleneck_dim \
-            + self.bottleneck_dim * self.output_dim
-
 
 def _bn_relu(channels: int, suffix: str = "") -> list[tuple[str, Layer]]:
     return [(f"bn{suffix}", BatchNorm2d(channels)), (f"relu{suffix}", ReLU())]

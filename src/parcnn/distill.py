@@ -161,7 +161,6 @@ class DistillConfig:
     momentum: float = 0.9
     weight_decay: float = 1e-4
     seed: int = 0
-    checkpoint_every: int = 0    # iterations; 0 = once per epoch
 
     def __post_init__(self):
         if self.mu < 0 or self.beta < 0 or self.lam < 0:
@@ -207,7 +206,7 @@ def distill_train(teacher: Model, student: Model, train_data: Dataset,
     Returns one metrics row per iteration: iteration, kl, ce, sp, total, lr
     (component losses pre-weighting); ``on_row`` is called with each row as
     it is recorded. A NaN/Inf loss aborts with NumericalError; the rows
-    before it have been passed to ``on_row``, and the most recent periodic
+    before it have been passed to ``on_row``, and the last epoch's
     checkpoint is left in place.
     """
     pairs = resolve_tap_pairs(teacher, student, config)
@@ -251,9 +250,6 @@ def distill_train(teacher: Model, student: Model, train_data: Dataset,
             if on_row is not None:
                 on_row(row)
             iteration += 1
-            if run_dir is not None and config.checkpoint_every \
-                    and iteration % config.checkpoint_every == 0:
-                student.save(run_dir / "student_last")
         if run_dir is not None:
             student.save(run_dir / "student_last")
             student.save(run_dir / f"student_epoch{epoch + 1}")

@@ -186,6 +186,12 @@ class TestClosedForms:
         assert cost.parconv_flops_realized(22, 22, 200, 300, 3, 0.5) == \
             484 * (100 * 50 + 50 * 9 + 50 * 300 + 100 * 300) == 24_417_800
 
+    def test_bottleneck_flops_small(self):
+        assert cost.bottleneck_flops(700, 50, 22080) == 1_139_000
+
+    def test_bottleneck_flops_baseline(self):
+        assert cost.bottleneck_flops(700, 500, 22080) == 11_390_000
+
     def test_per_layer_dict_interfaces(self):
         arch = zoo.build_zoo_arch("dcnn_table2")
         report = cost.analyze(arch)
