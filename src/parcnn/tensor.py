@@ -406,7 +406,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             f"linear expects (N,in) x (out,in); got {x.shape} and {weight.shape}")
     data = x.data @ weight.data.T
     if bias is not None:
-        data = data + bias.data
+        data += bias.data
 
     def backward(g):
         if x.requires_grad:
@@ -499,7 +499,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     wmat = weight.data.reshape(c_out, -1)
     out = cols @ wmat.T
     if bias is not None:
-        out = out + bias.data
+        out += bias.data
     data = out.reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2)
 
     def backward(g):
