@@ -370,7 +370,8 @@ def _resolve(kind: str, entry: dict) -> dict:
 
 def walk_trace(trace: list[TraceEntry], owner: list[dict]):
     """Every entry of a ``validate()`` trace, each residual's body right after
-    it, as (entry, the layer list ``owner`` or body list that holds its dict)."""
+    it, as (trace entry, the list that holds its dict: ``owner`` at the top
+    level, the residual's own ``body`` list below it)."""
     for te in trace:
         yield te, owner
         if te.body:
