@@ -34,6 +34,11 @@ tier-1 test compares 1 against 2 threads.
 Forward ops verify their outputs are finite and raise NumericalError
 otherwise; disable with ``finite_checks(False)`` in hot loops at your own
 risk.
+
+Inside ``with no_grad():`` ops wire no graph: their outputs have
+``requires_grad`` False and no parents, so nothing holds the inputs and
+intermediates a backward pass would need. The values are byte-identical to
+a graph-building forward. Evaluation and the frozen teacher run this way.
 """
 from __future__ import annotations
 
@@ -50,6 +55,7 @@ from .errors import DataFormatError, NumericalError
 
 _FLOAT_TYPES = (np.float32, np.float64)
 _FINITE_CHECKS = True
+_GRAD_ENABLED = True
 
 
 @contextlib.contextmanager
@@ -62,6 +68,18 @@ def finite_checks(enabled: bool):
         yield
     finally:
         _FINITE_CHECKS = prev
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no autograd graph inside the block (inference only)."""
+    global _GRAD_ENABLED
+    prev = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = prev
 
 
 def _as_float_array(data, dtype=None) -> np.ndarray:
@@ -160,11 +178,12 @@ class Tensor:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
-    """Build an op result, wiring the graph only when a parent needs grad."""
+    """Build an op result, wiring the graph only when a parent needs grad
+    and ``no_grad`` is not in force."""
     if _FINITE_CHECKS and not np.all(np.isfinite(data)):
         raise NumericalError(f"non-finite values produced by {op}")
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward

@@ -102,10 +102,11 @@ def evaluate(model: Model, dataset: Dataset, batch_size: int = 256) -> EvalResul
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     wrong = 0
-    for images, labels in batches(dataset, batch_size, shuffle_seed=None):
-        logits = model.forward(images, training=False)
-        pred = np.argmax(logits.data, axis=1)
-        wrong += int((pred != labels).sum())
+    with T.no_grad():
+        for images, labels in batches(dataset, batch_size, shuffle_seed=None):
+            logits = model.forward(images, training=False)
+            pred = np.argmax(logits.data, axis=1)
+            wrong += int((pred != labels).sum())
     return EvalResult(total=len(dataset), substitutions=wrong)
 
 

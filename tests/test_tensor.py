@@ -1,4 +1,6 @@
 """Tensor engine: forward semantics, gradients, checkpoints, determinism."""
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -789,6 +791,46 @@ class TestNumericGuards:
         with T.finite_checks(False):
             y = T.square(x)
         assert np.isinf(y.data).all()
+
+
+class TestNoGrad:
+    @pytest.mark.parametrize("student", [False, True])
+    def test_forward_is_byte_equal_and_builds_no_graph(self, student, rng):
+        from parcnn.arch import build_model
+        from parcnn.transform import DistillPolicy, distill_architecture
+        from parcnn.zoo import build_zoo_arch
+        arch = build_zoo_arch("mnist_small")
+        if student:
+            arch = distill_architecture(arch, DistillPolicy())
+        model = build_model(arch, seed=3)
+        x = rng.normal(size=(6, 1, 28, 28)).astype(np.float32)
+        runs = []
+        for graph in (True, False):
+            taps: dict = {}
+            with contextlib.nullcontext() if graph else T.no_grad():
+                out = T.log_softmax(model.forward(x, training=False, taps=taps))
+            runs.append({"logits": out, **taps})
+        built, free = runs
+        assert built["logits"].requires_grad
+        assert list(free) == list(built)
+        for name, t in free.items():
+            _assert_same_bytes(t.data, built[name].data, name)
+            assert not t.requires_grad, name
+            assert t._parents == () and t._backward is None, name
+
+    def test_flag_restored_after_nesting_and_exceptions(self):
+        x = Tensor(np.ones(3, np.float32), requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                assert not T.square(x).requires_grad
+            assert not T.square(x).requires_grad
+        assert T.square(x).requires_grad
+        with pytest.raises(RuntimeError), T.no_grad():
+            raise RuntimeError("inside")
+        assert T.square(x).requires_grad
+        with pytest.raises(NumericalError), T.no_grad():
+            T.square(Tensor(np.array([np.inf], np.float32)))
+        assert T.square(x).requires_grad
 
 
 class TestCheckpoint:

@@ -136,6 +136,19 @@ class TestEvaluate:
                    for b in (1, 7, 64, 512)}
         assert len(results) == 1
 
+    def test_builds_no_graph(self):
+        model = build_model(zoo.build_zoo_arch("mnist_small"), seed=0)
+        forward, outputs = model.forward, []
+
+        def spy(x, training=False, taps=None):
+            outputs.append(forward(x, training=training, taps=taps))
+            return outputs[-1]
+
+        model.forward = spy
+        evaluate(model, make_synthetic(classes=10, per_class=2, seed=5), batch_size=8)
+        assert len(outputs) == 3
+        assert all(not out.requires_grad and out._parents == () for out in outputs)
+
     def test_empty_dataset_rejected(self):
         ds = Dataset(np.zeros((0, 1, 2, 2), np.float32), np.zeros(0, np.int64),
                      classes=1)
