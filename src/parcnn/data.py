@@ -179,18 +179,23 @@ def make_synthetic(classes: int, per_class: int, seed: int,
     return Dataset(images[order], labels[order], split="synthetic", classes=classes)
 
 
-def batches(dataset: Dataset, batch_size: int, shuffle_seed: int | None = None):
-    """Yield (images, labels) minibatches; the final partial batch is kept.
+def batch_indices(n: int, batch_size: int, shuffle_seed: int | None = None):
+    """Yield the sample indices of each minibatch over ``n`` samples; the
+    final partial batch is kept.
 
     A given shuffle seed fixes the order; None keeps dataset order.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    n = len(dataset)
     if shuffle_seed is None:
         order = np.arange(n)
     else:
         order = np.random.default_rng(shuffle_seed).permutation(n)
     for start in range(0, n, batch_size):
-        idx = order[start:start + batch_size]
+        yield order[start:start + batch_size]
+
+
+def batches(dataset: Dataset, batch_size: int, shuffle_seed: int | None = None):
+    """Yield (images, labels) minibatches in ``batch_indices`` order."""
+    for idx in batch_indices(len(dataset), batch_size, shuffle_seed):
         yield dataset.images[idx], dataset.labels[idx]

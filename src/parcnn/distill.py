@@ -13,8 +13,10 @@ matching points of the two networks.
 
 All components are averaged over the minibatch so the weights are
 batch-size independent; the logged component values are pre-weighting.
-Teacher activations are treated as constants: no gradient ever reaches
-teacher parameters.
+The teacher is frozen, so its outputs for a sample never change: its
+posteriors and SPMs are computed once per training run, in eval mode and
+without a graph, and every step reads them as constants (offline
+distillation). No gradient ever reaches teacher parameters.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import tensor as T
 from .arch import Model
-from .data import Dataset, batches
+from .data import Dataset, batch_indices, batches
 from .errors import NumericalError
 from .tensor import Tensor
 from .train import SGDMomentum, constant_schedule
@@ -127,15 +129,13 @@ def cross_entropy(student_log_probs: Tensor, labels: np.ndarray) -> Tensor:
                  Tensor(np.asarray(-1.0 / batch, dtype=student_log_probs.dtype)))
 
 
-def kd_loss(student_log_probs: Tensor, teacher_probs: Tensor | np.ndarray,
-            hard_labels: np.ndarray, mu: float, beta: float) -> Tensor:
-    """mu * soft-label cross entropy + beta * hard-label cross entropy."""
+def kd_loss(soft: Tensor, hard: Tensor, mu: float, beta: float) -> Tensor:
+    """mu * soft + beta * hard, from the terms ``soft_cross_entropy`` and
+    ``cross_entropy`` return."""
     if mu < 0 or beta < 0:
         raise ValueError("loss weights must be non-negative")
     if mu + beta <= 0:
         raise ValueError("mu + beta must be positive")
-    soft = soft_cross_entropy(student_log_probs, teacher_probs)
-    hard = cross_entropy(student_log_probs, hard_labels)
     return T.add(T.mul(soft, Tensor(np.asarray(mu, soft.dtype))),
                  T.mul(hard, Tensor(np.asarray(beta, hard.dtype))))
 
@@ -198,10 +198,31 @@ def spms_from_taps(taps: dict[str, Tensor],
     return [spm(attention_map(taps[i]), attention_map(taps[j])) for i, j in pairs]
 
 
+def _teacher_targets(teacher: Model, data: Dataset, pairs: list[tuple[str, str]],
+                     batch_size: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The frozen teacher's softmax probabilities (N, classes) and one SPM
+    array (N, H, W) per tap pair for every sample, in dataset order, from
+    one eval-mode pass without a graph."""
+    probs: list[np.ndarray] = []
+    spms: list[list[np.ndarray]] = [[] for _ in pairs]
+    with T.no_grad():
+        for images, _ in batches(data, batch_size):
+            taps: dict[str, Tensor] = {}
+            probs.append(T.softmax(teacher.forward(images, training=False,
+                                                   taps=taps)).data)
+            for acc, s in zip(spms, spms_from_taps(taps, pairs)):
+                acc.append(s.data)
+    return np.concatenate(probs), [np.concatenate(acc) for acc in spms]
+
+
 def distill_train(teacher: Model, student: Model, train_data: Dataset,
                   config: DistillConfig, run_dir: str | Path | None = None,
                   on_row: Callable[[dict], None] | None = None) -> list[dict]:
     """Minibatch SGD of the student against the frozen teacher.
+
+    The teacher's targets are computed once, before the first step, by
+    ``_teacher_targets``; each step indexes them by its batch's samples. The
+    teacher's parameters are left as they were found.
 
     Returns one metrics row per iteration: iteration, kl, ce, sp, total, lr
     (component losses pre-weighting); ``on_row`` is called with each row as
@@ -210,7 +231,9 @@ def distill_train(teacher: Model, student: Model, train_data: Dataset,
     checkpoint is left in place.
     """
     pairs = resolve_tap_pairs(teacher, student, config)
-    teacher.set_requires_grad(False)
+    n = len(train_data)
+    if config.epochs >= 1 and n:
+        t_probs, t_spms = _teacher_targets(teacher, train_data, pairs, config.batch_size)
     opt = SGDMomentum(student.params(), momentum=config.momentum,
                       weight_decay=config.weight_decay)
     schedule = constant_schedule(config.lr)
@@ -218,22 +241,18 @@ def distill_train(teacher: Model, student: Model, train_data: Dataset,
     metrics: list[dict] = []
     iteration = 0
     for epoch in range(config.epochs):
-        for images, labels in batches(train_data, config.batch_size,
-                                      shuffle_seed=config.seed + epoch):
-            t_taps: dict[str, Tensor] = {}
-            t_logits = teacher.forward(images, training=False, taps=t_taps)
-            t_probs = T.softmax(t_logits).data
-
+        for idx in batch_indices(n, config.batch_size, shuffle_seed=config.seed + epoch):
+            labels = train_data.labels[idx]
             s_taps: dict[str, Tensor] = {}
-            s_logits = student.forward(images, training=True, taps=s_taps)
+            s_logits = student.forward(train_data.images[idx], training=True,
+                                       taps=s_taps)
             log_probs = T.log_softmax(s_logits)
 
-            kl = soft_cross_entropy(log_probs, t_probs)
+            kl = soft_cross_entropy(log_probs, t_probs[idx])
             ce = cross_entropy(log_probs, labels)
-            sp = sp_loss(spms_from_taps(t_taps, pairs), spms_from_taps(s_taps, pairs))
-            loss = total_loss(
-                kd_loss(log_probs, t_probs, labels, config.mu, config.beta),
-                sp, config.lam)
+            sp = sp_loss([Tensor(s[idx]) for s in t_spms],
+                         spms_from_taps(s_taps, pairs))
+            loss = total_loss(kd_loss(kl, ce, config.mu, config.beta), sp, config.lam)
 
             value = loss.item()
             if not math.isfinite(value):

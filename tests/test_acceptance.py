@@ -19,7 +19,8 @@ from parcnn.arch import build_model
 from parcnn.cli import main as cli_main
 from parcnn.cost import round_half_away
 from parcnn.data import find_mnist, load_mnist_idx, make_synthetic
-from parcnn.distill import DistillConfig, distill_train, kd_loss, sp_loss
+from parcnn.distill import (DistillConfig, cross_entropy, distill_train, kd_loss,
+                            soft_cross_entropy, sp_loss)
 from parcnn.tensor import Tensor
 from parcnn.train import constant_schedule, evaluate, train_classifier
 
@@ -222,9 +223,11 @@ class TestCriterion5NumericalProperties:
         logits = f64(rng.normal(size=(5, 7)))
         teacher_probs = rng.dirichlet(np.ones(7), size=5)
         labels = np.array([0, 2, 4, 6, 1])
-        grad_ok("kd_loss",
-                lambda: kd_loss(T.log_softmax(logits), teacher_probs, labels,
-                                0.8, 0.2), [logits])
+        def kd():
+            log_probs = T.log_softmax(logits)
+            return kd_loss(soft_cross_entropy(log_probs, teacher_probs),
+                           cross_entropy(log_probs, labels), 0.8, 0.2)
+        grad_ok("kd_loss", kd, [logits])
 
         # softmax normalization to 1e-6
         s = T.softmax(Tensor((10 * rng.normal(size=(16, 11))).astype(np.float32)))

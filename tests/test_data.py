@@ -4,8 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from parcnn.data import (Dataset, batches, load_mnist_idx, make_synthetic,
-                         save_mnist_idx, find_mnist)
+from parcnn.data import (Dataset, batch_indices, batches, load_mnist_idx,
+                         make_synthetic, save_mnist_idx, find_mnist)
 from parcnn.errors import DataFormatError
 
 
@@ -152,6 +152,15 @@ class TestBatches:
                 assert len(hits) >= 1
                 marks[hits[0]] += 1
         assert marks.sum() == len(ds)
+
+    @pytest.mark.parametrize("shuffle_seed", [None, 3])
+    def test_batches_follow_batch_indices(self, shuffle_seed):
+        ds = make_synthetic(classes=3, per_class=7, seed=2, image_size=6)
+        pairs = zip(batch_indices(len(ds), 8, shuffle_seed),
+                    batches(ds, 8, shuffle_seed=shuffle_seed), strict=True)
+        for idx, (images, labels) in pairs:
+            np.testing.assert_array_equal(images, ds.images[idx])
+            np.testing.assert_array_equal(labels, ds.labels[idx])
 
     def test_invalid_batch_size_rejected(self):
         ds = make_synthetic(classes=2, per_class=3, seed=0, image_size=6)

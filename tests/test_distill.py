@@ -4,12 +4,14 @@ import pytest
 
 from parcnn import distill, tensor as T, zoo
 from parcnn.arch import ArchSpec, build_model
-from parcnn.data import make_synthetic
+from parcnn.data import batches, make_synthetic
 from parcnn.distill import (DistillConfig, attention_map, cross_entropy,
                             distill_train, kd_loss, soft_cross_entropy, sp_loss,
                             spm, total_loss)
 from parcnn.errors import NumericalError
 from parcnn.tensor import Tensor
+from parcnn.train import SGDMomentum, train_classifier
+from parcnn.transform import DistillPolicy, distill_architecture
 
 from conftest import f64, gradcheck
 
@@ -113,6 +115,11 @@ class TestSpLoss:
         assert gradcheck(fn, student, step=1e-5) < 1e-4
 
 
+def _kd(logp, teacher_probs, labels, mu, beta):
+    return kd_loss(soft_cross_entropy(logp, teacher_probs), cross_entropy(logp, labels),
+                   mu, beta)
+
+
 class TestKdLoss:
     def _log_probs(self, rng, batch=5, classes=7):
         logits = f64(rng.normal(size=(batch, classes)))
@@ -124,7 +131,7 @@ class TestKdLoss:
         onehot = np.zeros((5, 7))
         onehot[np.arange(5), labels] = 1.0
         mu, beta = 0.8, 0.2
-        combined = kd_loss(logp, onehot, labels, mu, beta).item()
+        combined = _kd(logp, onehot, labels, mu, beta).item()
         ce = cross_entropy(logp, labels).item()
         assert combined == pytest.approx((mu + beta) * ce, rel=1e-6)
 
@@ -132,7 +139,7 @@ class TestKdLoss:
         logp, _ = self._log_probs(rng)
         labels = np.array([1, 1, 2, 3, 0])
         teacher = np.full((5, 7), 1 / 7)
-        assert kd_loss(logp, teacher, labels, 0.0, 1.0).item() == \
+        assert _kd(logp, teacher, labels, 0.0, 1.0).item() == \
             pytest.approx(cross_entropy(logp, labels).item(), rel=1e-6)
 
     def test_uniform_teacher_soft_term(self, rng):
@@ -158,9 +165,9 @@ class TestKdLoss:
         teacher = np.full((5, 7), 1 / 7)
         labels = np.zeros(5, np.int64)
         with pytest.raises(ValueError):
-            kd_loss(logp, teacher, labels, -0.1, 0.2)
+            _kd(logp, teacher, labels, -0.1, 0.2)
         with pytest.raises(ValueError):
-            kd_loss(logp, teacher, labels, 0.0, 0.0)
+            _kd(logp, teacher, labels, 0.0, 0.0)
 
     def test_term_by_term_equals_merged_form(self, rng):
         # weighted sum of the two terms == the merged per-sample expression
@@ -168,7 +175,7 @@ class TestKdLoss:
         teacher = rng.dirichlet(np.ones(7), size=5)
         labels = np.array([3, 0, 6, 2, 5])
         mu, beta = 0.8, 0.2
-        two_way = kd_loss(logp, teacher, labels, mu, beta).item()
+        two_way = _kd(logp, teacher, labels, mu, beta).item()
         lp = logp.data
         merged = 0.0
         for t in range(5):
@@ -216,21 +223,21 @@ class TestEndToEndLoss:
         for model in (teacher, student):
             for _, p in model.params():
                 p.data = p.data.astype(np.float64)
-        teacher.set_requires_grad(False)
         x = rng.normal(size=(3, 1, 6, 6))
         labels = np.array([0, 2, 4])
         pairs = [("t_in", "t_out")]
 
         t_taps: dict = {}
-        t_logits = teacher.forward(Tensor(x), taps=t_taps)
-        t_probs = T.softmax(t_logits).data
-        t_spms = distill.spms_from_taps(t_taps, pairs)
+        with T.no_grad():
+            t_logits = teacher.forward(Tensor(x), taps=t_taps)
+            t_probs = T.softmax(t_logits).data
+            t_spms = distill.spms_from_taps(t_taps, pairs)
 
         def fn():
             s_taps: dict = {}
             logits = student.forward(Tensor(x), taps=s_taps)
             logp = T.log_softmax(logits)
-            kd = kd_loss(logp, t_probs, labels, 0.8, 0.2)
+            kd = _kd(logp, t_probs, labels, 0.8, 0.2)
             sp = sp_loss(t_spms, distill.spms_from_taps(s_taps, pairs))
             return total_loss(kd, sp, 0.1)
 
@@ -240,15 +247,15 @@ class TestEndToEndLoss:
     def test_teacher_receives_zero_gradient(self, rng):
         teacher = build_model(_toy_arch(), seed=5)
         student = build_model(_toy_arch(), seed=9)
-        teacher.set_requires_grad(False)
         x = rng.normal(size=(2, 1, 6, 6)).astype(np.float32)
         t_taps: dict = {}
-        t_probs = T.softmax(teacher.forward(Tensor(x), taps=t_taps)).data
+        with T.no_grad():
+            t_probs = T.softmax(teacher.forward(Tensor(x), taps=t_taps)).data
         s_taps: dict = {}
         logp = T.log_softmax(student.forward(Tensor(x), taps=s_taps))
         pairs = [("t_in", "t_out")]
         loss = total_loss(
-            kd_loss(logp, t_probs, np.array([0, 1]), 0.8, 0.2),
+            _kd(logp, t_probs, np.array([0, 1]), 0.8, 0.2),
             sp_loss(distill.spms_from_taps(t_taps, pairs),
                     distill.spms_from_taps(s_taps, pairs)), 0.1)
         loss.backward()
@@ -323,3 +330,99 @@ class TestDistillTrain:
             distill_train(teacher, student, data, config, run_dir=run_dir)
         assert (run_dir / "student_last.bin").read_bytes() == blob_before
         assert len(metrics) > 0
+
+
+def _distill_per_step_teacher(teacher, student, data, config):
+    """Reference loop that runs the teacher forward at every step, on that
+    step's batch, and builds the total from freshly computed terms."""
+    pairs = distill.resolve_tap_pairs(teacher, student, config)
+    opt = SGDMomentum(student.params(), momentum=config.momentum,
+                      weight_decay=config.weight_decay)
+    rows = []
+    for epoch in range(config.epochs):
+        for images, labels in batches(data, config.batch_size,
+                                      shuffle_seed=config.seed + epoch):
+            t_taps: dict = {}
+            with T.no_grad():
+                t_probs = T.softmax(teacher.forward(images, taps=t_taps)).data
+            s_taps: dict = {}
+            log_probs = T.log_softmax(student.forward(images, training=True,
+                                                      taps=s_taps))
+            sp = sp_loss(distill.spms_from_taps(t_taps, pairs),
+                         distill.spms_from_taps(s_taps, pairs))
+            loss = total_loss(_kd(log_probs, t_probs, labels, config.mu, config.beta),
+                              sp, config.lam)
+            student.zero_grad()
+            loss.backward()
+            opt.step(config.lr)
+            rows.append({"iteration": len(rows),
+                         "kl": soft_cross_entropy(log_probs, t_probs).item(),
+                         "ce": cross_entropy(log_probs, labels).item(),
+                         "sp": sp.item(), "total": loss.item(), "lr": config.lr})
+    return rows
+
+
+def _mnist_small_pair(seed):
+    arch = zoo.build_zoo_arch("mnist_small")
+    return (build_model(arch, seed=0),
+            build_model(distill_architecture(arch, DistillPolicy()), seed=seed))
+
+
+class TestTeacherComputedOnce:
+    def _count_teacher_forwards(self, teacher):
+        calls = []
+        forward = teacher.forward
+
+        def counted(x, training=False, taps=None):
+            calls.append(len(x))
+            return forward(x, training=training, taps=taps)
+
+        teacher.forward = counted
+        return calls
+
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    def test_one_teacher_pass_per_call(self, epochs):
+        teacher, student, data, config = TestDistillTrain()._setup()
+        config.epochs, config.batch_size = epochs, 16
+        calls = self._count_teacher_forwards(teacher)
+        rows = distill_train(teacher, student, data, config)
+        assert len(rows) == 3 * epochs                # ceil(40 / 16) steps an epoch
+        assert calls == ([16, 16, 8] if epochs else [])
+
+    @pytest.mark.parametrize("arch,seed", [("toy", 3), ("toy", 4),
+                                           ("mnist_small", 1), ("mnist_small", 2)])
+    def test_rows_match_a_per_step_teacher(self, arch, seed):
+        # within float32 tolerance, not byte for byte: the head's GEMM gives a
+        # sample's logits different low bits depending on its row in the
+        # batch (here in a 26-row or 8-row final batch), and the teacher pass
+        # batches samples in dataset order, the reference in shuffled order
+        runs = []
+        for loop in (distill_train, _distill_per_step_teacher):
+            if arch == "toy":
+                teacher, student, data, config = TestDistillTrain()._setup(seed=seed)
+                config.epochs, config.batch_size = 2, 16
+            else:
+                teacher, student = _mnist_small_pair(seed)
+                data = make_synthetic(10, 9, seed=100, separation=3.0, noise=0.03)
+                config = DistillConfig(epochs=2, batch_size=32, lr=0.01, seed=seed)
+            runs.append((loop(teacher, student, data, config), student))
+        (rows, student), (ref_rows, ref_student) = runs
+        assert len(rows) == len(ref_rows) == 6
+        for row, ref in zip(rows, ref_rows):
+            assert row.keys() == ref.keys()
+            for key in row:
+                assert row[key] == pytest.approx(ref[key], rel=1e-5, abs=1e-6), key
+        for (name, p), (_, q) in zip(student.params(), ref_student.params()):
+            np.testing.assert_allclose(p.data, q.data, rtol=1e-5, atol=1e-6,
+                                       err_msg=name)
+
+    def test_teacher_stays_trainable(self):
+        teacher, student = _mnist_small_pair(1)
+        data = make_synthetic(10, 4, seed=100, separation=3.0, noise=0.03)
+        distill_train(teacher, student, data, DistillConfig(epochs=1, batch_size=20))
+        assert all(p.requires_grad for _, p in teacher.params())
+        before = [p.data.copy() for _, p in teacher.params()]
+        train_classifier(teacher, data, epochs=1, batch_size=20)
+        moved = [not np.array_equal(b, p.data)
+                 for b, (_, p) in zip(before, teacher.params())]
+        assert all(moved)
