@@ -147,7 +147,7 @@ class ArchSpec:
         Path(path).write_text(self.to_json() + "\n")
 
     def copy(self) -> "ArchSpec":
-        return ArchSpec.from_obj(json.loads(self.to_json()))
+        return ArchSpec.from_obj(json.loads(json.dumps(self.to_obj())))
 
     # -- validation -------------------------------------------------------
     def validate(self) -> list[TraceEntry]:
@@ -169,12 +169,14 @@ class ArchSpec:
             if not isinstance(kind, str) or kind not in _SCHEMA:
                 raise ArchError(f"{where}.type: unknown layer type {kind!r}")
             name = entry.get("name", f"{kind}{i}")
+            if not isinstance(name, str):
+                raise ArchError(f"{where}.name: expected a string, got {name!r}")
             if name in names:
                 raise ArchError(f"{where}.name: duplicate layer name {name!r}")
             names.add(name)
             try:
                 te = TraceEntry(i, name, kind, entry, state, state, _resolve(kind, entry))
-                state = self._step(te, state, names)
+                state = self._step(te, state, names, where)
             except ArchError:
                 raise   # from a residual body, already naming its path
             except _FieldError as exc:
@@ -185,9 +187,9 @@ class ArchSpec:
             trace.append(te)
         return trace, state
 
-    def _step(self, te: TraceEntry, state: tuple, names: set[str]) -> tuple:
-        """Check the resolved entry's ranges against ``state``; return its
-        output state."""
+    def _step(self, te: TraceEntry, state: tuple, names: set[str], where: str) -> tuple:
+        """Check the resolved entry at path ``where`` against ``state``;
+        return its output state."""
         f, kind = te.fields, te.kind
         if kind in ("conv", "dsconv", "parconv", "sparconv", "maxpool", "batchnorm",
                     "residual"):
@@ -243,7 +245,7 @@ class ArchSpec:
             BottleneckHeadSpec(state[1], f["bottleneck_dim"], f["out_features"])
             return ("flat", f["out_features"])
         if kind == "residual":
-            te.body, out = self._walk(f["body"], state, f"layers[{te.index}].body", names)
+            te.body, out = self._walk(f["body"], state, f"{where}.body", names)
             if out[0] != "map":
                 raise ValueError("residual body must produce a feature map")
             _, c_in, h, w = state
@@ -468,10 +470,6 @@ class Model:
     def zero_grad(self) -> None:
         for _, p in self.params():
             p.zero_grad()
-
-    def set_requires_grad(self, enabled: bool) -> None:
-        for _, p in self.params():
-            p.requires_grad = enabled
 
 
 def build_model(arch: ArchSpec, seed: int = 0) -> Model:

@@ -202,23 +202,43 @@ def test_out_of_range_field_rejected(entry, message):
     ({"type": "residual", "post_relu": 1,
       "body": [{"type": "conv", "out_channels": 4, "kernel": 1}]},
      "post_relu: expected true or false, got 1"),
+    ({"type": "relu", "name": [1]}, "name: expected a string, got [1]"),
+    ({"type": "tap", "name": None}, "name: expected a string, got None"),
 ], ids=["null-omega", "null-out-channels", "list-kernel-dsconv", "list-kernel-conv",
         "fractional-out-channels", "fractional-kernel", "string-kernel",
         "bool-window", "string-omega", "bool-split", "missing-kernel",
         "huge-int-omega", "nan-alpha", "string-bias", "int-relu", "string-shuffle",
-        "null-inner-bn", "numpy-out-channels", "int-post-relu"])
+        "null-inner-bn", "numpy-out-channels", "int-post-relu", "list-name",
+        "null-tap-name"])
 def test_wrongly_typed_field_rejected(entry, message):
     with pytest.raises(ArchError) as info:
         ArchSpec(4, 6, 6, [entry]).validate()
     assert str(info.value) == f"layers[0].{message}"
 
 
-def test_wrongly_typed_field_in_a_residual_body_names_its_path():
-    body = [{"type": "conv", "out_channels": 4, "kernel": 3, "padding": 1.5}]
+NESTED_BODY_ERRORS = [
+    ([{"type": "residual",
+       "body": [{"type": "conv", "out_channels": 4, "kernel": 3, "padding": 1.5}]}],
+     "layers[0].body[0].padding: expected an integer, got 1.5"),
+    ([{"type": "relu", "name": "first"},
+      {"type": "residual", "body": [
+          {"type": "residual", "body": [
+              {"type": "conv", "out_channels": 4, "kernel": "3"}]}]}],
+     "layers[1].body[0].body[0].kernel: expected an integer, got '3'"),
+    ([{"type": "relu", "name": "first"},
+      {"type": "residual", "name": "outer", "body": [
+          {"type": "relu", "name": "inner"},
+          {"type": "residual", "body": [{"type": "maxpool", "stride": 0}]}]}],
+     "layers[1].body[1].body[0]: window/stride must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("layers,message", NESTED_BODY_ERRORS,
+                         ids=["one-deep", "two-deep-field", "two-deep-range"])
+def test_error_in_a_residual_body_names_its_path(layers, message):
     with pytest.raises(ArchError) as info:
-        ArchSpec(4, 6, 6, [{"type": "residual", "body": body}]).validate()
-    assert str(info.value) == \
-        "layers[0].body[0].padding: expected an integer, got 1.5"
+        ArchSpec(4, 6, 6, layers).validate()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("channels,message", [

@@ -16,6 +16,8 @@ from parcnn.cli import main
 from parcnn.tensor import Tensor
 from parcnn.zoo import build_zoo_arch
 
+from test_arch import NESTED_BODY_ERRORS
+
 
 def run_cli(*argv) -> int:
     return main(list(argv))
@@ -122,6 +124,16 @@ class TestAnalyze:
         assert run_cli("analyze", str(bad)) == 3
         assert capsys.readouterr().err == \
             "error: layers[0].omega: expected a number, got None\n"
+
+    @pytest.mark.parametrize("layers,message", [
+        ([{"type": "relu", "name": [1]}], "layers[0].name: expected a string, got [1]"),
+        *NESTED_BODY_ERRORS[1:]])
+    def test_entry_path_diagnostics_exit_3(self, layers, message, tmp_path, capsys):
+        bad = tmp_path / "arch.json"
+        bad.write_text(json.dumps({"input": {"channels": 4, "height": 6, "width": 6},
+                                   "layers": layers}))
+        assert run_cli("analyze", str(bad)) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_zero_stride_pool_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "arch.json"
