@@ -7,8 +7,10 @@ max pooling, softmax/log-softmax, elementwise arithmetic with limited
 broadcasting, reductions, reshapes, and channel slicing/permutation.
 
 Gradients accumulate into ``Tensor.grad`` (a plain ndarray of the same
-shape); calling ``backward`` twice without clearing grads accumulates.
-The graph is retained, not freed. Default dtype is float32; float64 inputs
+shape). A graph is good for one ``backward``: the sweep frees each interior
+node once its gradient has passed on, so a second sweep through it raises.
+Leaves keep their gradients, so sweeps of separate graphs over the same
+leaves add up until ``zero_grad``. Default dtype is float32; float64 inputs
 are honored so finite-difference oracles can run at full precision.
 
 conv2d, max_pool2d, relu, the channel gather and the first gradient
@@ -141,8 +143,11 @@ class Tensor:
 
     # -- autodiff ----------------------------------------------------------
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar; gradients accumulate into
-        ``grad``, so repeated calls without ``zero_grad`` add up."""
+        """Reverse-mode sweep from a scalar. Leaf gradients accumulate into
+        ``grad``, so sweeps of separate graphs without ``zero_grad`` add up.
+        The sweep frees the graph as it goes: each interior node drops its
+        gradient, its parents and its closure, and a later ``backward()``
+        that reaches it raises RuntimeError."""
         if self.size != 1:
             raise ValueError(f"backward() needs a scalar loss, got shape {self.shape}")
         topo: list[Tensor] = []
@@ -160,21 +165,21 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        # run the sweep on fresh buffers so pre-existing grads are not
-        # re-propagated, then fold them back in (accumulate semantics)
-        prior: dict[int, np.ndarray] = {}
-        for node in topo:
-            if node.grad is not None:
-                prior[id(node)] = node.grad
-                node.grad = None
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-        for node in topo:
-            old = prior.get(id(node))
-            if old is not None:
-                node.grad = old if node.grad is None else node.grad + old
+        # pop, not iterate: each interior node, and what its closure kept,
+        # is freed once it has passed its gradient on
+        while topo:
+            node = topo.pop()
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node.grad, node._parents, node._backward = None, (), _swept
+
+
+def _swept(g: np.ndarray) -> None:
+    """The backward closure of a node an earlier sweep has freed."""
+    raise RuntimeError("backward() reached a graph node an earlier backward() "
+                       "already swept and freed")
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:

@@ -1,5 +1,6 @@
 """Tensor engine: forward semantics, gradients, checkpoints, determinism."""
 import contextlib
+import weakref
 
 import numpy as np
 import pytest
@@ -117,13 +118,41 @@ class TestBackward:
         with pytest.raises(ValueError, match="scalar"):
             T.square(x).backward()
 
-    def test_backward_twice_accumulates(self, rng):
+    def test_separate_graphs_over_one_leaf_add_up(self, rng):
+        x = Tensor(rng.normal(size=(3,)).astype(np.float32), requires_grad=True)
+        T.tsum(T.square(x)).backward()
+        first = x.grad.copy()
+        T.tsum(T.square(x)).backward()
+        assert x.grad.tobytes() == (2 * first).tobytes()
+
+    def test_second_sweep_of_a_graph_raises(self, rng):
         x = Tensor(rng.normal(size=(3,)).astype(np.float32), requires_grad=True)
         loss = T.tsum(T.square(x))
         loss.backward()
-        first = x.grad.copy()
+        with pytest.raises(RuntimeError, match="already swept"):
+            loss.backward()
+
+    def test_sweep_into_a_subgraph_another_loss_freed_raises(self, rng):
+        x = Tensor(rng.normal(size=(3,)).astype(np.float32), requires_grad=True)
+        h = T.square(x)
+        l1, l2 = T.tsum(h), T.tsum(T.mul(h, h))
+        l1.backward()
+        assert h.grad is None and h._parents == ()
+        with pytest.raises(RuntimeError, match="already swept"):
+            l2.backward()
+
+    def test_sweep_frees_interior_activations(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 6, 6)).astype(np.float32),
+                   requires_grad=True)
+        h = T.relu(T.conv2d(x, Tensor(rng.normal(size=(4, 3, 3, 3))
+                                      .astype(np.float32), requires_grad=True)))
+        activation = weakref.ref(h.data)   # Tensor has __slots__, so the ndarray
+        loss = T.tsum(h)
+        del h
         loss.backward()
-        np.testing.assert_allclose(x.grad, 2 * first, rtol=1e-6)
+        assert activation() is None
+        assert loss.grad is None and loss._parents == ()
+        assert x.grad is not None
 
     @pytest.mark.parametrize("layer", [
         "conv", "conv_stride2", "depthwise", "depthwise_stride2", "pointwise",
