@@ -75,7 +75,6 @@ class TraceEntry:
     index: int
     name: str
     kind: str
-    entry: dict              # the entry itself, as it sits in its layer list
     in_state: tuple          # ("map", C, H, W) or ("flat", D)
     out_state: tuple
     fields: dict             # every ``_SCHEMA`` field, typed, defaults filled in
@@ -102,9 +101,11 @@ class ArchSpec:
     # -- construction / serialization -----------------------------------
     @classmethod
     def from_obj(cls, obj: dict) -> "ArchSpec":
+        """Validated spec of a parsed JSON object; the spec holds ``obj``'s
+        layer entries, not copies."""
         try:
             inp = obj["input"]
-            layers = [dict(e) for e in obj["layers"]]
+            layers = obj["layers"]
             if not isinstance(inp, dict):
                 raise TypeError("'input' must be an object")
         except (KeyError, TypeError) as exc:
@@ -153,6 +154,9 @@ class ArchSpec:
     def validate(self) -> list[TraceEntry]:
         if min(self.in_channels, self.in_height, self.in_width) < 1:
             raise ArchError("input descriptor extents must be positive")
+        if not isinstance(self.layers, list):
+            raise ArchError(f"layers: expected a list of layer entries, "
+                            f"got {self.layers!r}")
         state = ("map", self.in_channels, self.in_height, self.in_width)
         names: set[str] = set()
         trace, _ = self._walk(self.layers, state, "layers", names)
@@ -175,7 +179,7 @@ class ArchSpec:
                 raise ArchError(f"{where}.name: duplicate layer name {name!r}")
             names.add(name)
             try:
-                te = TraceEntry(i, name, kind, entry, state, state, _resolve(kind, entry))
+                te = TraceEntry(i, name, kind, state, state, _resolve(kind, entry))
                 state = self._step(te, state, names, where)
             except ArchError:
                 raise   # from a residual body, already naming its path
@@ -327,15 +331,19 @@ def _bool_field(entry: dict, key: str, default=_REQUIRED) -> bool:
 
 def _str_field(entry: dict, key: str, default=_REQUIRED) -> str:
     value = entry.get(key, default)
+    if value is _REQUIRED:
+        raise _FieldError(key, "missing required field")
     if not isinstance(value, str):
-        raise KeyError(f"missing required string field {key!r}")
+        raise _FieldError(key, f"expected a string, got {value!r}")
     return value
 
 
 def _body_field(entry: dict, key: str, default=_REQUIRED) -> list:
     body = entry.get(key, default)
+    if body is _REQUIRED:
+        raise _FieldError(key, "missing required field")
     if not isinstance(body, list) or not body:
-        raise ValueError(f"residual entry needs a non-empty {key!r} list")
+        raise _FieldError(key, f"expected a non-empty list of entries, got {body!r}")
     return body
 
 

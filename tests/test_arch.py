@@ -204,12 +204,16 @@ def test_out_of_range_field_rejected(entry, message):
      "post_relu: expected true or false, got 1"),
     ({"type": "relu", "name": [1]}, "name: expected a string, got [1]"),
     ({"type": "tap", "name": None}, "name: expected a string, got None"),
+    ({"type": "tap"}, "name: missing required field"),
+    ({"type": "residual"}, "body: missing required field"),
+    ({"type": "residual", "body": []},
+     "body: expected a non-empty list of entries, got []"),
 ], ids=["null-omega", "null-out-channels", "list-kernel-dsconv", "list-kernel-conv",
         "fractional-out-channels", "fractional-kernel", "string-kernel",
         "bool-window", "string-omega", "bool-split", "missing-kernel",
         "huge-int-omega", "nan-alpha", "string-bias", "int-relu", "string-shuffle",
         "null-inner-bn", "numpy-out-channels", "int-post-relu", "list-name",
-        "null-tap-name"])
+        "null-tap-name", "missing-tap-name", "missing-body", "empty-body"])
 def test_wrongly_typed_field_rejected(entry, message):
     with pytest.raises(ArchError) as info:
         ArchSpec(4, 6, 6, [entry]).validate()
@@ -239,6 +243,25 @@ def test_error_in_a_residual_body_names_its_path(layers, message):
     with pytest.raises(ArchError) as info:
         ArchSpec(4, 6, 6, layers).validate()
     assert str(info.value) == message
+
+
+MALFORMED_LAYER_LISTS = [
+    (["ab"], "layers[0]: each layer entry needs a 'type' field"),
+    ([3], "layers[0]: each layer entry needs a 'type' field"),
+    ({"a": 1}, "layers: expected a list of layer entries, got {'a': 1}"),
+    ("ab", "layers: expected a list of layer entries, got 'ab'"),
+]
+
+
+@pytest.mark.parametrize("layers,message", MALFORMED_LAYER_LISTS,
+                         ids=["string-entry", "number-entry", "object-layers",
+                              "string-layers"])
+def test_malformed_layer_list_rejected(layers, message):
+    obj = {"input": {"channels": 4, "height": 6, "width": 6}, "layers": layers}
+    for check in (ArchSpec(4, 6, 6, layers).validate, lambda: ArchSpec.from_obj(obj)):
+        with pytest.raises(ArchError) as info:
+            check()
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("channels,message", [

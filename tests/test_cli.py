@@ -16,7 +16,7 @@ from parcnn.cli import main
 from parcnn.tensor import Tensor
 from parcnn.zoo import build_zoo_arch
 
-from test_arch import NESTED_BODY_ERRORS
+from test_arch import MALFORMED_LAYER_LISTS, NESTED_BODY_ERRORS
 
 
 def run_cli(*argv) -> int:
@@ -127,7 +127,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("layers,message", [
         ([{"type": "relu", "name": [1]}], "layers[0].name: expected a string, got [1]"),
-        *NESTED_BODY_ERRORS[1:]])
+        *NESTED_BODY_ERRORS[1:], *MALFORMED_LAYER_LISTS])
     def test_entry_path_diagnostics_exit_3(self, layers, message, tmp_path, capsys):
         bad = tmp_path / "arch.json"
         bad.write_text(json.dumps({"input": {"channels": 4, "height": 6, "width": 6},
