@@ -8,33 +8,15 @@ consume, raising ``ArchError`` with a ``layers[i].field`` diagnostic on the
 first inconsistency. Each entry's fields are read once, through
 ``_SCHEMA``, into ``TraceEntry.fields``; nothing downstream reads the dict.
 
-Supported entry types and their fields (defaults in parentheses):
-
-=================  ============================================================
-``conv``           out_channels, kernel, stride (1), padding (0), bias (true),
-                   bn (true), relu (true)
-``dsconv``         out_channels, kernel (3), inner_bn (true)
-``parconv``        out_channels, omega, alpha (0.5), kernel (3), shuffle
-                   (true), inner_bn (true)
-``sparconv``       out_channels, split (0.25), kernel (3), shuffle (true),
-                   inner_bn (true)
-``maxpool``        window (3), stride (2), padding (0)
-``relu``           --
-``batchnorm``      --
-``flatten``        --
-``linear``         out_features, bias (true)
-``bottleneck_head``  bottleneck_dim, out_features
-``residual``       body (list of entries), post_relu (false)
-``tap``            name
-=================  ============================================================
-
+``_SCHEMA`` lists each entry type's fields and their defaults; a field it
+does not list is rejected when a spec is read from JSON (``from_obj``).
 Every entry may carry a ``name``; unnamed entries get ``<type><index>``.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -101,8 +83,8 @@ class ArchSpec:
     # -- construction / serialization -----------------------------------
     @classmethod
     def from_obj(cls, obj: dict) -> "ArchSpec":
-        """Validated spec of a parsed JSON object; the spec holds ``obj``'s
-        layer entries, not copies."""
+        """Validated spec of a parsed JSON object, holding ``obj``'s layer
+        entries (not copies); a field ``_SCHEMA`` does not list is rejected."""
         try:
             inp = obj["input"]
             layers = obj["layers"]
@@ -116,6 +98,7 @@ class ArchSpec:
             raise ArchError(f"input.{exc.key}: {exc}") from exc
         spec = cls(*extents, layers)
         spec.validate()
+        _reject_unknown_fields(layers, "layers")
         return spec
 
     def to_obj(self) -> dict:
@@ -148,7 +131,10 @@ class ArchSpec:
         Path(path).write_text(self.to_json() + "\n")
 
     def copy(self) -> "ArchSpec":
-        return ArchSpec.from_obj(json.loads(json.dumps(self.to_obj())))
+        """A validated deep copy, not checked again for unknown fields."""
+        spec = replace(self, layers=json.loads(json.dumps(self.layers)))
+        spec.validate()
+        return spec
 
     # -- validation -------------------------------------------------------
     def validate(self) -> list[TraceEntry]:
@@ -376,6 +362,16 @@ def _resolve(kind: str, entry: dict) -> dict:
         value = entry.get(key, default)
         fields[key] = value if type(value) is exact else read(entry, key, default)
     return fields
+
+
+def _reject_unknown_fields(entries: list[dict], prefix: str) -> None:
+    """Reject an entry field ``_SCHEMA`` lacks; ``entries`` have validated."""
+    for i, entry in enumerate(entries):
+        unknown = entry.keys() - _SCHEMA[entry["type"]].keys() - {"type", "name"}
+        if unknown:
+            raise ArchError(f"{prefix}[{i}].{min(unknown)}: unknown field")
+        if entry["type"] == "residual":
+            _reject_unknown_fields(entry["body"], f"{prefix}[{i}].body")
 
 
 def walk_trace(trace: list[TraceEntry], owner: list[dict]):

@@ -150,11 +150,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_transform(args) -> int:
     arch = resolve_arch(args.arch)
-    policy = transform.DistillPolicy(
-        threshold=args.threshold, bottleneck_dim=args.bottleneck,
-        omega=args.omega, variant=args.variant, residual=args.residual,
-        replace_selector=args.selector)
-    result = transform.transform_with_report(arch, policy)
+    result = transform.transform_with_report(
+        arch, _policy(args, replace_selector=args.selector))
     diff = transform.render_diff(arch, result.arch, result)
     run_dir = _make_run_dir(args, "transform")
     _write_run_config(run_dir, args, "transform")
@@ -195,10 +192,7 @@ def cmd_distill(args) -> int:
     if args.student:
         student_arch = resolve_arch(args.student)
     else:
-        policy = transform.DistillPolicy(
-            threshold=args.threshold, bottleneck_dim=args.bottleneck,
-            omega=args.omega, variant=args.variant, residual=args.residual)
-        student_arch = transform.distill_architecture(teacher.arch, policy)
+        student_arch = transform.distill_architecture(teacher.arch, _policy(args))
     student = build_model(student_arch, seed=args.seed)
     train_set, _ = _load_train_test(args)
     pairs = None
@@ -215,8 +209,8 @@ def cmd_distill(args) -> int:
     student_arch.save(run_dir / "student_arch.json")
     with _csv_rows(run_dir / "metrics.csv", _DISTILL_COLUMNS) as write_row:
         metrics = distill.distill_train(teacher, student, train_set, config,
-                                        run_dir=run_dir, on_row=write_row)
-    student.save(run_dir / "student")
+                                        checkpoint_prefix=run_dir / "student",
+                                        on_row=write_row)
     print(f"[distill] {len(metrics)} iterations; student checkpoint "
           f"{run_dir}/student, metrics {run_dir}/metrics.csv")
     return 0
@@ -265,6 +259,20 @@ def _add_opt_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
+def _add_policy_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--omega", type=_nonneg_float, default=0.5)
+    p.add_argument("--bottleneck", type=_positive_int, default=50)
+    p.add_argument("--threshold", type=_nonneg_float, default=0.1)
+    p.add_argument("--variant", choices=transform.VARIANTS, default="parconv")
+    p.add_argument("--residual", action="store_true")
+
+
+def _policy(args, **extra) -> transform.DistillPolicy:
+    return transform.DistillPolicy(
+        threshold=args.threshold, bottleneck_dim=args.bottleneck, omega=args.omega,
+        variant=args.variant, residual=args.residual, **extra)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="parcnn",
@@ -280,11 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="turn a baseline into a compact network")
     p.add_argument("arch")
-    p.add_argument("--omega", type=_nonneg_float, default=0.5)
-    p.add_argument("--bottleneck", type=_positive_int, default=50)
-    p.add_argument("--threshold", type=_nonneg_float, default=0.1)
-    p.add_argument("--variant", choices=transform.VARIANTS, default="parconv")
-    p.add_argument("--residual", action="store_true")
+    _add_policy_args(p)
     p.add_argument("--selector", default="interior",
                    help="interior | residual_body | all | comma-separated names")
     _add_common_run_args(p)
@@ -307,11 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=_nonneg_float, default=0.2)
     p.add_argument("--lambda", dest="lam", type=_nonneg_float, default=0.1)
     p.add_argument("--taps", default=None, help="tap pairs, e.g. s1_in:s1_out,...")
-    p.add_argument("--omega", type=_nonneg_float, default=0.5)
-    p.add_argument("--bottleneck", type=_positive_int, default=50)
-    p.add_argument("--threshold", type=_nonneg_float, default=0.1)
-    p.add_argument("--variant", choices=transform.VARIANTS, default="parconv")
-    p.add_argument("--residual", action="store_true")
+    _add_policy_args(p)
     _add_opt_args(p)
     _add_data_args(p)
     _add_common_run_args(p)

@@ -1,4 +1,4 @@
-"""Teacher-student distillation: losses and the training loop.
+"""Teacher-student distillation: the losses and the student's training step.
 
 The objective combines three terms,
 
@@ -16,26 +16,22 @@ batch-size independent; the logged component values are pre-weighting.
 The teacher is frozen, so its outputs for a sample never change: its
 posteriors and SPMs are computed once per training run, in eval mode and
 without a graph, and every step reads them as constants (offline
-distillation). No gradient ever reaches teacher parameters.
+distillation). No gradient ever reaches teacher parameters. The student
+is trained by the same SGD loop as any classifier (``train._sgd_loop``);
+only its per-batch loss differs.
 """
 from __future__ import annotations
 
-import logging
-import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import tensor as T
 from .arch import Model
-from .data import Dataset, batch_indices, batches
-from .errors import NumericalError
+from .data import Dataset, batches
 from .tensor import Tensor
-from .train import SGDMomentum, constant_schedule
-
-log = logging.getLogger(__name__)
+from .train import _sgd_loop, constant_schedule
 
 ZERO_NORM_EPS = 1e-12
 _NORM_TINY = 1e-30   # keeps sqrt differentiable at an all-zero map
@@ -216,60 +212,36 @@ def _teacher_targets(teacher: Model, data: Dataset, pairs: list[tuple[str, str]]
 
 
 def distill_train(teacher: Model, student: Model, train_data: Dataset,
-                  config: DistillConfig, run_dir: str | Path | None = None,
+                  config: DistillConfig, checkpoint_prefix=None,
                   on_row: Callable[[dict], None] | None = None) -> list[dict]:
-    """Minibatch SGD of the student against the frozen teacher.
+    """Minibatch SGD of the student against the frozen teacher, by the loop
+    ``train_classifier`` uses (``train._sgd_loop``) with this loss.
 
-    The teacher's targets are computed once, before the first step, by
-    ``_teacher_targets``; each step indexes them by its batch's samples. The
-    teacher's parameters are left as they were found.
-
+    The teacher's targets are computed once, by ``_teacher_targets``, and
+    each step indexes them; the teacher's parameters are left as they were.
     Returns one metrics row per iteration: iteration, kl, ce, sp, total, lr
-    (component losses pre-weighting); ``on_row`` is called with each row as
-    it is recorded. A NaN/Inf loss aborts with NumericalError; the rows
-    before it have been passed to ``on_row``, and the last epoch's
-    checkpoint is left in place.
+    (component losses pre-weighting). ``checkpoint_prefix`` and ``on_row``
+    act as in ``train_classifier``.
     """
     pairs = resolve_tap_pairs(teacher, student, config)
     n = len(train_data)
     if config.epochs >= 1 and n:
         t_probs, t_spms = _teacher_targets(teacher, train_data, pairs, config.batch_size)
-    opt = SGDMomentum(student.params(), momentum=config.momentum,
-                      weight_decay=config.weight_decay)
-    schedule = constant_schedule(config.lr)
-    run_dir = Path(run_dir) if run_dir is not None else None
-    metrics: list[dict] = []
-    iteration = 0
-    for epoch in range(config.epochs):
-        for idx in batch_indices(n, config.batch_size, shuffle_seed=config.seed + epoch):
-            labels = train_data.labels[idx]
-            s_taps: dict[str, Tensor] = {}
-            s_logits = student.forward(train_data.images[idx], training=True,
-                                       taps=s_taps)
-            log_probs = T.log_softmax(s_logits)
 
-            kl = soft_cross_entropy(log_probs, t_probs[idx])
-            ce = cross_entropy(log_probs, labels)
-            sp = sp_loss([Tensor(s[idx]) for s in t_spms],
-                         spms_from_taps(s_taps, pairs))
-            loss = total_loss(kd_loss(kl, ce, config.mu, config.beta), sp, config.lam)
+    def step(idx, epoch):
+        s_taps: dict[str, Tensor] = {}
+        log_probs = T.log_softmax(student.forward(train_data.images[idx],
+                                                  training=True, taps=s_taps))
+        kl = soft_cross_entropy(log_probs, t_probs[idx])
+        ce = cross_entropy(log_probs, train_data.labels[idx])
+        sp = sp_loss([Tensor(s[idx]) for s in t_spms], spms_from_taps(s_taps, pairs))
+        loss = total_loss(kd_loss(kl, ce, config.mu, config.beta), sp, config.lam)
+        terms = {"kl": kl.item(), "ce": ce.item(), "sp": sp.item()}
+        return loss, lambda iteration, value, lr: {
+            "iteration": iteration, **terms, "total": value, "lr": lr}
 
-            value = loss.item()
-            if not math.isfinite(value):
-                raise NumericalError(
-                    f"distillation diverged at iteration {iteration} "
-                    f"(loss={value}); last checkpoint retained")
-            student.zero_grad()
-            loss.backward()
-            lr = schedule(iteration)
-            opt.step(lr)
-            row = {"iteration": iteration, "kl": kl.item(), "ce": ce.item(),
-                   "sp": sp.item(), "total": value, "lr": lr}
-            metrics.append(row)
-            if on_row is not None:
-                on_row(row)
-            iteration += 1
-        if run_dir is not None:
-            student.save(run_dir / "student_last")
-            student.save(run_dir / f"student_epoch{epoch + 1}")
-    return metrics
+    return _sgd_loop(student, n, step, epochs=config.epochs,
+                     batch_size=config.batch_size, seed=config.seed,
+                     schedule=constant_schedule(config.lr), momentum=config.momentum,
+                     weight_decay=config.weight_decay,
+                     checkpoint_prefix=checkpoint_prefix, on_row=on_row)

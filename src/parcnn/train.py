@@ -1,4 +1,4 @@
-"""Optimizer, learning-rate schedules, evaluation and weight statistics."""
+"""Optimizer, schedules, the SGD training loop, evaluation and weight statistics."""
 from __future__ import annotations
 
 import math
@@ -9,7 +9,7 @@ import numpy as np
 
 from . import tensor as T
 from .arch import Model
-from .data import Dataset, batches
+from .data import Dataset, batch_indices, batches
 from .errors import NumericalError
 from .tensor import Tensor
 
@@ -110,24 +110,16 @@ def evaluate(model: Model, dataset: Dataset, batch_size: int = 256) -> EvalResul
     return EvalResult(total=len(dataset), substitutions=wrong)
 
 
-def train_classifier(model: Model, train_data: Dataset, epochs: int,
-                     batch_size: int = 64,
-                     schedule: Callable[[int], float] | None = None,
-                     momentum: float = 0.9, weight_decay: float = 1e-4,
-                     seed: int = 0, eval_data: Dataset | None = None,
-                     checkpoint_prefix=None,
-                     on_row: Callable[[dict], None] | None = None) -> list[dict]:
-    """Plain cross-entropy training; returns per-iteration metrics rows
-    (epoch, iteration, loss, lr, test_error).
-
-    ``on_row`` is called with each row as it is recorded, so the rows before
-    a divergence abort can be kept. With ``checkpoint_prefix`` the model is
-    saved after every epoch, so such an abort leaves the last completed
-    epoch's weights in place.
-    """
-    from .distill import cross_entropy  # local import to avoid a cycle
-
-    schedule = schedule or constant_schedule(0.01)
+def _sgd_loop(model: Model, n: int, step, *, epochs, batch_size, seed, schedule,
+              momentum, weight_decay, checkpoint_prefix=None, on_row=None,
+              epoch_row=None) -> list[dict]:
+    """Minibatch SGD over ``n`` samples in ``batch_indices`` order, for
+    ``train_classifier`` and ``distill_train``. ``step(idx, epoch)`` returns
+    a batch's loss and a function of (iteration, loss, lr) giving its metrics
+    row; ``epoch_row(epoch, iteration)`` may add a row after each epoch. Each
+    row is returned and passed to ``on_row`` as it is recorded. A NaN/Inf
+    loss aborts with NumericalError, naming the per-epoch checkpoint left in
+    place if this loop wrote one."""
     opt = SGDMomentum(model.params(), momentum=momentum, weight_decay=weight_decay)
     metrics: list[dict] = []
 
@@ -136,31 +128,60 @@ def train_classifier(model: Model, train_data: Dataset, epochs: int,
         if on_row is not None:
             on_row(row)
 
+    kept = ""   # the checkpoint an abort leaves in place
     iteration = 0
     for epoch in range(epochs):
-        for images, labels in batches(train_data, batch_size,
-                                      shuffle_seed=seed + epoch):
-            logits = model.forward(images, training=True)
-            loss = cross_entropy(T.log_softmax(logits), labels)
+        for idx in batch_indices(n, batch_size, shuffle_seed=seed + epoch):
+            loss, make_row = step(idx, epoch)
             value = loss.item()
             if not math.isfinite(value):
                 raise NumericalError(
-                    f"training diverged at iteration {iteration} (loss={value}); "
-                    f"last epoch checkpoint retained")
+                    f"training diverged at iteration {iteration} (loss={value}){kept}")
             model.zero_grad()
             loss.backward()
             lr = schedule(iteration)
             opt.step(lr)
-            record({"epoch": epoch, "iteration": iteration,
-                    "loss": value, "lr": lr, "test_error": ""})
+            record(make_row(iteration, value, lr))
             iteration += 1
-        if eval_data is not None:
-            err = evaluate(model, eval_data).cer
-            record({"epoch": epoch, "iteration": iteration,
-                    "loss": "", "lr": "", "test_error": err})
+        if epoch_row is not None:
+            record(epoch_row(epoch, iteration))
         if checkpoint_prefix is not None:
             model.save(checkpoint_prefix)
+            kept = f"; checkpoint {checkpoint_prefix} of epoch {epoch} retained"
     return metrics
+
+
+def train_classifier(model: Model, train_data: Dataset, epochs: int,
+                     batch_size: int = 64,
+                     schedule: Callable[[int], float] | None = None,
+                     momentum: float = 0.9, weight_decay: float = 1e-4,
+                     seed: int = 0, eval_data: Dataset | None = None,
+                     checkpoint_prefix=None,
+                     on_row: Callable[[dict], None] | None = None) -> list[dict]:
+    """Plain cross-entropy training; returns per-iteration metrics rows
+    (epoch, iteration, loss, lr, test_error), plus a test-error row after
+    each epoch if ``eval_data`` is given. ``on_row`` gets each row as it is
+    recorded, so the rows before a divergence abort can be kept; with
+    ``checkpoint_prefix`` the model is saved after every epoch."""
+    from .distill import cross_entropy  # local import to avoid a cycle
+
+    def step(idx, epoch):
+        logits = model.forward(train_data.images[idx], training=True)
+        loss = cross_entropy(T.log_softmax(logits), train_data.labels[idx])
+        return loss, lambda iteration, value, lr: {
+            "epoch": epoch, "iteration": iteration, "loss": value, "lr": lr,
+            "test_error": ""}
+
+    def test_error_row(epoch, iteration):
+        return {"epoch": epoch, "iteration": iteration, "loss": "", "lr": "",
+                "test_error": evaluate(model, eval_data).cer}
+
+    return _sgd_loop(model, len(train_data), step, epochs=epochs,
+                     batch_size=batch_size, seed=seed,
+                     schedule=schedule or constant_schedule(0.01),
+                     momentum=momentum, weight_decay=weight_decay,
+                     checkpoint_prefix=checkpoint_prefix, on_row=on_row,
+                     epoch_row=test_error_row if eval_data is not None else None)
 
 
 def weight_histogram(model: Model, bins: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,6 +2,7 @@
 counts against the cost analyzer, repeated state names, and entry
 validation."""
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -262,6 +263,35 @@ def test_malformed_layer_list_rejected(layers, message):
         with pytest.raises(ArchError) as info:
             check()
         assert str(info.value) == message
+
+
+UNKNOWN_FIELDS = [
+    ([{"type": "conv", "out_channels": 4, "kernel": 3, "strid": 2}],
+     "layers[0].strid: unknown field"),
+    ([{"type": "relu", "name": "first"},
+      {"type": "residual", "name": "outer", "body": [
+          {"type": "relu"},
+          {"type": "residual", "body": [
+              {"type": "maxpool", "windw": 2, "paddin": 1}]}]}],
+     "layers[1].body[1].body[0].paddin: unknown field"),
+    ([{"type": "tap", "name": "t", "out_channels": 4}],
+     "layers[0].out_channels: unknown field"),
+]
+
+
+@pytest.mark.parametrize("layers,message", UNKNOWN_FIELDS,
+                         ids=["top-level", "nested-body", "other-kinds-field"])
+def test_unknown_field_rejected_when_read_from_json(layers, message):
+    obj = {"input": {"channels": 4, "height": 6, "width": 6}, "layers": layers}
+    for read in (lambda: ArchSpec.from_obj(obj),
+                 lambda: ArchSpec.from_json(json.dumps(obj))):
+        with pytest.raises(ArchError) as info:
+            read()
+        assert str(info.value) == message
+    # a spec built in code is not read from JSON; validate() and copy() pass
+    spec = ArchSpec(4, 6, 6, layers)
+    spec.validate()
+    assert spec.copy().layers == layers
 
 
 @pytest.mark.parametrize("channels,message", [

@@ -11,12 +11,12 @@ import pytest
 
 import parcnn
 from parcnn import distill
-from parcnn.arch import build_model
+from parcnn.arch import build_model, load_model
 from parcnn.cli import main
 from parcnn.tensor import Tensor
 from parcnn.zoo import build_zoo_arch
 
-from test_arch import MALFORMED_LAYER_LISTS, NESTED_BODY_ERRORS
+from test_arch import MALFORMED_LAYER_LISTS, NESTED_BODY_ERRORS, UNKNOWN_FIELDS
 
 
 def run_cli(*argv) -> int:
@@ -127,7 +127,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("layers,message", [
         ([{"type": "relu", "name": [1]}], "layers[0].name: expected a string, got [1]"),
-        *NESTED_BODY_ERRORS[1:], *MALFORMED_LAYER_LISTS])
+        *NESTED_BODY_ERRORS[1:], *MALFORMED_LAYER_LISTS, *UNKNOWN_FIELDS])
     def test_entry_path_diagnostics_exit_3(self, layers, message, tmp_path, capsys):
         bad = tmp_path / "arch.json"
         bad.write_text(json.dumps({"input": {"channels": 4, "height": 6, "width": 6},
@@ -194,7 +194,12 @@ class TestTrainCommand:
         with monkeypatch.context() as patch:
             diverge_from_call(patch, distill, "cross_entropy", 3)
             assert self._train(tmp_path / "b") == 4
-        assert "diverged at iteration 3" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "diverged at iteration 3" in err
+        # the abort came before the first epoch's checkpoint, so none is claimed
+        assert "checkpoint" not in err
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == \
+            ["metrics.csv", "run.json"]
         assert_rows_kept_before(tmp_path / "b", tmp_path / "a", 3)
 
     def test_different_seed_changes_metrics(self, tmp_path):
@@ -253,6 +258,18 @@ class TestDistillCommand:
         assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
             (tmp_path / "b" / "metrics.csv").read_bytes()
         assert (tmp_path / "a" / "student.json").exists()
+
+    def test_one_student_checkpoint_pair_saved_each_epoch(self, tmp_path, teacher_ckpt):
+        run_dir = tmp_path / "r"
+        assert run_cli("distill", "--teacher", str(teacher_ckpt), "--synthetic",
+                       "--per-class", "4", "--batch", "20", "--epochs", "2",
+                       "--run-dir", str(run_dir)) == 0
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "metrics.csv", "run.json", "student.bin", "student.json",
+            "student_arch.json"]
+        student = load_model(run_dir / "student")
+        assert student.arch.to_obj() == \
+            json.loads((run_dir / "student_arch.json").read_text())
 
     def test_divergence_mid_epoch_keeps_earlier_metrics(self, tmp_path, teacher_ckpt,
                                                         capsys, monkeypatch):

@@ -319,16 +319,16 @@ class TestDistillTrain:
 
     def test_nan_aborts_with_checkpoint_retained(self, tmp_path):
         teacher, student, data, config = self._setup()
-        run_dir = tmp_path / "run"
-        run_dir.mkdir()
-        metrics = distill_train(teacher, student, data, config, run_dir=run_dir)
-        assert (run_dir / "student_last.json").exists()
-        blob_before = (run_dir / "student_last.bin").read_bytes()
+        prefix = tmp_path / "student"
+        metrics = distill_train(teacher, student, data, config,
+                                checkpoint_prefix=prefix)
+        assert (tmp_path / "student.json").exists()
+        blob_before = (tmp_path / "student.bin").read_bytes()
         # poison the student; the next run must abort without clobbering it
         dict(student.params())["c1.weight"].data[...] = 1e30
         with np.errstate(over="ignore"), pytest.raises(NumericalError):
-            distill_train(teacher, student, data, config, run_dir=run_dir)
-        assert (run_dir / "student_last.bin").read_bytes() == blob_before
+            distill_train(teacher, student, data, config, checkpoint_prefix=prefix)
+        assert (tmp_path / "student.bin").read_bytes() == blob_before
         assert len(metrics) > 0
 
 
