@@ -34,11 +34,10 @@ from .tensor import Tensor
 _SCHEMA: dict[str, dict[str, object]] = {
     "conv": {"out_channels": int, "kernel": int, "stride": 1, "padding": 0,
              "bias": True, "bn": True, "relu": True},
-    "dsconv": {"out_channels": int, "kernel": 3, "inner_bn": True},
+    "dsconv": {"out_channels": int, "kernel": 3},
     "parconv": {"out_channels": int, "omega": float, "alpha": 0.5, "kernel": 3,
-                "shuffle": True, "inner_bn": True},
-    "sparconv": {"out_channels": int, "split": 0.25, "kernel": 3, "shuffle": True,
-                 "inner_bn": True},
+                "shuffle": True},
+    "sparconv": {"out_channels": int, "split": 0.25, "kernel": 3, "shuffle": True},
     "maxpool": {"window": 3, "stride": 2, "padding": 0},
     "relu": {},
     "batchnorm": {},
@@ -403,7 +402,7 @@ def _parconv_spec(kind: str, fields: dict, in_channels: int) -> ParConvSpec:
     else:
         omega, alpha = fields["omega"], fields["alpha"]
     spec = ParConvSpec(in_channels, fields["out_channels"], omega, alpha,
-                       fields["kernel"], fields["shuffle"], fields["inner_bn"])
+                       fields["kernel"], fields["shuffle"])
     if spec.include_shuffle and in_channels % 2:
         raise ValueError(
             f"channel shuffle needs an even channel count, have {in_channels}")
@@ -510,8 +509,7 @@ def _build_one(te: TraceEntry, rng) -> Layer:
             stack.append(("relu", B.ReLU()))
         return B.Sequential(stack) if len(stack) > 1 else stack[0][1]
     if te.kind == "dsconv":
-        return B.dsconv_block(te.in_state[1], f["out_channels"], f["kernel"],
-                              inner_bn=f["inner_bn"], rng=rng)
+        return B.dsconv_block(te.in_state[1], f["out_channels"], f["kernel"], rng=rng)
     if te.kind in ("parconv", "sparconv"):
         return B.ParConvBlock(te.parconv, rng=rng)
     if te.kind == "maxpool":

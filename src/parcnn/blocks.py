@@ -8,17 +8,18 @@ dictionary that ``Tap`` layers write intermediate activations into.
 Compact blocks:
 
 * ``dsconv_block``  - a ``Sequential``: depthwise K x K over all channels,
-  then pointwise.
+  then pointwise, each followed by BN+ReLU.
 * ``ParConvBlock``  - channel shuffle, split into two branches; branch A
   optionally expands by a pointwise conv (channel multiplier omega),
-  applies a depthwise conv, then projects pointwise to the output width;
-  branch B is a single pointwise conv; the branch outputs are summed
-  channelwise. With ``omega=None`` there is no expanding conv: that is the
-  simplified SParConv form, in which by default a quarter of the input
-  channels feed the depthwise branch. The shuffle and split run as one
-  channel gather per branch, and branch A's projection and branch B run as
-  one pointwise conv over both branches' inputs, their weights joined at
-  call time; the parameters are still those of the two convs.
+  applies a depthwise conv, each followed by BN+ReLU, then projects
+  pointwise to the output width; branch B is a single pointwise conv; the
+  branch outputs are summed channelwise, then BN+ReLU. With ``omega=None``
+  there is no expanding conv: that is the simplified SParConv form, in
+  which by default a quarter of the input channels feed the depthwise
+  branch. The shuffle and split run as one channel gather per branch, and
+  branch A's projection and branch B run as one pointwise conv over both
+  branches' inputs, their weights joined at call time; the parameters are
+  still those of the two convs.
 
 All compact blocks preserve spatial size (stride 1, padding (K-1)/2).
 """
@@ -89,9 +90,6 @@ class Conv2d(_WeightBias):
                  rng: np.random.Generator):
         if min(in_channels, out_channels, kernel, stride) < 1 or padding < 0:
             raise ValueError("invalid convolution geometry")
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel = kernel
         self.stride = stride
         self.padding = padding
         self.weight = Tensor(_init_conv(rng, out_channels, in_channels, kernel),
@@ -108,8 +106,6 @@ class DepthwiseConv2d(_WeightBias):
                  padding: int = 0, bias: bool = True, *, rng: np.random.Generator):
         if min(channels, kernel, stride) < 1 or padding < 0:
             raise ValueError("invalid convolution geometry")
-        self.channels = channels
-        self.kernel = kernel
         self.stride = stride
         self.padding = padding
         self.weight = Tensor(_init_depthwise(rng, channels, kernel), requires_grad=True)
@@ -124,7 +120,6 @@ class BatchNorm2d(Layer):
     """Four per-channel values: scale, shift, running mean, running variance."""
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
-        self.channels = channels
         self.eps = eps
         self.momentum = momentum
         self.scale = Tensor(np.ones(channels, np.float32), requires_grad=True)
@@ -168,8 +163,6 @@ class Flatten(Layer):
 class Linear(_WeightBias):
     def __init__(self, in_features: int, out_features: int, bias: bool = True, *,
                  rng: np.random.Generator):
-        self.in_features = in_features
-        self.out_features = out_features
         self.weight = Tensor(_init_linear(rng, out_features, in_features),
                              requires_grad=True)
         self.bias = Tensor(np.zeros(out_features, np.float32), requires_grad=True) \
@@ -242,9 +235,6 @@ class ParConvSpec:
     alpha: float = 0.5
     kernel: int = 3
     include_shuffle: bool = True
-    # BN+ReLU after the depthwise conv (and after the expanding conv, if any;
-    # branch outputs are always summed raw, then normalized once).
-    inner_bn: bool = True
 
     def __post_init__(self):
         if self.in_channels < 1 or self.out_channels < 1:
@@ -294,8 +284,7 @@ class ParConvBlock(Layer):
 
     def __init__(self, spec: ParConvSpec, *, rng: np.random.Generator):
         self.spec = spec
-        self.widths = spec.widths()
-        a, e, b = self.widths
+        a, e, b = spec.widths()
         # the shuffle and split, as the channels each branch gathers
         order = shuffle_permutation(spec.in_channels) if spec.include_shuffle \
             else np.arange(spec.in_channels)
@@ -304,12 +293,10 @@ class ParConvBlock(Layer):
         stack: list[tuple[str, Layer]] = []
         if spec.omega is not None:
             stack.append(("pw_expand", Conv2d(a, e, 1, bias=True, rng=rng)))
-            if spec.inner_bn:
-                stack += _bn_relu(e, "_expand")
+            stack += _bn_relu(e, "_expand")
         stack.append(
             ("dw", DepthwiseConv2d(e, spec.kernel, padding=pad, bias=True, rng=rng)))
-        if spec.inner_bn:
-            stack += _bn_relu(e)
+        stack += _bn_relu(e)
         stack.append(
             ("pw_project", Conv2d(e, spec.out_channels, 1, bias=True, rng=rng)))
         self.branch_a = Sequential(stack)
@@ -337,16 +324,16 @@ class ParConvBlock(Layer):
         return T.relu(out)
 
 
-def dsconv_block(in_channels: int, out_channels: int, kernel: int = 3,
-                 inner_bn: bool = True, *, rng: np.random.Generator) -> Sequential:
-    """Depthwise K x K over all input channels followed by a pointwise conv."""
+def dsconv_block(in_channels: int, out_channels: int, kernel: int = 3, *,
+                 rng: np.random.Generator) -> Sequential:
+    """Depthwise K x K over all input channels followed by a pointwise conv,
+    each followed by BN+ReLU."""
     pad = (kernel - 1) // 2
-    stack: list[tuple[str, Layer]] = [
-        ("dw", DepthwiseConv2d(in_channels, kernel, padding=pad, bias=True, rng=rng))]
-    if inner_bn:
-        stack += _bn_relu(in_channels, "_dw")
-    stack.append(("pw", Conv2d(in_channels, out_channels, 1, bias=True, rng=rng)))
-    return Sequential(stack + _bn_relu(out_channels))
+    return Sequential(
+        [("dw", DepthwiseConv2d(in_channels, kernel, padding=pad, bias=True, rng=rng))]
+        + _bn_relu(in_channels, "_dw")
+        + [("pw", Conv2d(in_channels, out_channels, 1, bias=True, rng=rng))]
+        + _bn_relu(out_channels))
 
 
 class ResidualBlock(Layer):

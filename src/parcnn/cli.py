@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``analyze``, ``transform``, ``train``, ``distill``, ``report``.
-Exit codes: 0 success, 2 usage error, 3 data/architecture error,
-4 numerical failure.
+Exit codes: 0 success, 2 usage error (a malformed flag, or a flag value
+the library rejects), 3 data/architecture error, 4 numerical failure.
 
 Every run writes its outputs under a fresh directory (default
 ``runs/<command>-<timestamp>``, override with ``--run-dir``) including a
@@ -204,6 +204,7 @@ def cmd_distill(args) -> int:
         mu=args.mu, beta=args.beta, lam=args.lam, tap_pairs=pairs,
         epochs=args.epochs, batch_size=args.batch, lr=args.lr,
         momentum=args.momentum, weight_decay=args.weight_decay, seed=args.seed)
+    distill.resolve_tap_pairs(teacher, student, config)   # before any output
     run_dir = _make_run_dir(args, "distill")
     _write_run_config(run_dir, args, "distill")
     student_arch.save(run_dir / "student_arch.json")
@@ -337,6 +338,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    except ValueError as exc:   # a flag value the library rejects
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,7 +9,9 @@ Counting rules (the only rules consistent with the reference cost tables):
   additions are excluded.
 * Storage counts every parameter at 4 bytes (32-bit floats): conv/linear
   weights and biases plus 4 values per normalized channel (scale, shift,
-  running mean, running variance). MB means 2^20 bytes.
+  running mean, running variance). MB means 2^20 bytes. A compact block
+  or residual projection counts as the sum of its layers: each conv's or
+  depthwise conv's weights, bias and BN.
 * ``gamma`` is the fully-connected share of storage:
   fc_params / (fc_params + conv_params).
 """
@@ -153,8 +155,12 @@ def parconv_ratio_asymptotic(k: int, omega: float) -> float:
 
 
 # -- per-parameter counts ----------------------------------------------------
+# One rule per layer; a block's count sums its layers' in the order
+# ``blocks.py`` builds them.
 
-def _conv_params(c_in: int, c_out: int, k: int, bias: bool, bn: bool) -> int:
+def _conv_params(c_in: int, c_out: int, k: int, bias: bool = True,
+                 bn: bool = True) -> int:
+    """A K x K conv's weights, its bias and the BN after it."""
     n = c_out * c_in * k * k
     if bias:
         n += c_out
@@ -163,34 +169,22 @@ def _conv_params(c_in: int, c_out: int, k: int, bias: bool, bn: bool) -> int:
     return n
 
 
-def _dsconv_params(c_in: int, c_out: int, k: int, inner_bn: bool) -> int:
-    n = c_in * k * k + c_in                      # depthwise weights + bias
-    if inner_bn:
-        n += BN_VALUES_PER_CHANNEL * c_in
-    n += c_in * c_out + c_out                    # pointwise weights + bias
-    n += BN_VALUES_PER_CHANNEL * c_out           # closing BN
-    return n
+def _depthwise_params(c: int, k: int) -> int:
+    """A depthwise K x K conv's weights, its bias and the BN after it."""
+    return c * k * k + c + BN_VALUES_PER_CHANNEL * c
+
+
+def _dsconv_params(c_in: int, c_out: int, k: int) -> int:
+    return _depthwise_params(c_in, k) + _conv_params(c_in, c_out, 1)
 
 
 def _parconv_params(c_in: int, c_out: int, k: int, omega: float | None,
-                    alpha: float, inner_bn: bool) -> int:
+                    alpha: float) -> int:
     a, e, b = parconv_widths(c_in, alpha, omega)
-    n = 0
-    if omega is not None:
-        n += a * e + e                           # expanding pointwise + bias
-        if inner_bn:
-            n += BN_VALUES_PER_CHANNEL * e       # BN after expand
-    n += e * k * k + e                           # depthwise + bias
-    if inner_bn:
-        n += BN_VALUES_PER_CHANNEL * e           # BN after dw
-    n += e * c_out + c_out                       # projecting pointwise + bias
-    n += b * c_out + c_out                       # branch-B pointwise + bias
-    n += BN_VALUES_PER_CHANNEL * c_out           # BN on the summed output
-    return n
-
-
-def _projection_params(c_in: int, c_out: int) -> int:
-    return c_in * c_out + c_out + BN_VALUES_PER_CHANNEL * c_out
+    expand = 0 if omega is None else _conv_params(a, e, 1)
+    return (expand + _depthwise_params(e, k)
+            + _conv_params(e, c_out, 1, bn=False)      # pw_project
+            + _conv_params(b, c_out, 1))               # branch_b, then post_bn
 
 
 # -- the analyzer -------------------------------------------------------------
@@ -215,7 +209,7 @@ def _entry_cost(te: TraceEntry) -> LayerCost | None:
         k = f["kernel"]
         return LayerCost(te.name, "dsconv", f"F:{c_out}, K:{k}x{k}", te.spatial,
                          dsconv_flops(ho, wo, c_in, c_out, k),
-                         _dsconv_params(c_in, c_out, k, f["inner_bn"]), False)
+                         _dsconv_params(c_in, c_out, k), False)
     if te.kind in ("parconv", "sparconv"):
         spec = te.parconv
         variant = (f"split:{spec.alpha:g}" if spec.omega is None
@@ -225,7 +219,7 @@ def _entry_cost(te: TraceEntry) -> LayerCost | None:
                          parconv_flops_realized(ho, wo, c_in, c_out, spec.kernel,
                                                 spec.omega, spec.alpha),
                          _parconv_params(c_in, c_out, spec.kernel, spec.omega,
-                                         spec.alpha, spec.inner_bn), False)
+                                         spec.alpha), False)
     if te.kind == "maxpool":
         cfg = f"K:{f['window']}x{f['window']}, S:{f['stride']}"
         return LayerCost(te.name, "maxpool", cfg, te.spatial, 0, 0, False)
@@ -255,7 +249,7 @@ def _entry_cost(te: TraceEntry) -> LayerCost | None:
         cfg = "residual[" + ",".join(kinds) + "]"
         if c_in != c_out or te.skip_stride != 1:
             flops += conv_flops(ho, wo, c_in, c_out, 1)
-            params += _projection_params(c_in, c_out)
+            params += _conv_params(c_in, c_out, 1)
             cfg += "+proj"
         return LayerCost(te.name, "residual", cfg, te.spatial, flops, params, False)
     raise ArchError(f"no cost rule for layer type {te.kind!r}")

@@ -51,6 +51,9 @@ class Dataset:
         return len(self.labels)
 
     def subset(self, count: int) -> "Dataset":
+        """The first ``count`` samples (all of them if there are fewer)."""
+        if count < 0:
+            raise ValueError(f"subset count must be non-negative, got {count}")
         return Dataset(self.images[:count], self.labels[:count],
                        split=self.split, classes=self.classes)
 
@@ -147,8 +150,10 @@ def make_synthetic(classes: int, per_class: int, seed: int,
     larger ``separation`` means an easier problem. Pixels are quantized to
     the uint8 grid so IDX round trips are exact.
     """
-    if classes < 1 or per_class < 1 or image_size < 4:
-        raise ValueError("classes, per_class and image_size must be positive")
+    if classes < 1 or per_class < 1:
+        raise ValueError("classes and per_class must be positive")
+    if image_size < 4:
+        raise ValueError(f"image_size must be >= 4, got {image_size}")
     if separation <= 0:
         raise ValueError("separation must be positive")
     rng = np.random.default_rng(seed)

@@ -30,6 +30,7 @@ import numpy as np
 from . import tensor as T
 from .arch import Model
 from .data import Dataset, batches
+from .errors import ArchError
 from .tensor import Tensor
 from .train import _sgd_loop, constant_schedule
 
@@ -171,21 +172,21 @@ def resolve_tap_pairs(teacher: Model, student: Model,
                       config: DistillConfig) -> list[tuple[str, str]]:
     pairs = config.tap_pairs or teacher.arch.default_tap_pairs()
     if not pairs:
-        raise ValueError("no tap pairs available; architectures carry no taps")
+        raise ArchError("no tap pairs available; architectures carry no taps")
     t_shapes = teacher.arch.tap_shapes()
     s_shapes = student.arch.tap_shapes()
     for i, j in pairs:
         for name in (i, j):
             if name not in t_shapes:
-                raise ValueError(f"teacher has no tap named {name!r}")
+                raise ArchError(f"teacher has no tap named {name!r}")
             if name not in s_shapes:
-                raise ValueError(f"student has no tap named {name!r}")
+                raise ArchError(f"student has no tap named {name!r}")
             if t_shapes[name][1:] != s_shapes[name][1:]:
-                raise ValueError(
+                raise ArchError(
                     f"tap {name!r} spatial mismatch: teacher {t_shapes[name]} vs "
                     f"student {s_shapes[name]}")
         if t_shapes[i][1:] != t_shapes[j][1:]:
-            raise ValueError(f"tap pair ({i}, {j}) differs in spatial size")
+            raise ArchError(f"tap pair ({i}, {j}) differs in spatial size")
     return list(pairs)
 
 

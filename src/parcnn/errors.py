@@ -1,7 +1,7 @@
 """Exception types shared across the toolkit.
 
-The CLI maps these onto exit codes: usage errors exit 2 (argparse),
-ArchError/DataFormatError exit 3, NumericalError exit 4.
+The CLI maps these onto exit codes: usage errors exit 2 (argparse, or any
+other ValueError), ArchError/DataFormatError exit 3, NumericalError exit 4.
 """
 
 

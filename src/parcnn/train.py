@@ -76,25 +76,19 @@ def step_decay_schedule(lr0: float, factor: float = 0.92, every: int = 4000,
 
 @dataclass
 class EvalResult:
-    """Error counts over a dataset; for closed-set classification the
-    insertion and deletion counts are zero."""
+    """Misclassified samples (``substitutions``) out of ``total``; ``cer`` is
+    their share."""
 
     total: int
     substitutions: int
-    insertions: int = 0
-    deletions: int = 0
 
     def __post_init__(self):
-        if min(self.total, self.substitutions, self.insertions, self.deletions) < 0:
+        if min(self.total, self.substitutions) < 0:
             raise ValueError("counts must be non-negative")
 
     @property
     def cer(self) -> float:
-        return (self.substitutions + self.insertions + self.deletions) / self.total
-
-    @property
-    def accuracy(self) -> float:
-        return 1.0 - self.cer
+        return self.substitutions / self.total
 
 
 def evaluate(model: Model, dataset: Dataset, batch_size: int = 256) -> EvalResult:

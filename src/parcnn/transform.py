@@ -196,18 +196,16 @@ def transform_with_report(arch: ArchSpec, policy: DistillPolicy) -> TransformRes
     return TransformResult(new, gamma_before, gamma_after, head_changed, len(picked))
 
 
-def render_diff(before: ArchSpec, after: ArchSpec, result: TransformResult | None = None,
-                ) -> str:
+def render_diff(before: ArchSpec, after: ArchSpec, result: TransformResult) -> str:
     """Side-by-side cost summary of a transformation."""
     rb = cost.analyze(before)
     ra = cost.analyze(after)
-    lines = ["architecture transformation", ""]
-    if result is not None:
-        lines.append(f"gamma before head change : {100 * result.gamma_before:.2f}%")
-        lines.append(f"gamma after head change  : {100 * result.gamma_after_head:.2f}%"
-                     + ("" if result.head_changed else " (head untouched)"))
-        lines.append(f"convolutions replaced    : {result.replaced}")
-        lines.append("")
+    lines = ["architecture transformation", "",
+             f"gamma before head change : {100 * result.gamma_before:.2f}%",
+             f"gamma after head change  : {100 * result.gamma_after_head:.2f}%"
+             + ("" if result.head_changed else " (head untouched)"),
+             f"convolutions replaced    : {result.replaced}",
+             ""]
     lines.append(f"{'':14s}{'before':>16s}{'after':>16s}{'ratio':>8s}")
     lines.append(f"{'FLOPs':14s}{rb.total_flops:>16d}{ra.total_flops:>16d}"
                  f"{rb.total_flops / ra.total_flops:>8.2f}")

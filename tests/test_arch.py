@@ -196,8 +196,6 @@ def test_out_of_range_field_rejected(entry, message):
      "relu: expected true or false, got 0"),
     ({"type": "parconv", "out_channels": 4, "omega": 0.5, "shuffle": "no"},
      "shuffle: expected true or false, got 'no'"),
-    ({"type": "dsconv", "out_channels": 4, "inner_bn": None},
-     "inner_bn: expected true or false, got None"),
     ({"type": "conv", "out_channels": np.int64(4), "kernel": 3},
      f"out_channels: expected an integer, got {np.int64(4)!r}"),
     ({"type": "residual", "post_relu": 1,
@@ -213,7 +211,7 @@ def test_out_of_range_field_rejected(entry, message):
         "fractional-out-channels", "fractional-kernel", "string-kernel",
         "bool-window", "string-omega", "bool-split", "missing-kernel",
         "huge-int-omega", "nan-alpha", "string-bias", "int-relu", "string-shuffle",
-        "null-inner-bn", "numpy-out-channels", "int-post-relu", "list-name",
+        "numpy-out-channels", "int-post-relu", "list-name",
         "null-tap-name", "missing-tap-name", "missing-body", "empty-body"])
 def test_wrongly_typed_field_rejected(entry, message):
     with pytest.raises(ArchError) as info:
@@ -276,11 +274,18 @@ UNKNOWN_FIELDS = [
      "layers[1].body[1].body[0].paddin: unknown field"),
     ([{"type": "tap", "name": "t", "out_channels": 4}],
      "layers[0].out_channels: unknown field"),
+    # compact blocks have one form: BN+ReLU after every inner conv
+    ([{"type": "dsconv", "out_channels": 4, "inner_bn": True}],
+     "layers[0].inner_bn: unknown field"),
+    ([{"type": "residual", "body": [
+        {"type": "parconv", "out_channels": 4, "omega": 0.5, "inner_bn": False}]}],
+     "layers[0].body[0].inner_bn: unknown field"),
 ]
 
 
 @pytest.mark.parametrize("layers,message", UNKNOWN_FIELDS,
-                         ids=["top-level", "nested-body", "other-kinds-field"])
+                         ids=["top-level", "nested-body", "other-kinds-field",
+                              "inner-bn", "inner-bn-nested-body"])
 def test_unknown_field_rejected_when_read_from_json(layers, message):
     obj = {"input": {"channels": 4, "height": 6, "width": 6}, "layers": layers}
     for read in (lambda: ArchSpec.from_obj(obj),

@@ -169,7 +169,7 @@ class TestParConvBlock:
         for c_in, c_out, omega in [(16, 24, 0.5), (32, 32, 1.0), (100, 300, 2.0)]:
             spec = ParConvSpec(in_channels=c_in, out_channels=c_out, omega=omega)
             block = B.ParConvBlock(spec, rng=rng)
-            expected = cost._parconv_params(c_in, c_out, 3, omega, 0.5, True)
+            expected = cost._parconv_params(c_in, c_out, 3, omega, 0.5)
             assert _realized_values(block) == expected
 
     def test_invalid_specs_rejected(self):
@@ -223,7 +223,7 @@ class TestSParConv:
 
     def test_realized_parameter_count_matches_cost_model(self, rng):
         block = B.ParConvBlock(ParConvSpec(32, 48, omega=None, alpha=0.25), rng=rng)
-        assert _realized_values(block) == cost._parconv_params(32, 48, 3, None, 0.25, True)
+        assert _realized_values(block) == cost._parconv_params(32, 48, 3, None, 0.25)
 
 
 class TestDSConv:
@@ -253,7 +253,7 @@ class TestDSConv:
 
     def test_realized_parameter_count_matches_cost_model(self, rng):
         block = B.dsconv_block(20, 30, rng=rng)
-        assert _realized_values(block) == cost._dsconv_params(20, 30, 3, True)
+        assert _realized_values(block) == cost._dsconv_params(20, 30, 3)
 
 
 class TestResidual:

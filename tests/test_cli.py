@@ -13,6 +13,8 @@ import parcnn
 from parcnn import distill
 from parcnn.arch import build_model, load_model
 from parcnn.cli import main
+from parcnn.data import (MNIST_TEST_FILES, MNIST_TRAIN_FILES, make_synthetic,
+                         save_mnist_idx)
 from parcnn.tensor import Tensor
 from parcnn.zoo import build_zoo_arch
 
@@ -320,6 +322,52 @@ class TestDistillCommand:
                      "--taps", "s1_in", "--synthetic", "--per-class", "8",
                      "--run-dir", str(tmp_path / "r"))
         assert rc == 3
+
+
+# flag values argparse accepts but the library rejects: (argv, exit code,
+# error line); "{teacher}" stands for a saved mnist_small checkpoint
+REJECTED_FLAG_VALUES = [
+    (["transform", "zoo:mnist_small", "--threshold", "0"], 2,
+     "threshold must lie in (0, 1)"),
+    (["transform", "zoo:mnist_small", "--omega", "0"], 2, "omega must be positive"),
+    (["train", "--model", "zoo:mnist_small", "--synthetic", "--lr", "0"], 2,
+     "learning rate must be positive"),
+    (["train", "--model", "zoo:mnist_small", "--synthetic", "--separation", "0"], 2,
+     "separation must be positive"),
+    (["train", "--model", "zoo:mnist_small", "--synthetic", "--image-size", "3"], 2,
+     "image_size must be >= 4, got 3"),
+    (["distill", "--teacher", "{teacher}", "--synthetic", "--per-class", "4",
+      "--mu", "0", "--beta", "0"], 2, "mu + beta must be positive"),
+    (["distill", "--teacher", "{teacher}", "--synthetic", "--per-class", "4",
+      "--taps", "s1_in:nosuch"], 3, "teacher has no tap named 'nosuch'"),
+]
+
+
+class TestRejectedFlagValues:
+    @pytest.mark.parametrize("argv,code,message", REJECTED_FLAG_VALUES,
+                             ids=["threshold-0", "omega-0", "lr-0", "separation-0",
+                                  "image-size-3", "mu-beta-0", "unknown-tap"])
+    def test_exit_code_and_error_line(self, argv, code, message, tmp_path,
+                                      teacher_ckpt, capsys):
+        argv = [a.format(teacher=teacher_ckpt) for a in argv]
+        run_dir = tmp_path / "r"
+        assert run_cli(*argv, "--run-dir", str(run_dir)) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+        # rejected before any output was written
+        assert not run_dir.exists()
+
+    def test_negative_limit_exits_2(self, tmp_path, capsys):
+        mnist = tmp_path / "mnist"
+        mnist.mkdir()
+        digits = make_synthetic(classes=2, per_class=4, seed=0, image_size=6)
+        for images, labels in (MNIST_TRAIN_FILES, MNIST_TEST_FILES):
+            save_mnist_idx(digits, mnist / images, mnist / labels)
+        run_dir = tmp_path / "r"
+        assert run_cli("train", "--model", "zoo:mnist_small", "--data-dir", str(mnist),
+                       "--limit", "-5", "--run-dir", str(run_dir)) == 2
+        assert capsys.readouterr().err == \
+            "error: subset count must be non-negative, got -5\n"
+        assert not run_dir.exists()
 
 
 class TestReportCommand:

@@ -114,6 +114,10 @@ class TestSynthetic:
             make_synthetic(classes=0, per_class=5, seed=0)
         with pytest.raises(ValueError):
             make_synthetic(classes=2, per_class=0, seed=0)
+        with pytest.raises(ValueError, match=r"^image_size must be >= 4, got 3$"):
+            make_synthetic(classes=2, per_class=5, seed=0, image_size=3)
+        assert make_synthetic(classes=2, per_class=5, seed=0,
+                              image_size=4).images.shape == (10, 1, 4, 4)
 
     def test_linear_classifier_separates_well_separated_blobs(self):
         # independent oracle: one-vs-all least squares on raw pixels
@@ -173,6 +177,14 @@ class TestBatches:
         with pytest.raises(ValueError, match="out of range"):
             Dataset(np.zeros((2, 1, 4, 4), np.float32),
                     np.array([0, 5]), classes=3)
+
+    def test_subset_takes_the_first_samples(self):
+        ds = make_synthetic(classes=2, per_class=3, seed=0, image_size=6)
+        assert ds.subset(4).labels.tolist() == ds.labels[:4].tolist()
+        assert len(ds.subset(0)) == 0 and len(ds.subset(100)) == 6
+        # a negative count would slice from the end and silently drop samples
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            ds.subset(-1)
 
 
 class TestFindMnist:

@@ -87,7 +87,7 @@ class TestEvaluate:
         logits = np.eye(4, dtype=np.float32) * 5
         ds = Dataset(np.zeros((4, 1, 2, 2), np.float32), np.arange(4))
         result = evaluate(self._fixed_logit_model(logits), ds)
-        assert result.cer == 0.0 and result.accuracy == 1.0
+        assert result.cer == 0.0 and result.substitutions == 0
 
     def test_one_wrong_of_ten(self):
         labels = np.zeros(10, np.int64)
@@ -98,7 +98,6 @@ class TestEvaluate:
         result = evaluate(self._fixed_logit_model(logits), ds)
         assert result.substitutions == 1
         assert result.cer == pytest.approx(0.1)
-        assert result.insertions == result.deletions == 0
 
     def test_matches_scalar_loop_oracle(self, rng):
         logits = rng.normal(size=(23, 5)).astype(np.float32)
@@ -158,7 +157,7 @@ class TestEvaluate:
     def test_eval_result_invariants(self):
         with pytest.raises(ValueError):
             EvalResult(total=10, substitutions=-1)
-        r = EvalResult(total=10, substitutions=2, insertions=1, deletions=1)
+        r = EvalResult(total=10, substitutions=4)
         assert r.cer == pytest.approx(0.4)
 
 
