@@ -40,8 +40,12 @@ class ForwardContext:
 
 
 def _init_conv(rng: np.random.Generator, c_out: int, c_in: int, k: int) -> np.ndarray:
+    """A (C_out, C_in, K, K) weight stored tap-major, as (C_out, K, K, C_in)
+    in memory: the order ``tensor.conv2d``'s GEMMs read it in, so that they
+    copy no weight. The float32 cast makes the layout in the same pass."""
     std = 1.0 / np.sqrt(c_in * k * k)
-    return rng.normal(0.0, std, size=(c_out, c_in, k, k)).astype(np.float32)
+    w = rng.normal(0.0, std, size=(c_out, c_in, k, k))
+    return w.transpose(0, 2, 3, 1).astype(np.float32, order="C").transpose(0, 3, 1, 2)
 
 
 def _init_depthwise(rng: np.random.Generator, c: int, k: int) -> np.ndarray:
@@ -85,6 +89,11 @@ class _WeightBias(Layer):
 
 
 class Conv2d(_WeightBias):
+    """A standard convolution. Its weight has the logical shape (C_out, C_in,
+    K, K) in state names, checkpoints and ``load_state``, and is stored
+    tap-major (``_init_conv``); the SGD update and ``load_state`` write it
+    in place, so it stays so."""
+
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
                  stride: int = 1, padding: int = 0, bias: bool = True, *,
                  rng: np.random.Generator):

@@ -131,6 +131,15 @@ def _load_train_test(args) -> tuple[data.Dataset, data.Dataset]:
     return train_set, test_set
 
 
+def _check_images(dataset: data.Dataset, arch: ArchSpec, role: str) -> None:
+    """Reject images that do not fit ``arch``'s input, before any output is
+    written."""
+    expected = (arch.in_channels, arch.in_height, arch.in_width)
+    if dataset.images.shape[1:] != expected:
+        raise DataFormatError(f"dataset images are {dataset.images.shape[1:]} "
+                              f"(C, H, W); the {role} expects {expected}")
+
+
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
@@ -170,6 +179,7 @@ def cmd_train(args) -> int:
     arch = resolve_arch(args.model)
     model = build_model(arch, seed=args.seed)
     train_set, test_set = _load_train_test(args)
+    _check_images(train_set, arch, "model")
     schedule = train.constant_schedule(args.lr) if args.schedule == "constant" \
         else train.step_decay_schedule(args.lr, floor=args.lr_floor)
     run_dir = _make_run_dir(args, "train")
@@ -195,6 +205,8 @@ def cmd_distill(args) -> int:
         student_arch = transform.distill_architecture(teacher.arch, _policy(args))
     student = build_model(student_arch, seed=args.seed)
     train_set, _ = _load_train_test(args)
+    _check_images(train_set, teacher.arch, "teacher")
+    _check_images(train_set, student_arch, "student")
     pairs = None
     if args.taps:
         pairs = [tuple(p.split(":")) for p in args.taps.split(",")]

@@ -13,25 +13,28 @@ Leaves keep their gradients, so sweeps of separate graphs over the same
 leaves add up until ``zero_grad``. Default dtype is float32; float64 inputs
 are honored so finite-difference oracles can run at full precision.
 
-conv2d, max_pool2d, relu, the channel gather and the first gradient
-written by ``Tensor._accumulate`` keep the float operations of their
-reference formulas, in the same order; only how data moves between them is
-tuned (a blocked im2col, a pointwise input gradient without col2im, relu as
-``fmax``, a first gradient without a zero fill). Their outputs and gradients
-are therefore byte-identical to the reference, and a given seed gives the
-same bytes before and after such tuning. max_pool2d's and the gather's
-outputs keep their input's memory order, so after a conv they are
+max_pool2d, relu, the channel gather and the first gradient written by
+``Tensor._accumulate`` keep the float operations of their reference
+formulas, in the same order; only how data moves between them is tuned
+(relu as ``fmax``, a first gradient without a zero fill). Their outputs and
+gradients are therefore byte-identical to the reference, and a given seed
+gives the same bytes before and after such tuning. max_pool2d's and the
+gather's outputs keep their input's memory order, so after a conv they are
 channel-last; their values are the reference's.
 
-batch_norm2d and depthwise_conv2d are held to their plain formulas within
-float tolerance, not byte for byte. Batch norm sums over (N, H, W) as GEMMs
-against ones (``_channel_sums``), chosen over GEMVs because, on the
-OpenBLAS 0.3.31 build numpy 2.4.6 ships, the GEMM's bytes were measured
-equal at 1, 2, 3, 4 and 8 threads while the GEMV's differ between 1 and 2.
-Depthwise convolution adds its K*K taps as channel-last multiply-adds and
-sums its kernel and bias gradients through the same GEMMs; its output is
-channel-last. Other BLAS builds may split the summed axis across threads; a
-tier-1 test compares 1 against 2 threads.
+conv2d, batch_norm2d and depthwise_conv2d are held to their plain formulas
+within float tolerance, not byte for byte. conv2d's im2col columns and its
+GEMMs run tap-major, in (i, j, c) order, so that im2col and col2im move
+whole runs of channels; its sums over K*K*C_in products therefore run in
+another order than a channel-major reference's. Batch norm, and conv2d's
+bias gradient, sum over (N, H, W) as GEMMs against ones
+(``_channel_sums``), chosen over GEMVs because, on the OpenBLAS 0.3.31
+build numpy 2.4.6 ships, the GEMM's bytes were measured equal at 1, 2, 3,
+4 and 8 threads while the GEMV's differ between 1 and 2. Depthwise
+convolution adds its K*K taps as channel-last multiply-adds and sums its
+kernel and bias gradients through the same GEMMs; its output is
+channel-last, as is conv2d's. Other BLAS builds may split the summed axis
+across threads; a tier-1 test compares 1 against 2 threads.
 
 Forward ops verify their outputs are finite and raise NumericalError
 otherwise; disable with ``finite_checks(False)`` in hot loops at your own
@@ -455,12 +458,6 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-def _patches(xp: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """(N,C,Hp,Wp) -> view (N,C,Ho,Wo,K,K) of sliding windows."""
-    v = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
-    return v[:, :, ::stride, ::stride]
-
-
 def _tap(a: np.ndarray, i: int, j: int, stride: int, ho: int, wo: int) -> np.ndarray:
     """View of the (N,C,Ho,Wo) elements of padded ``a`` under window tap (i, j)."""
     return a[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
@@ -478,35 +475,57 @@ _IM2COL_BLOCK_BYTES = 512 * 1024
 
 def _im2col(x: np.ndarray, k: int, stride: int, padding: int,
             ho: int, wo: int) -> np.ndarray:
-    """(N,C,H,W) -> (N*Ho*Wo, C*K*K) matrix of zero-padded windows, rows in
-    (n, oh, ow) order and columns in (c, i, j) order."""
+    """(N,C,H,W) -> (N*Ho*Wo, K*K*C) matrix of zero-padded windows, rows in
+    (n, oh, ow) order and columns in (i, j, c) order. In a channel-last
+    buffer the K columns of a window row are then one run of K*C values,
+    and each window row is copied whole. With one tap (K = 1) the columns
+    are the channels."""
     n, c, h, w = x.shape
     if k == 1 and stride == 1:
         # a view when x is channel-last
         xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
             if padding else x
-        return _patches(xp, 1, 1).transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, -1)
+        return xp.transpose(0, 2, 3, 1).reshape(n * ho * wo, c)
     if padding:
         xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
         xp[:, padding:padding + h, padding:padding + w] = x.transpose(0, 2, 3, 1)
     else:
         xp = x.transpose(0, 2, 3, 1)
-    cols = np.empty((n, ho, wo, c, k, k), dtype=x.dtype)
-    image_bytes = max(ho * wo * c * k * k * x.itemsize, 1)
+    # (N, Hp, Wo, K, C): the K columns under each output column, per row
+    rows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride]
+    rows = rows.transpose(0, 1, 2, 4, 3)
+    cols = np.empty((n, ho, wo, k, k, c), dtype=x.dtype)
+    image_bytes = max(ho * wo * k * k * c * x.itemsize, 1)
     block = max(_IM2COL_BLOCK_BYTES // image_bytes, 1)
     for start in range(0, n, block):
-        src = xp[start:start + block]
+        src = rows[start:start + block]
         dst = cols[start:start + block]
         for i in range(k):
-            for j in range(k):
-                dst[..., i, j] = src[:, i:i + stride * ho:stride,
-                                     j:j + stride * wo:stride]
+            if c == 1:
+                # a window row is only K values: copy tap by tap, which
+                # numpy runs along Wo instead, about 2x faster at 28x28
+                for j in range(k):
+                    dst[:, :, :, i, j] = src[:, i:i + stride * ho:stride, :, j]
+            else:
+                dst[:, :, :, i] = src[:, i:i + stride * ho:stride]
     return cols.reshape(n * ho * wo, -1)
+
+
+def _tap_major(weight: np.ndarray) -> np.ndarray:
+    """A (C_out, C_in, K, K) weight as the (C_out, K*K*C_in) matrix the conv
+    GEMMs read, columns in (i, j, c) order: a view when the weight is stored
+    tap-major, (C_out, K, K, C_in) in memory, and a copy otherwise."""
+    return weight.transpose(0, 2, 3, 1).reshape(weight.shape[0], -1)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of (N,C_in,H,W) with (C_out,C_in,K,K) filters."""
+    """Cross-correlation of (N,C_in,H,W) with (C_out,C_in,K,K) filters.
+
+    The GEMM reads the weight tap-major, as (C_out, K*K*C_in) in (i, j, c)
+    order: a view of a weight stored that way (``blocks.Conv2d`` does), one
+    copy of any other. The weight gradient comes back in the same order.
+    """
     if x.ndim != 4 or weight.ndim != 4:
         raise ValueError("conv2d expects 4-D input and weight")
     n, c_in, h, w = x.shape
@@ -518,10 +537,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     ho = conv_output_size(h, k, stride, padding)
     wo = conv_output_size(w, k, stride, padding)
 
-    # im2col + GEMM: (N*Ho*Wo, C_in*K*K) @ (C_in*K*K, C_out)
+    # im2col + GEMM: (N*Ho*Wo, K*K*C_in) @ (K*K*C_in, C_out)
     cols = _im2col(x.data, k, stride, padding, ho, wo)
-    wmat = weight.data.reshape(c_out, -1)
-    out = cols @ wmat.T
+    out = cols @ _tap_major(weight.data).T
     if bias is not None:
         out += bias.data
     data = out.reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2)
@@ -529,12 +547,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     def backward(g):
         g2 = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, c_out)
         if weight.requires_grad:
-            weight._accumulate((g2.T @ cols).reshape(weight.shape))
+            weight._accumulate(
+                (g2.T @ cols).reshape(c_out, k, k, c_in).transpose(0, 3, 1, 2))
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g2.sum(axis=0))
+            bias._accumulate(_channel_sums(g))
         if not x.requires_grad:
             return
-        gcols = g2 @ wmat
+        # taken again rather than kept from the forward, so that no copy of
+        # a weight not stored tap-major stays alive across the graph
+        gcols = g2 @ _tap_major(weight.data)
         if k == 1 and stride == 1 and padding == 0:
             # one tap covering every position: the channel-last product is
             # the gradient (``_accumulate`` adds it to +0.0, as col2im did)
@@ -542,12 +563,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             return
         # col2im into a channel-last buffer, so each tap adds rows of
         # contiguous channels; taps are added in row-major order
-        gcols = gcols.reshape(n, ho, wo, c_in, k, k)
+        gcols = gcols.reshape(n, ho, wo, k, k, c_in)
         gxp = np.zeros((n, h + 2 * padding, w + 2 * padding, c_in), dtype=gcols.dtype)
         for i in range(k):
             for j in range(k):
                 dst = gxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
-                dst += gcols[..., i, j]
+                dst += gcols[:, :, :, i, j]
         x._accumulate(_crop(gxp.transpose(0, 3, 1, 2), padding, h, w))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
@@ -685,7 +706,9 @@ def _into(buf: np.ndarray | None, ufunc, a: np.ndarray, b: np.ndarray) -> np.nda
 
 
 def _channel_sums(a: np.ndarray) -> np.ndarray:
-    """Sums of a (N, C, H, W) array over (N, H, W), one per channel.
+    """Sums of a (N, C, H, W) array over (N, H, W), one per channel: batch
+    norm's statistics and gradients, and the bias gradients of conv2d and
+    depthwise_conv2d.
 
     On the 2-D view with channels on one axis, the sum is a GEMM against two
     rows (or columns) of ones. On OpenBLAS 0.3.31 its bytes were measured
@@ -895,20 +918,19 @@ def numeric_gradient(fn, tensors: list[Tensor], step: float = 1e-3) -> list[np.n
     """Central finite differences of a scalar-valued ``fn`` w.r.t. each tensor.
 
     Runs entirely on the tensors' own dtype; use float64 tensors for tight
-    tolerances.
+    tolerances. Each element is perturbed in place by index, so tensors in
+    any memory layout (channel-last, tap-major) are perturbed, not copies.
     """
     grads = []
     for t in tensors:
         g = np.zeros_like(t.data)
-        flat = t.data.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
+        for i in np.ndindex(t.shape):
+            orig = t.data[i]
+            t.data[i] = orig + step
             fp = fn().item()
-            flat[i] = orig - step
+            t.data[i] = orig - step
             fm = fn().item()
-            flat[i] = orig
-            gflat[i] = (fp - fm) / (2 * step)
+            t.data[i] = orig
+            g[i] = (fp - fm) / (2 * step)
         grads.append(g)
     return grads

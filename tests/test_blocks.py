@@ -125,6 +125,59 @@ class TestShuffleSplitGather:
             T.permute_channels(_channel_tagged(4), index)
 
 
+def _is_tap_major(weight: np.ndarray) -> bool:
+    """Stored as (C_out, K, K, C_in) in memory."""
+    return weight.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+class TestConvWeightLayout:
+    def test_weight_is_tap_major_with_the_seeded_values(self):
+        conv = B.Conv2d(3, 5, 3, rng=np.random.default_rng(0))
+        std = 1.0 / np.sqrt(3 * 3 * 3)
+        expected = np.random.default_rng(0).normal(0.0, std, size=(5, 3, 3, 3))
+        assert conv.weight.dtype == np.float32
+        assert _is_tap_major(conv.weight.data) and not conv.weight.data.flags.c_contiguous
+        assert conv.weight.data.tobytes() == expected.astype(np.float32).tobytes()
+
+    @staticmethod
+    def _conv_weights(model):
+        weights = [(name, t) for name, t in model.params() if t.ndim == 4]
+        assert any(t.shape[2] > 1 for _, t in weights)
+        return weights
+
+    def test_stays_tap_major_after_sgd_step_load_state_and_checkpoint(self, tmp_path):
+        from parcnn.arch import build_model, load_model
+        from parcnn.data import make_synthetic
+        from parcnn.train import train_classifier
+        from parcnn.zoo import build_zoo_arch
+        model = build_model(build_zoo_arch("mnist_small"), seed=1)
+        before = {name: t.data.copy() for name, t in self._conv_weights(model)}
+        train_classifier(model, make_synthetic(10, 2, seed=0), epochs=1, batch_size=20)
+        for name, t in self._conv_weights(model):
+            assert _is_tap_major(t.data), name
+            assert not np.array_equal(t.data, before[name]), name
+        # C-order arrays are written into the tap-major weights
+        model.load_state({name: np.ascontiguousarray(t.data)
+                          for name, t in model.state().items()})
+        model.save(tmp_path / "m")
+        for loaded in (model, load_model(tmp_path / "m")):
+            for name, t in self._conv_weights(loaded):
+                assert _is_tap_major(t.data), name
+
+    def test_checkpoint_bytes_equal_those_of_c_order_weights(self, tmp_path):
+        from parcnn.arch import build_model
+        from parcnn.zoo import build_zoo_arch
+        model = build_model(build_zoo_arch("mnist_small"), seed=1)
+        model.save(tmp_path / "tap_major")
+        T.save_checkpoint(tmp_path / "c_order",
+                          {name: np.ascontiguousarray(t.data)
+                           for name, t in model.state().items()},
+                          extra={"arch": model.arch.to_obj()})
+        for suffix in (".bin", ".json"):
+            assert (tmp_path / f"tap_major{suffix}").read_bytes() == \
+                (tmp_path / f"c_order{suffix}").read_bytes()
+
+
 class TestConvGeometry:
     @pytest.mark.parametrize("layer", ["conv", "depthwise"])
     @pytest.mark.parametrize("channels,kernel,stride,padding", [

@@ -325,7 +325,8 @@ class TestDistillCommand:
 
 
 # flag values argparse accepts but the library rejects: (argv, exit code,
-# error line); "{teacher}" stands for a saved mnist_small checkpoint
+# error line); "{teacher}" stands for a saved mnist_small checkpoint and
+# "{student}" for mnist_small on 32x32 input
 REJECTED_FLAG_VALUES = [
     (["transform", "zoo:mnist_small", "--threshold", "0"], 2,
      "threshold must lie in (0, 1)"),
@@ -336,6 +337,15 @@ REJECTED_FLAG_VALUES = [
      "separation must be positive"),
     (["train", "--model", "zoo:mnist_small", "--synthetic", "--image-size", "3"], 2,
      "image_size must be >= 4, got 3"),
+    (["train", "--model", "zoo:mnist_small", "--synthetic", "--per-class", "2",
+      "--image-size", "8"], 3,
+     "dataset images are (1, 8, 8) (C, H, W); the model expects (1, 28, 28)"),
+    (["distill", "--teacher", "{teacher}", "--synthetic", "--per-class", "2",
+      "--image-size", "8"], 3,
+     "dataset images are (1, 8, 8) (C, H, W); the teacher expects (1, 28, 28)"),
+    (["distill", "--teacher", "{teacher}", "--student", "{student}", "--synthetic",
+      "--per-class", "2"], 3,
+     "dataset images are (1, 28, 28) (C, H, W); the student expects (1, 32, 32)"),
     (["distill", "--teacher", "{teacher}", "--synthetic", "--per-class", "4",
       "--mu", "0", "--beta", "0"], 2, "mu + beta must be positive"),
     (["distill", "--teacher", "{teacher}", "--synthetic", "--per-class", "4",
@@ -346,10 +356,16 @@ REJECTED_FLAG_VALUES = [
 class TestRejectedFlagValues:
     @pytest.mark.parametrize("argv,code,message", REJECTED_FLAG_VALUES,
                              ids=["threshold-0", "omega-0", "lr-0", "separation-0",
-                                  "image-size-3", "mu-beta-0", "unknown-tap"])
+                                  "image-size-3", "train-image-size-8",
+                                  "distill-image-size-8", "student-input-32",
+                                  "mu-beta-0", "unknown-tap"])
     def test_exit_code_and_error_line(self, argv, code, message, tmp_path,
                                       teacher_ckpt, capsys):
-        argv = [a.format(teacher=teacher_ckpt) for a in argv]
+        student = tmp_path / "student.json"
+        student.write_text(json.dumps({**build_zoo_arch("mnist_small").to_obj(),
+                                       "input": {"channels": 1, "height": 32,
+                                                 "width": 32}}))
+        argv = [a.format(teacher=teacher_ckpt, student=student) for a in argv]
         run_dir = tmp_path / "r"
         assert run_cli(*argv, "--run-dir", str(run_dir)) == code
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -125,6 +125,13 @@ class TestBackward:
         T.tsum(T.square(x)).backward()
         assert x.grad.tobytes() == (2 * first).tobytes()
 
+    def test_numeric_gradient_perturbs_a_transposed_tensor(self, rng):
+        # channel-last: a flat reshape of its data would be a copy
+        x = Tensor(rng.normal(size=(2, 4, 3, 3)).transpose(0, 3, 1, 2), requires_grad=True)
+        assert not x.data.flags.c_contiguous
+        (numeric,) = T.numeric_gradient(lambda: T.tsum(T.square(x)), [x], step=1e-5)
+        np.testing.assert_allclose(numeric, 2 * x.data, rtol=1e-6, atol=1e-8)
+
     def test_second_sweep_of_a_graph_raises(self, rng):
         x = Tensor(rng.normal(size=(3,)).astype(np.float32), requires_grad=True)
         loss = T.tsum(T.square(x))
@@ -236,14 +243,22 @@ class TestBackward:
 
 
 # -- reference ops ------------------------------------------------------------
-# conv2d, max_pool2d, relu and Tensor._accumulate as they were before their
-# data movement was rewritten. The engine must keep their float operations
-# and order, so its outputs and gradients must equal these byte for byte, in
+# max_pool2d, relu and Tensor._accumulate as they were before their data
+# movement was rewritten. The engine must keep their float operations and
+# order, so its outputs and gradients must equal these byte for byte, in
 # value and (apart from max pooling's output, which keeps its input's memory
-# order) in memory layout. ref_depthwise_conv2d (an einsum over sliding
-# windows) and ref_batch_norm2d (the plain formula) sum in another order than
-# the engine's tap multiply-adds and GEMM channel sums, so the engine is held
-# to them run in float64, within a tolerance.
+# order) in memory layout. ref_conv2d (a GEMM over channel-major windows),
+# ref_depthwise_conv2d (an einsum over sliding windows) and ref_batch_norm2d
+# (the plain formula) sum in another order than the engine's tap-major GEMM,
+# tap multiply-adds and GEMM channel sums, so the engine is held to them run
+# in float64, within a tolerance; ref_conv2d also byte for byte on rounded
+# values, whose sums are exact in any order.
+
+def _patches(xp, kernel, stride):
+    """(N,C,Hp,Wp) -> view (N,C,Ho,Wo,K,K) of sliding windows."""
+    v = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
+    return v[:, :, ::stride, ::stride]
+
 
 def _ref_scatter_patches(shape, gpatches, kernel, stride):
     gxp = np.zeros(shape, dtype=gpatches.dtype)
@@ -262,7 +277,7 @@ def ref_conv2d(x, weight, bias=None, stride=1, padding=0):
     wo = T.conv_output_size(w, k, stride, padding)
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
         if padding else x.data
-    cols = T._patches(xp, k, stride).transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, -1)
+    cols = _patches(xp, k, stride).transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, -1)
     wmat = weight.data.reshape(c_out, -1)
     out = cols @ wmat.T
     if bias is not None:
@@ -292,7 +307,7 @@ def ref_depthwise_conv2d(x, kernel, bias=None, stride=1, padding=0):
     wo = T.conv_output_size(w, k, stride, padding)
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
         if padding else x.data
-    pv = T._patches(xp, k, stride)
+    pv = _patches(xp, k, stride)
     data = np.einsum("nchwij,cij->nchw", pv, kernel.data, optimize=True)
     if bias is not None:
         data = data + bias.data[None, :, None, None]
@@ -321,7 +336,7 @@ def ref_max_pool2d(x, window=3, stride=2, padding=0):
                     constant_values=-np.inf)
     else:
         xp = x.data
-    pv = T._patches(xp, window, stride).reshape(n, c, ho, wo, window * window)
+    pv = _patches(xp, window, stride).reshape(n, c, ho, wo, window * window)
     idx = pv.argmax(axis=-1)
     data = np.take_along_axis(pv, idx[..., None], axis=-1)[..., 0]
 
@@ -487,6 +502,17 @@ def _check_against_float64_reference(op, ref, inputs, upstream_rng, **kwargs):
     return engine[0]
 
 
+def _check_conv2d(inputs, rounded, rng, **kwargs):
+    """conv2d against ref_conv2d: byte for byte on rounded values, whose sums
+    are exact in any order, and against the reference run in float64
+    otherwise, since the engine's GEMM sums its K*K*C_in products in tap-major
+    order and the reference in channel-major order."""
+    if rounded:
+        _check_against_reference(T.conv2d, ref_conv2d, inputs, rng, **kwargs)
+    else:
+        _check_against_float64_reference(T.conv2d, ref_conv2d, inputs, rng, **kwargs)
+
+
 _WINDOWS = [(k, s, p) for k in (1, 3, 5) for s in (1, 2) for p in range(k)]
 _ORACLE_CASES = pytest.mark.parametrize("dtype,channel_last,rounded", [
     (dtype, channel_last, rounded)
@@ -499,11 +525,11 @@ class TestWindowOpsMatchReference:
     @_ORACLE_CASES
     def test_conv2d(self, dtype, channel_last, rounded, rng):
         draw = _sampler(rng, dtype, rounded)
-        for k, s, p in _WINDOWS:
-            x = _layout(draw((2, 5, 11, 11)), channel_last)
-            inputs = [x, draw((4, 5, k, k)), draw((4,))]
-            _check_against_reference(T.conv2d, ref_conv2d, inputs, rng,
-                                     stride=s, padding=p)
+        for c in (1, 5):   # im2col copies one channel tap by tap
+            for k, s, p in _WINDOWS:
+                x = _layout(draw((2, c, 11, 11)), channel_last)
+                inputs = [x, draw((4, c, k, k)), draw((4,))]
+                _check_conv2d(inputs, rounded, rng, stride=s, padding=p)
 
     @_ORACLE_CASES
     def test_depthwise_conv2d(self, dtype, channel_last, rounded, rng):
@@ -599,8 +625,7 @@ class TestWindowOpsMatchReference:
                     assert max(T._IM2COL_BLOCK_BYTES // image_bytes, 1) < n
                     x = _layout(draw((n, c, h, h)), channel_last)
                     inputs = [x, draw((4, c, k, k)), draw((4,))]
-                    _check_against_reference(T.conv2d, ref_conv2d, inputs, rng,
-                                             stride=s, padding=p)
+                    _check_conv2d(inputs, rounded, rng, stride=s, padding=p)
 
 
 class TestReluAndAccumulateMatchReference:
@@ -650,12 +675,47 @@ class TestReluAndAccumulateMatchReference:
         _assert_same_bytes(t.grad, t_ref.grad, "first gradient")
 
 
+def _weight_order(weight):
+    """Whether a (C_out, C_in, K, K) array is stored in C order, and whether
+    tap-major, as (C_out, K, K, C_in); with K = 1 it is both."""
+    return weight.flags.c_contiguous, weight.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+class TestConvWeightLayout:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k,stride,padding", [(1, 1, 0), (1, 2, 0), (3, 1, 1),
+                                                  (3, 2, 0), (5, 1, 2)])
+    def test_c_order_and_tap_major_weights_give_the_same_bytes(
+            self, dtype, k, stride, padding, rng):
+        """The GEMMs read a C-order weight through one copy and a tap-major
+        one as a view; both give one result, and the weight gradient takes
+        the weight's layout."""
+        x = _layout(rng.normal(size=(2, 5, 11, 11)).astype(dtype), True)
+        w = rng.normal(size=(4, 5, k, k)).astype(dtype)
+        b = rng.normal(size=(4,)).astype(dtype)
+        tap_major = w.transpose(0, 2, 3, 1).copy().transpose(0, 3, 1, 2)
+        upstream = None
+        runs = []
+        for weight in (w, tap_major):
+            leaves = [Tensor(a.copy(order="K"), requires_grad=True)
+                      for a in (x, weight, b)]
+            y = T.conv2d(*leaves, stride=stride, padding=padding)
+            if upstream is None:
+                upstream = _layout(rng.normal(size=y.shape).astype(dtype), True)
+            T.tsum(T.mul(y, Tensor(upstream))).backward()
+            assert _weight_order(leaves[1].grad) == _weight_order(weight)
+            runs.append([y.data] + [np.ascontiguousarray(t.grad) for t in leaves])
+        for name, a, a_ref in zip(["output", "x", "weight", "bias"], *reversed(runs)):
+            _assert_same_bytes(a, a_ref, name)
+
+
 class TestTrainingStepMatchesReference:
     """One training step of a whole model through the reference op bodies
     and through the engine's: layouts meet across ops here in ways that
-    the single-op oracles do not reach. Depthwise convolution and batch norm
-    run the engine's body on both sides, since their tap multiply-adds and
-    GEMM reductions have no byte-equal reference."""
+    the single-op oracles do not reach. Convolution, depthwise convolution
+    and batch norm run the engine's body on both sides, since their
+    tap-major GEMMs, tap multiply-adds and GEMM reductions have no
+    byte-equal reference."""
 
     @staticmethod
     def _step(arch):
@@ -677,8 +737,7 @@ class TestTrainingStepMatchesReference:
             arch = distill_architecture(arch, DistillPolicy())
         loss, state = self._step(arch)
         with monkeypatch.context() as patch:
-            for name, ref in [("conv2d", ref_conv2d),
-                              ("max_pool2d", ref_max_pool2d),
+            for name, ref in [("max_pool2d", ref_max_pool2d),
                               ("relu", ref_relu)]:
                 patch.setattr(T, name, ref)
             patch.setattr(Tensor, "_accumulate", ref_accumulate)
@@ -690,14 +749,15 @@ class TestTrainingStepMatchesReference:
 
 
 # One stem conv2d with its batch norm, a depthwise conv with its batch norm,
-# and a whole ParConv block (omega 0.5) at conv2_2's shape, at kd-synthetic's
-# batch size, through a training forward and backward; prints a digest of
-# every output, gradient and running statistic.
+# a whole ParConv block (omega 0.5) at conv2_2's shape and a tap-major 3x3
+# Conv2d with a bias at the teacher's conv2_2 shape, at kd-synthetic's batch
+# size, through a training forward and backward; prints a digest of every
+# output, gradient and running statistic.
 _THREAD_PROBE = """
 import hashlib, json
 import numpy as np
 from parcnn import tensor as T
-from parcnn.blocks import ForwardContext, ParConvBlock, ParConvSpec
+from parcnn.blocks import Conv2d, ForwardContext, ParConvBlock, ParConvSpec
 from parcnn.tensor import Tensor
 
 rng = np.random.default_rng(0)
@@ -720,11 +780,20 @@ block = ParConvBlock(ParConvSpec(32, 32, omega=0.5), rng=rng)
 x3 = Tensor(rng.normal(size=(64, 12, 12, 32)).astype(np.float32).transpose(0, 3, 1, 2),
             requires_grad=True)                    # channel-last, as conv2_2 sees it
 y3 = block.forward(x3, ForwardContext(training=True))
-loss = T.add(T.add(weigh(y1), weigh(y2)), weigh(y3))
+kxk = Conv2d(32, 32, 3, padding=1, rng=rng)
+kxk.bias.data[...] = rng.normal(size=32)
+x4 = Tensor(rng.normal(size=(64, 12, 12, 32)).astype(np.float32).transpose(0, 3, 1, 2),
+            requires_grad=True)
+y4 = kxk.forward(x4, ForwardContext(training=True))
+# weighed channel-last, as a conv stores its output, so that the conv's
+# bias gradient is summed by the GEMM against ones
+w4 = rng.normal(size=(64, 12, 12, 32)).astype(np.float32).transpose(0, 3, 1, 2)
+loss = T.add(T.add(T.add(weigh(y1), weigh(y2)), weigh(y3)), T.tsum(T.mul(y4, Tensor(w4))))
 loss.backward()
 arrays = {"conv": conv.data, "bn1": y1.data, "dw": dw.data, "bn2": y2.data,
-          "parconv": y3.data}
-for name, t in [("image", image), ("w", w), ("b", b), ("x2", x2), ("k", k), ("x3", x3)]:
+          "parconv": y3.data, "kxk": y4.data}
+for name, t in [("image", image), ("w", w), ("b", b), ("x2", x2), ("k", k), ("x3", x3),
+                ("x4", x4), ("kxk_w", kxk.weight), ("kxk_b", kxk.bias)]:
     arrays["grad_" + name] = t.grad
 for i, t in enumerate(p1 + p2):
     arrays[f"grad_bn_param{i}"] = t.grad
@@ -755,8 +824,9 @@ class TestBlasThreadInvariance:
             assert proc.returncode == 0, proc.stderr
             digests.append(json.loads(proc.stdout))
         # 17 for the conv and depthwise pairs; the ParConv block's output,
-        # its input gradient and 14 parameter gradients
-        assert len(digests[0]) == 33
+        # its input gradient and 14 parameter gradients; the 3x3 conv's
+        # output and its input, weight and bias gradients
+        assert len(digests[0]) == 37
         assert digests[0] == digests[1]
 
 
