@@ -8,12 +8,13 @@ dictionary that ``Tap`` layers write intermediate activations into.
 Compact blocks:
 
 * ``dsconv_block``  - a ``Sequential``: depthwise K x K over all channels,
-  then pointwise, each followed by BN+ReLU.
+  then pointwise, each followed by a fused BN+ReLU layer.
 * ``ParConvBlock``  - channel shuffle, split into two branches; branch A
   optionally expands by a pointwise conv (channel multiplier omega),
-  applies a depthwise conv, each followed by BN+ReLU, then projects
-  pointwise to the output width; branch B is a single pointwise conv; the
-  branch outputs are summed channelwise, then BN+ReLU. With ``omega=None``
+  applies a depthwise conv, each followed by a fused BN+ReLU layer, then
+  projects pointwise to the output width; branch B is a single pointwise
+  conv; the branch outputs are summed channelwise, then a fused BN+ReLU
+  layer (``post_bn``). With ``omega=None``
   there is no expanding conv: that is the simplified SParConv form, in
   which by default a quarter of the input channels feed the depthwise
   branch. The shuffle and split run as one channel gather per branch, and
@@ -21,7 +22,9 @@ Compact blocks:
   branches' inputs, their weights joined at call time; the parameters are
   still those of the two convs.
 
-All compact blocks preserve spatial size (stride 1, padding (K-1)/2).
+Each fused BN+ReLU layer is one ``BatchNorm2d(relu=True)`` under the
+``bn*`` name, and runs as one op. All compact blocks preserve spatial size
+(stride 1, padding (K-1)/2).
 """
 from __future__ import annotations
 
@@ -126,11 +129,16 @@ class DepthwiseConv2d(_WeightBias):
 
 
 class BatchNorm2d(Layer):
-    """Four per-channel values: scale, shift, running mean, running variance."""
+    """Four per-channel values: scale, shift, running mean, running variance.
+    With ``relu`` the layer is batch norm followed by ReLU, run as one op
+    (``tensor.batch_norm2d(..., relu=True)``); a ReLU holds no state, so the
+    state names are the same."""
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1,
+                 relu: bool = False):
         self.eps = eps
         self.momentum = momentum
+        self.relu = relu
         self.scale = Tensor(np.ones(channels, np.float32), requires_grad=True)
         self.shift = Tensor(np.zeros(channels, np.float32), requires_grad=True)
         self.running_mean = Tensor(np.zeros(channels, np.float32))
@@ -140,7 +148,7 @@ class BatchNorm2d(Layer):
         return T.batch_norm2d(x, self.scale, self.shift,
                               self.running_mean, self.running_var,
                               training=ctx.training, momentum=self.momentum,
-                              eps=self.eps)
+                              eps=self.eps, relu=self.relu)
 
     def params(self):
         return [("scale", self.scale), ("shift", self.shift)]
@@ -277,8 +285,8 @@ class BottleneckHeadSpec:
             raise ValueError("head dimensions must be positive")
 
 
-def _bn_relu(channels: int, suffix: str = "") -> list[tuple[str, Layer]]:
-    return [(f"bn{suffix}", BatchNorm2d(channels)), (f"relu{suffix}", ReLU())]
+def _bn_relu(channels: int, suffix: str = "") -> tuple[str, Layer]:
+    return f"bn{suffix}", BatchNorm2d(channels, relu=True)
 
 
 class ParConvBlock(Layer):
@@ -302,15 +310,15 @@ class ParConvBlock(Layer):
         stack: list[tuple[str, Layer]] = []
         if spec.omega is not None:
             stack.append(("pw_expand", Conv2d(a, e, 1, bias=True, rng=rng)))
-            stack += _bn_relu(e, "_expand")
+            stack.append(_bn_relu(e, "_expand"))
         stack.append(
             ("dw", DepthwiseConv2d(e, spec.kernel, padding=pad, bias=True, rng=rng)))
-        stack += _bn_relu(e)
+        stack.append(_bn_relu(e))
         stack.append(
             ("pw_project", Conv2d(e, spec.out_channels, 1, bias=True, rng=rng)))
         self.branch_a = Sequential(stack)
         self.branch_b = Conv2d(b, spec.out_channels, 1, bias=True, rng=rng)
-        self.post_bn = BatchNorm2d(spec.out_channels)
+        self.post_bn = BatchNorm2d(spec.out_channels, relu=True)
 
     def sublayers(self):
         return [("branch_a", self.branch_a), ("branch_b", self.branch_b),
@@ -329,8 +337,7 @@ class ParConvBlock(Layer):
         out = T.conv2d(T.concat_channels([xa, xb]),
                        T.concat_channels([project.weight, self.branch_b.weight]),
                        T.add(project.bias, self.branch_b.bias))
-        out = self.post_bn.forward(out, ctx)
-        return T.relu(out)
+        return self.post_bn.forward(out, ctx)
 
 
 def dsconv_block(in_channels: int, out_channels: int, kernel: int = 3, *,
@@ -339,10 +346,10 @@ def dsconv_block(in_channels: int, out_channels: int, kernel: int = 3, *,
     each followed by BN+ReLU."""
     pad = (kernel - 1) // 2
     return Sequential(
-        [("dw", DepthwiseConv2d(in_channels, kernel, padding=pad, bias=True, rng=rng))]
-        + _bn_relu(in_channels, "_dw")
-        + [("pw", Conv2d(in_channels, out_channels, 1, bias=True, rng=rng))]
-        + _bn_relu(out_channels))
+        [("dw", DepthwiseConv2d(in_channels, kernel, padding=pad, bias=True, rng=rng)),
+         _bn_relu(in_channels, "_dw"),
+         ("pw", Conv2d(in_channels, out_channels, 1, bias=True, rng=rng)),
+         _bn_relu(out_channels)])
 
 
 class ResidualBlock(Layer):

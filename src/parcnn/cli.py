@@ -7,8 +7,13 @@ the library rejects), 3 data/architecture error, 4 numerical failure.
 Every run writes its outputs under a fresh directory (default
 ``runs/<command>-<timestamp>``, override with ``--run-dir``) including a
 ``run.json`` with the resolved configuration and the numpy, BLAS and
-thread environment. Architectures are given
-either as a JSON file path or as ``zoo:<name>``.
+thread environment. When ``train`` or ``distill`` finishes, ``run.json`` is
+rewritten with a ``summary`` of what the run cost: its wall seconds and its
+training samples per second; an aborted run keeps the configuration only.
+Architectures are given either as a JSON file path or as ``zoo:<name>``.
+
+``--log-level`` (before the subcommand) sets which messages of the
+``parcnn`` loggers are printed to stderr; the default shows warnings.
 """
 from __future__ import annotations
 
@@ -16,6 +21,7 @@ import argparse
 import contextlib
 import csv
 import json
+import logging
 import os
 import sys
 import time
@@ -31,6 +37,7 @@ import numpy as np  # noqa: E402
 from . import cost, data, distill, train, transform, zoo  # noqa: E402
 from .arch import ArchSpec, build_model, load_model  # noqa: E402
 from .errors import ArchError, DataFormatError, NumericalError  # noqa: E402
+from .tensor import _write_then_replace  # noqa: E402
 
 
 def _nonneg_float(text: str) -> float:
@@ -84,13 +91,28 @@ def _environment() -> dict:
     return env
 
 
-def _write_run_config(run_dir: Path, args, command: str) -> None:
+def _write_run_json(run_dir: Path, record: dict) -> None:
+    _write_then_replace(run_dir / "run.json", json.dumps(
+        record, indent=1, sort_keys=True, default=str).encode())
+
+
+def _write_run_config(run_dir: Path, args, command: str) -> dict:
     config = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("func", "output_root", "run_dir")}
+              if k not in ("func", "output_root", "run_dir", "log_level")}
     config["command"] = command
     config["environment"] = _environment()
-    with open(run_dir / "run.json", "w") as f:
-        json.dump(config, f, indent=1, sort_keys=True, default=str)
+    _write_run_json(run_dir, config)
+    return config
+
+
+def _write_run_summary(run_dir: Path, config: dict, started: float,
+                       samples: int, train_s: float) -> None:
+    """Rewrite ``run.json`` with what the finished run cost: wall seconds
+    since the command started, and the samples its training loop stepped
+    through (epochs x training set) per second of that loop."""
+    summary = {"wall_s": time.perf_counter() - started, "train_samples": samples,
+               "train_s": train_s, "train_samples_per_s": samples / train_s}
+    _write_run_json(run_dir, {**config, "summary": summary})
 
 
 @contextlib.contextmanager
@@ -176,6 +198,7 @@ _DISTILL_COLUMNS = ["iteration", "kl", "ce", "sp", "total", "lr"]
 
 
 def cmd_train(args) -> int:
+    started = time.perf_counter()
     arch = resolve_arch(args.model)
     model = build_model(arch, seed=args.seed)
     train_set, test_set = _load_train_test(args)
@@ -183,14 +206,18 @@ def cmd_train(args) -> int:
     schedule = train.constant_schedule(args.lr) if args.schedule == "constant" \
         else train.step_decay_schedule(args.lr, floor=args.lr_floor)
     run_dir = _make_run_dir(args, "train")
-    _write_run_config(run_dir, args, "train")
+    run_config = _write_run_config(run_dir, args, "train")
     with _csv_rows(run_dir / "metrics.csv", _TRAIN_COLUMNS) as write_row:
+        loop_start = time.perf_counter()
         train.train_classifier(
             model, train_set, epochs=args.epochs, batch_size=args.batch,
             schedule=schedule, momentum=args.momentum,
             weight_decay=args.weight_decay, seed=args.seed, eval_data=test_set,
             checkpoint_prefix=run_dir / "model", on_row=write_row)
+        train_s = time.perf_counter() - loop_start
     result = train.evaluate(model, test_set)
+    _write_run_summary(run_dir, run_config, started, args.epochs * len(train_set),
+                       train_s)
     print(f"[train] test error {100 * result.cer:.2f}% "
           f"({result.substitutions}/{result.total}); "
           f"checkpoint {run_dir}/model, metrics {run_dir}/metrics.csv")
@@ -198,6 +225,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_distill(args) -> int:
+    started = time.perf_counter()
     teacher = load_model(args.teacher)
     if args.student:
         student_arch = resolve_arch(args.student)
@@ -218,12 +246,16 @@ def cmd_distill(args) -> int:
         momentum=args.momentum, weight_decay=args.weight_decay, seed=args.seed)
     distill.resolve_tap_pairs(teacher, student, config)   # before any output
     run_dir = _make_run_dir(args, "distill")
-    _write_run_config(run_dir, args, "distill")
+    run_config = _write_run_config(run_dir, args, "distill")
     student_arch.save(run_dir / "student_arch.json")
     with _csv_rows(run_dir / "metrics.csv", _DISTILL_COLUMNS) as write_row:
+        loop_start = time.perf_counter()
         metrics = distill.distill_train(teacher, student, train_set, config,
                                         checkpoint_prefix=run_dir / "student",
                                         on_row=write_row)
+        train_s = time.perf_counter() - loop_start
+    _write_run_summary(run_dir, run_config, started, args.epochs * len(train_set),
+                       train_s)
     print(f"[distill] {len(metrics)} iterations; student checkpoint "
           f"{run_dir}/student, metrics {run_dir}/metrics.csv")
     return 0
@@ -286,10 +318,16 @@ def _policy(args, **extra) -> transform.DistillPolicy:
         variant=args.variant, residual=args.residual, **extra)
 
 
+_LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="parcnn",
         description="compact-CNN cost analysis, transformation and distillation")
+    parser.add_argument("--log-level", default="warning", choices=_LOG_LEVELS,
+                        help="lowest level of parcnn log messages printed to "
+                             "stderr (default: warning)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="FLOPs/storage report for an architecture")
@@ -339,20 +377,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _log_to_stderr(level: str):
+    """Print the ``parcnn`` loggers' messages at ``level`` and above to
+    stderr while the block runs."""
+    logger = logging.getLogger("parcnn")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    previous = logger.level
+    logger.setLevel(level.upper())
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(previous)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ArchError, DataFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:   # a flag value the library rejects
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with _log_to_stderr(args.log_level):
+        try:
+            return args.func(args)
+        except (ArchError, DataFormatError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except NumericalError as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 4
+        except ValueError as exc:   # a flag value the library rejects
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

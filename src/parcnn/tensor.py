@@ -36,6 +36,15 @@ kernel and bias gradients through the same GEMMs; its output is
 channel-last, as is conv2d's. Other BLAS builds may split the summed axis
 across threads; a tier-1 test compares 1 against 2 threads.
 
+Per-channel vectors (batch norm's statistics, scale, shift and gradient
+terms, and the conv biases) meet a channel-last array as one tiled (W*C)
+row over its (N*H, W*C) rows (``_tile_row``), so numpy's inner loop runs
+over W*C values rather than C; other layouts broadcast them along axis 1.
+Each element meets the same float ops either way, so the bytes do not
+depend on which is taken. ``batch_norm2d(..., relu=True)`` is batch norm
+followed by ``relu`` as one graph node, with the bytes of the two ops; the
+networks' BN+ReLU pairs run that way.
+
 Forward ops verify their outputs are finite and raise NumericalError
 otherwise; disable with ``finite_checks(False)`` in hot loops at your own
 risk.
@@ -185,11 +194,18 @@ def _swept(g: np.ndarray) -> None:
                        "already swept and freed")
 
 
-def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
-    """Build an op result, wiring the graph only when a parent needs grad
-    and ``no_grad`` is not in force."""
+def _check_finite(data: np.ndarray, op: str) -> None:
     if _FINITE_CHECKS and not np.all(np.isfinite(data)):
         raise NumericalError(f"non-finite values produced by {op}")
+
+
+def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward, op: str,
+          checked: bool = False) -> Tensor:
+    """Build an op result, wiring the graph only when a parent needs grad
+    and ``no_grad`` is not in force. ``checked`` says the op has already
+    checked its values are finite."""
+    if not checked:
+        _check_finite(data, op)
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -511,6 +527,16 @@ def _im2col(x: np.ndarray, k: int, stride: int, padding: int,
     return cols.reshape(n * ho * wo, -1)
 
 
+def _tile_row(v: np.ndarray, w: int) -> np.ndarray:
+    """A per-channel vector repeated ``w`` times, as one (W*C) row: added to
+    or multiplied with the (N*H, W*C) rows of a channel-last array, it runs
+    numpy's inner loop over W*C values rather than C, with the same float
+    op on each element as a broadcast along the channel axis."""
+    row = np.empty((w, v.shape[0]), dtype=v.dtype)
+    row[...] = v
+    return row.reshape(-1)
+
+
 def _tap_major(weight: np.ndarray) -> np.ndarray:
     """A (C_out, C_in, K, K) weight as the (C_out, K*K*C_in) matrix the conv
     GEMMs read, columns in (i, j, c) order: a view when the weight is stored
@@ -541,7 +567,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     cols = _im2col(x.data, k, stride, padding, ho, wo)
     out = cols @ _tap_major(weight.data).T
     if bias is not None:
-        out += bias.data
+        # added as one tiled (Wo*C_out) row over (N*Ho, Wo*C_out) rows
+        rows = out.reshape(n * ho, wo * c_out)
+        rows += _tile_row(bias.data, wo)
     data = out.reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2)
 
     def backward(g):
@@ -619,7 +647,8 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     for i, j in taps[1:]:
         out += np.multiply(tap(xp, i, j), tiled[i, j], out=scratch)
     if bias is not None:
-        out += np.broadcast_to(bias.data, (wo, c)).copy()
+        rows = out.reshape(n * ho, wo * c)
+        rows += _tile_row(bias.data, wo)
     data = out.transpose(0, 3, 1, 2)
 
     def backward(g):
@@ -727,62 +756,100 @@ def _channel_sums(a: np.ndarray) -> np.ndarray:
     return a.sum(axis=(0, 2, 3))
 
 
+def _per_channel_rows(shape: tuple[int, ...]):
+    """For a channel-last (N, C, H, W) array, as conv2d and depthwise_conv2d
+    store their outputs: functions to its (N*H, W*C) rows and back, and one
+    giving a per-channel vector as a ``_tile_row``."""
+    n, c, h, w = shape
+    return (lambda a: a.transpose(0, 2, 3, 1).reshape(n * h, w * c),
+            lambda r: r.reshape(n, h, w, c).transpose(0, 3, 1, 2),
+            lambda v: _tile_row(v, w))
+
+
+# any other layout: (N, C, H, W) arrays as they are, vectors broadcast along axis 1
+_PER_CHANNEL_BROADCAST = (lambda a: a, lambda a: a, lambda v: v[None, :, None, None])
+
+
 def batch_norm2d(x: Tensor, scale: Tensor, shift: Tensor,
                  running_mean: Tensor, running_var: Tensor,
-                 training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+                 training: bool, momentum: float = 0.1, eps: float = 1e-5,
+                 relu: bool = False) -> Tensor:
     """Per-channel batch normalization over (N, H, W).
 
     In training mode the batch statistics are used and the running buffers are
     updated in place as (1 - momentum) * old + momentum * batch.
+
+    A channel-last input (a conv output) runs every per-channel vector as one
+    tiled row over its (N*H, W*C) rows; any other layout broadcasts them. The
+    output has the input's memory order.
+
+    With ``relu`` the op is batch norm followed by ``relu``, as one graph
+    node with the same bytes: the finite check runs on the batch-norm values,
+    ReLU is then applied in place, and the backward masks the gradient and
+    adds +0.0 to it, as ``relu``'s backward and ``Tensor._accumulate`` do,
+    before the batch-norm backward.
     """
     if x.ndim != 4:
         raise ValueError("batch_norm2d expects 4-D input")
-    c = x.shape[1]
+    n, c, h, w = x.shape
     if scale.shape != (c,) or shift.shape != (c,):
         raise ValueError("batch_norm2d scale/shift must be per-channel vectors")
-    m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
+    m = n * h * w
+    rows, nchw, per_channel = _per_channel_rows(x.shape) \
+        if x.data.transpose(0, 2, 3, 1).flags.c_contiguous else _PER_CHANNEL_BROADCAST
     if training:
         mean = _channel_sums(x.data) / m
-        centred = x.data - mean[None, :, None, None]
+        centred = rows(x.data) - per_channel(mean)
         # two-pass variance: the sum of squared centred values
         sq = centred * centred
-        var = _channel_sums(sq) / m
+        var = _channel_sums(nchw(sq)) / m
         running_mean.data[...] = (1 - momentum) * running_mean.data + momentum * mean
         running_var.data[...] = (1 - momentum) * running_var.data + momentum * var
     else:
         mean = running_mean.data
         var = running_var.data
-        centred = x.data - mean[None, :, None, None]
+        centred = rows(x.data) - per_channel(mean)
         sq = None
     inv_std = 1.0 / np.sqrt(var + eps)
     # xhat overwrites centred, and scale * xhat + shift overwrites sq
-    xhat = _into(centred, np.multiply, centred, inv_std[None, :, None, None])
-    data = _into(sq, np.multiply, scale.data[None, :, None, None], xhat)
-    data = _into(data, np.add, data, shift.data[None, :, None, None])
+    xhat = _into(centred, np.multiply, centred, per_channel(inv_std))
+    out = _into(sq, np.multiply, per_channel(scale.data), xhat)
+    out = _into(out, np.add, out, per_channel(shift.data))
+    _check_finite(out, "batch_norm2d")
+    if relu:
+        # as ``relu``: fmax, then +0.0 to turn a kept -0.0 into +0.0
+        np.fmax(out, 0, out=out)
+        out += 0.0
 
     def backward(g):
-        sum_g = _channel_sums(g)
+        g = rows(g)
+        if relu:
+            # ``relu``'s mask (the output is > 0 exactly where the batch-norm
+            # value was), then the +0.0 of its gradient's first write
+            g = g * (out > 0)
+            g += 0.0
+        sum_g = _channel_sums(nchw(g))
         scratch = g * xhat
-        sum_g_xhat = _channel_sums(scratch)
+        sum_g_xhat = _channel_sums(nchw(scratch))
         if shift.requires_grad:
             shift._accumulate(sum_g)
         if scale.requires_grad:
             scale._accumulate(sum_g_xhat)
         if not x.requires_grad:
             return
-        gain = (scale.data * inv_std)[None, :, None, None]
+        gain = per_channel(scale.data * inv_std)
         if not training:
-            x._accumulate(g * gain)
+            x._accumulate(nchw(g * gain))
             return
         # batch statistics are functions of x: the two sums above are the
         # whole correction, (g - xhat * sum(g xhat) / m - sum(g) / m) * gain
-        scratch = _into(scratch, np.multiply, xhat, (sum_g_xhat / m)[None, :, None, None])
+        scratch = _into(scratch, np.multiply, xhat, per_channel(sum_g_xhat / m))
         gx = _into(scratch, np.subtract, g, scratch)
-        gx = _into(gx, np.subtract, gx, (sum_g / m)[None, :, None, None])
+        gx = _into(gx, np.subtract, gx, per_channel(sum_g / m))
         gx = _into(gx, np.multiply, gx, gain)
-        x._accumulate(gx)
+        x._accumulate(nchw(gx))
 
-    return _make(data, (x, scale, shift), backward, "batch_norm2d")
+    return _make(nchw(out), (x, scale, shift), backward, "batch_norm2d", checked=True)
 
 
 def softmax(x: Tensor, axis: int = 1) -> Tensor:

@@ -203,6 +203,8 @@ class TestTrainCommand:
         assert sorted(p.name for p in (tmp_path / "b").iterdir()) == \
             ["metrics.csv", "run.json"]
         assert_rows_kept_before(tmp_path / "b", tmp_path / "a", 3)
+        # an aborted run keeps its configuration only
+        assert "summary" not in json.loads((tmp_path / "b" / "run.json").read_text())
 
     def test_different_seed_changes_metrics(self, tmp_path):
         self._train(tmp_path / "a", seed="7")
@@ -224,6 +226,10 @@ class TestTrainCommand:
         assert '"command": "train"' in run_json
         assert '"seed": 7' in run_json
 
+    def test_run_json_summary_written_when_the_run_finishes(self, tmp_path):
+        assert self._train(tmp_path / "a") == 0
+        assert_run_summary(tmp_path / "a", "train", samples=400)   # 10 x 40, 1 epoch
+
     def test_run_json_records_environment(self, tmp_path):
         self._train(tmp_path / "a")
         env = json.loads((tmp_path / "a" / "run.json").read_text())["environment"]
@@ -234,6 +240,19 @@ class TestTrainCommand:
             assert value == os.environ.get(var)
         if np.lib.NumpyVersion(np.__version__) >= "1.25.0":
             assert set(env["blas"]) == {"name", "version"}
+
+
+def assert_run_summary(run_dir, command: str, samples: int) -> None:
+    """run.json holds the run's configuration and, once it has finished, a
+    summary of its wall time and training throughput."""
+    record = json.loads((run_dir / "run.json").read_text())
+    assert record["command"] == command and "environment" in record
+    summary = record["summary"]
+    assert set(summary) == {"wall_s", "train_samples", "train_s", "train_samples_per_s"}
+    assert summary["train_samples"] == samples
+    assert 0 < summary["train_s"] <= summary["wall_s"]
+    assert summary["train_samples_per_s"] == samples / summary["train_s"]
+    assert not (run_dir / "run.json.tmp").exists()
 
 
 @pytest.fixture
@@ -266,6 +285,7 @@ class TestDistillCommand:
         assert run_cli("distill", "--teacher", str(teacher_ckpt), "--synthetic",
                        "--per-class", "4", "--batch", "20", "--epochs", "2",
                        "--run-dir", str(run_dir)) == 0
+        assert_run_summary(run_dir, "distill", samples=80)   # 10 x 4, 2 epochs
         assert sorted(p.name for p in run_dir.iterdir()) == [
             "metrics.csv", "run.json", "student.bin", "student.json",
             "student_arch.json"]
@@ -286,6 +306,7 @@ class TestDistillCommand:
             assert once("b") == 4
         assert "diverged at iteration 3" in capsys.readouterr().err
         assert_rows_kept_before(tmp_path / "b", tmp_path / "a", 3)
+        assert "summary" not in json.loads((tmp_path / "b" / "run.json").read_text())
 
     def test_negative_lambda_exits_2(self, teacher_ckpt):
         with pytest.raises(SystemExit) as exc:
@@ -367,7 +388,11 @@ class TestRejectedFlagValues:
                                                  "width": 32}}))
         argv = [a.format(teacher=teacher_ckpt, student=student) for a in argv]
         run_dir = tmp_path / "r"
-        assert run_cli(*argv, "--run-dir", str(run_dir)) == code
+        # at the default level, distill's transform of the teacher warns that
+        # its head only reaches gamma 0.2044; hide it, so the error line is
+        # the whole of stderr
+        assert run_cli("--log-level", "error", *argv,
+                       "--run-dir", str(run_dir)) == code
         assert capsys.readouterr().err == f"error: {message}\n"
         # rejected before any output was written
         assert not run_dir.exists()
@@ -384,6 +409,28 @@ class TestRejectedFlagValues:
         assert capsys.readouterr().err == \
             "error: subset count must be non-negative, got -5\n"
         assert not run_dir.exists()
+
+
+class TestLogLevel:
+    def _transform(self, run_dir, *before):
+        # mnist_small's head reaches gamma 0.2044 at bottleneck 50, above the
+        # default threshold of 0.1, so the transform warns
+        return run_cli(*before, "transform", "zoo:mnist_small",
+                       "--run-dir", str(run_dir))
+
+    def test_warning_printed_at_the_default_level(self, tmp_path, capsys):
+        assert self._transform(tmp_path / "r") == 0
+        assert "WARNING parcnn.transform: bottleneck dim 50 only reaches " \
+            "gamma=0.2044 (> threshold 0.1000)" in capsys.readouterr().err
+
+    def test_error_level_hides_the_warning(self, tmp_path, capsys):
+        assert self._transform(tmp_path / "r", "--log-level", "error") == 0
+        assert "only reaches gamma" not in capsys.readouterr().err
+
+    def test_unknown_level_exits_2(self):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--log-level", "loud", "analyze", "zoo:mnist_small")
+        assert exc.value.code == 2
 
 
 class TestReportCommand:

@@ -709,13 +709,156 @@ class TestConvWeightLayout:
             _assert_same_bytes(a, a_ref, name)
 
 
+# the batch-norm inputs of the mnist_small student (and its teacher's conv1)
+_STUDENT_BN_SHAPES = [(64, 16, 26, 26), (64, 32, 12, 12), (64, 8, 12, 12),
+                      (64, 64, 5, 5)]
+
+
+def _bn_leaves(x, param_dtype, c):
+    scale = (1.0 + 0.1 * np.arange(c) / c).astype(param_dtype)
+    shift = (0.3 * np.sin(np.arange(c))).astype(param_dtype)
+    return ([Tensor(a.copy(order="K"), requires_grad=True) for a in (x, scale, shift)],
+            Tensor((0.1 * np.arange(c)).astype(param_dtype)),
+            Tensor((1.0 + 0.2 * np.arange(c)).astype(param_dtype)))
+
+
+def _bn_then_relu(x, scale, shift, rm, rv, training):
+    return T.relu(T.batch_norm2d(x, scale, shift, rm, rv, training=training))
+
+
+def _fused_bn_relu(x, scale, shift, rm, rv, training):
+    return T.batch_norm2d(x, scale, shift, rm, rv, training=training, relu=True)
+
+
+class TestFusedBatchNormRelu:
+    """``batch_norm2d(..., relu=True)`` against the engine's ``batch_norm2d``
+    followed by ``relu``: one graph node with the same bytes."""
+
+    @pytest.mark.parametrize("dtype,param_dtype", [
+        (np.float32, np.float32), (np.float64, np.float64),
+        (np.float32, np.float64), (np.float64, np.float32)])
+    @pytest.mark.parametrize("layout", ["channel_last", "c_order", "strided"])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_same_bytes_as_batch_norm_then_relu(self, dtype, param_dtype, layout,
+                                                training, rng):
+        for shape in _STUDENT_BN_SHAPES:
+            x = _bn_layout(rng.normal(size=shape).astype(dtype), layout)
+            upstream = _rounded(rng, shape, np.result_type(dtype, param_dtype))
+            runs = []
+            for op in (_bn_then_relu, _fused_bn_relu):
+                leaves, rm, rv = _bn_leaves(x, param_dtype, shape[1])
+                y = op(*leaves, rm, rv, training)
+                T.tsum(T.mul(y, Tensor(upstream))).backward()
+                runs.append([y.data] + [t.grad for t in leaves] + [rm.data, rv.data])
+            (y_ref, *ref), (y, *fused) = runs
+            if layout != "strided":
+                # the output keeps the input's memory order
+                assert y.strides == np.empty_like(x, dtype=y.dtype).strides
+            _assert_same_bytes(y, y_ref, f"output at {shape}")
+            names = ["gradient of x", "gradient of scale", "gradient of shift",
+                     "running mean", "running variance"]
+            for name, a, a_ref in zip(names, fused, ref):
+                _assert_same_bytes(a, a_ref, f"{name} at {shape}")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_non_finite_input_raises(self, bad, training, rng):
+        x = _layout(rng.normal(size=(4, 8, 6, 6)).astype(np.float32), True)
+        x[1, 3, 2, 4] = bad
+        leaves, rm, rv = _bn_leaves(x, np.float32, 8)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericalError, match="batch_norm2d"):
+            _fused_bn_relu(*leaves, rm, rv, training)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_zero_output_gets_zero_gradient(self, training, rng):
+        # values in {-1, 0, 1}, the second half of the batch the negation of
+        # the first: the batch mean is exactly 0, and so is the batch-norm
+        # output wherever x is 0 (shift 0)
+        half = rng.choice(np.array([-1.0, 0.0, 1.0], np.float32), size=(2, 4, 5, 5))
+        x = _layout(np.concatenate([half, -half]), True)
+        upstream = np.ones(x.shape, np.float32)
+        grads = {}
+        for relu in (False, True):
+            leaves = [Tensor(a, requires_grad=True)
+                      for a in (x.copy(order="K"), np.ones(4, np.float32),
+                                np.zeros(4, np.float32))]
+            rm, rv = Tensor(np.zeros(4, np.float32)), Tensor(np.ones(4, np.float32))
+            y = T.batch_norm2d(*leaves, rm, rv, training=training, relu=relu)
+            if relu:
+                assert (y.data[x == 0] == 0).all() and not np.signbit(y.data).any()
+            T.tsum(T.mul(y, Tensor(upstream))).backward()
+            grads[relu] = [t.grad for t in leaves]
+        # the shift gradient counts the positions that pass the mask: x > 0
+        np.testing.assert_array_equal(grads[True][2], (x > 0).sum(axis=(0, 2, 3)))
+        np.testing.assert_array_equal(grads[False][2], np.full(4, x[:, 0].size))
+        if not training:
+            # the gradient of x is the masked upstream times the gain
+            assert (grads[True][0][x <= 0] == 0).all()
+            assert not np.signbit(grads[True][0]).any()
+            assert (grads[True][0][x > 0] > 0).all()
+
+    def test_gradcheck(self, rng):
+        x = f64(_layout(rng.normal(size=(3, 4, 5, 5)), True))
+        scale = f64(1.0 + 0.1 * rng.normal(size=(4,)))
+        shift = f64(rng.normal(size=(4,)))
+        rm, rv = Tensor(np.zeros(4)), Tensor(np.ones(4))
+
+        def fn():
+            rm.data[...] = 0.0   # keep running stats fixed across FD calls
+            rv.data[...] = 1.0
+            return T.tsum(T.square(_fused_bn_relu(x, scale, shift, rm, rv, True)))
+
+        # every batch-norm output stays off the kink by more than the FD step
+        bn = T.batch_norm2d(Tensor(x.data), scale, shift, Tensor(np.zeros(4)),
+                            Tensor(np.ones(4)), training=True)
+        assert np.abs(bn.data).min() > 1e-3
+        assert gradcheck(fn, [x, scale, shift], step=1e-5) < 1e-3
+
+
+class TestTiledBiasAdd:
+    """conv2d and depthwise_conv2d add their bias as one tiled row over a
+    channel-last output: the same bytes as broadcasting it along axis 1."""
+
+    @pytest.mark.parametrize("dtype,bias_dtype", [
+        (np.float32, np.float32), (np.float64, np.float64),
+        (np.float32, np.float64), (np.float64, np.float32)])
+    @pytest.mark.parametrize("channel_last", [False, True])
+    @pytest.mark.parametrize("x_shape,w_shape,padding", [
+        ((64, 1, 28, 28), (16, 1, 3, 3), 0),      # the stem conv
+        ((64, 32, 12, 12), (32, 32, 1, 1), 0),    # a pointwise conv
+        ((8, 5, 11, 11), (4, 5, 3, 3), 1)])
+    def test_conv2d(self, dtype, bias_dtype, channel_last, x_shape, w_shape,
+                    padding, rng):
+        x = Tensor(_layout(rng.normal(size=x_shape).astype(dtype), channel_last))
+        w = Tensor(rng.normal(size=w_shape).astype(dtype))
+        b = rng.normal(size=w_shape[:1]).astype(bias_dtype)
+        y = T.conv2d(x, w, Tensor(b), padding=padding).data
+        want = T.conv2d(x, w, padding=padding).data
+        want += b[None, :, None, None]   # in place, as a bias add keeps dtype
+        _assert_same_bytes(y, want, "conv2d output")
+
+    @pytest.mark.parametrize("channel_last", [False, True])
+    def test_depthwise_conv2d(self, channel_last, rng):
+        x = Tensor(_layout(rng.normal(size=(64, 8, 14, 14)).astype(np.float32),
+                           channel_last))
+        k = Tensor(rng.normal(size=(8, 3, 3)).astype(np.float32))
+        b = rng.normal(size=(8,)).astype(np.float32)
+        y = T.depthwise_conv2d(x, k, Tensor(b), padding=1).data
+        want = T.depthwise_conv2d(x, k, padding=1).data
+        want += b[None, :, None, None]
+        _assert_same_bytes(y, want, "depthwise_conv2d output")
+
+
 class TestTrainingStepMatchesReference:
     """One training step of a whole model through the reference op bodies
     and through the engine's: layouts meet across ops here in ways that
     the single-op oracles do not reach. Convolution, depthwise convolution
     and batch norm run the engine's body on both sides, since their
     tap-major GEMMs, tap multiply-adds and GEMM reductions have no
-    byte-equal reference."""
+    byte-equal reference. The models run each ReLU inside a batch norm
+    (``relu=True``), so on the reference side such a call runs the
+    engine's batch norm without it, followed by ``ref_relu``."""
 
     @staticmethod
     def _step(arch):
@@ -736,9 +879,16 @@ class TestTrainingStepMatchesReference:
         if student:
             arch = distill_architecture(arch, DistillPolicy())
         loss, state = self._step(arch)
+        engine_batch_norm2d = T.batch_norm2d
+
+        def batch_norm2d_then_ref_relu(*args, relu=False, **kwargs):
+            y = engine_batch_norm2d(*args, **kwargs)
+            return ref_relu(y) if relu else y
+
         with monkeypatch.context() as patch:
             for name, ref in [("max_pool2d", ref_max_pool2d),
-                              ("relu", ref_relu)]:
+                              ("relu", ref_relu),
+                              ("batch_norm2d", batch_norm2d_then_ref_relu)]:
                 patch.setattr(T, name, ref)
             patch.setattr(Tensor, "_accumulate", ref_accumulate)
             loss_ref, state_ref = self._step(arch)
@@ -746,6 +896,43 @@ class TestTrainingStepMatchesReference:
         assert [name for name, _ in state] == [name for name, _ in state_ref]
         for (name, t), (_, t_ref) in zip(state, state_ref):
             _assert_same_bytes(t.data, t_ref.data, name)
+
+    @pytest.mark.parametrize("name,relu_calls,fused,unfused", [
+        ("mnist_small", 0, 6, 0),
+        ("student", 0, 14, 0),
+        # 8 residual post_relu; the stem and 8 `_a` convs fuse, the 8 `_b`
+        # convs (relu false) and 3 projections do not
+        ("res18_mini", 8, 9, 11)])
+    def test_relu_runs_inside_batch_norm(self, name, relu_calls, fused, unfused,
+                                         monkeypatch, rng):
+        """Every ReLU that follows a batch norm runs inside it, so the
+        reference side above reaches it; a ReLU with no batch norm before
+        it stays a ``relu`` node."""
+        from parcnn.arch import build_model
+        from parcnn.transform import DistillPolicy, distill_architecture
+        from parcnn.zoo import build_zoo_arch
+        arch = build_zoo_arch("mnist_small" if name == "student" else name)
+        if name == "student":
+            arch = distill_architecture(arch, DistillPolicy())
+        model = build_model(arch, seed=3)
+        calls = []
+        engine_relu, engine_batch_norm2d = T.relu, T.batch_norm2d
+
+        def relu(x):
+            calls.append("relu")
+            return engine_relu(x)
+
+        def batch_norm2d(*args, relu=False, **kwargs):
+            calls.append(("batch_norm2d", relu))
+            return engine_batch_norm2d(*args, relu=relu, **kwargs)
+
+        monkeypatch.setattr(T, "relu", relu)
+        monkeypatch.setattr(T, "batch_norm2d", batch_norm2d)
+        x = rng.normal(size=(2, 1, 28, 28)).astype(np.float32)
+        model.forward(x, training=True)
+        assert calls.count("relu") == relu_calls
+        assert calls.count(("batch_norm2d", True)) == fused
+        assert calls.count(("batch_norm2d", False)) == unfused
 
 
 # One stem conv2d with its batch norm, a depthwise conv with its batch norm,
