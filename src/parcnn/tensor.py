@@ -1,6 +1,6 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
-Feature maps are laid out batch x channels x height x width. The op set is
+Feature maps are indexed batch x channels x height x width. The op set is
 exactly what the networks in this toolkit need: 2-D convolution (standard,
 depthwise, pointwise via K=1), linear layers, batch normalization, ReLU,
 max pooling, softmax/log-softmax, elementwise arithmetic with limited
@@ -13,37 +13,42 @@ Leaves keep their gradients, so sweeps of separate graphs over the same
 leaves add up until ``zero_grad``. Default dtype is float32; float64 inputs
 are honored so finite-difference oracles can run at full precision.
 
+Every 4-D activation is stored channel-last: its logical shape is
+(N, C, H, W), and its memory is an (N, H, W, C) array. conv2d,
+depthwise_conv2d, max_pool2d, batch_norm2d and the channel ops
+(permute_channels, concat_channels, narrow_channels) read their input, and
+the gradient that reaches them, through ``_nhwc``: a view of a channel-last
+array, one copy of any other. Their outputs and input gradients are
+``_nchw`` views of channel-last buffers, and a first gradient takes the
+layout of its tensor's data, so in a network every such read is a view.
+Per-channel vectors (batch norm's statistics, scale, shift and gradient
+terms, and the conv biases) meet the (N*H, W*C) rows of such an array as
+one tiled (W*C) row (``_tile_row``), so numpy's inner loop runs over W*C
+values rather than C, and the sums over (N, H, W) run over its (N*H*W, C)
+rows (``_channel_sums``). ``flatten`` keeps the logical (C, H, W) order.
+
 max_pool2d, relu, the channel gather and the first gradient written by
 ``Tensor._accumulate`` keep the float operations of their reference
 formulas, in the same order; only how data moves between them is tuned
 (relu as ``fmax``, a first gradient without a zero fill). Their outputs and
 gradients are therefore byte-identical to the reference, and a given seed
-gives the same bytes before and after such tuning. max_pool2d's and the
-gather's outputs keep their input's memory order, so after a conv they are
-channel-last; their values are the reference's.
+gives the same bytes before and after such tuning.
 
 conv2d, batch_norm2d and depthwise_conv2d are held to their plain formulas
 within float tolerance, not byte for byte. conv2d's im2col columns and its
 GEMMs run tap-major, in (i, j, c) order, so that im2col and col2im move
 whole runs of channels; its sums over K*K*C_in products therefore run in
-another order than a channel-major reference's. Batch norm, and conv2d's
-bias gradient, sum over (N, H, W) as GEMMs against ones
+another order than a channel-major reference's. Batch norm, and the conv
+bias gradients, sum over (N, H, W) as GEMMs against ones
 (``_channel_sums``), chosen over GEMVs because, on the OpenBLAS 0.3.31
 build numpy 2.4.6 ships, the GEMM's bytes were measured equal at 1, 2, 3,
 4 and 8 threads while the GEMV's differ between 1 and 2. Depthwise
 convolution adds its K*K taps as channel-last multiply-adds and sums its
-kernel and bias gradients through the same GEMMs; its output is
-channel-last, as is conv2d's. Other BLAS builds may split the summed axis
-across threads; a tier-1 test compares 1 against 2 threads.
-
-Per-channel vectors (batch norm's statistics, scale, shift and gradient
-terms, and the conv biases) meet a channel-last array as one tiled (W*C)
-row over its (N*H, W*C) rows (``_tile_row``), so numpy's inner loop runs
-over W*C values rather than C; other layouts broadcast them along axis 1.
-Each element meets the same float ops either way, so the bytes do not
-depend on which is taken. ``batch_norm2d(..., relu=True)`` is batch norm
-followed by ``relu`` as one graph node, with the bytes of the two ops; the
-networks' BN+ReLU pairs run that way.
+kernel gradient through the same GEMMs. Other BLAS builds may split the
+summed axis across threads; a tier-1 test compares 1 against 2 threads.
+``batch_norm2d(..., relu=True)`` is batch norm followed by ``relu`` as one
+graph node, with the bytes of the two ops; the networks' BN+ReLU pairs run
+that way.
 
 Forward ops verify their outputs are finite and raise NumericalError
 otherwise; disable with ``finite_checks(False)`` in hot loops at your own
@@ -224,6 +229,17 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _nhwc(a: np.ndarray) -> np.ndarray:
+    """The (N,H,W,C) array behind a logical (N,C,H,W) one: a view of a
+    channel-last array, one copy of any other."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+
+
+def _nchw(a: np.ndarray) -> np.ndarray:
+    """The logical (N,C,H,W) view of an (N,H,W,C) array."""
+    return a.transpose(0, 3, 1, 2)
+
+
 # -- elementwise arithmetic ------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -315,8 +331,6 @@ def log(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    # subgradient at 0 is defined as 0
-    mask = a.data > 0
     # fmax maps NaN to 0 (np.maximum would keep it), and may keep the sign
     # of a -0.0 input, which adding +0.0 turns into +0.0
     data = np.fmax(a.data, 0)
@@ -324,7 +338,9 @@ def relu(a: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * mask)
+            # subgradient at 0 is defined as 0; the output is > 0 exactly
+            # where the input is
+            a._accumulate(g * (data > 0))
 
     return _make(data, (a,), backward, "relu")
 
@@ -364,37 +380,32 @@ def flatten(a: Tensor) -> Tensor:
 
 
 def concat_channels(parts: list[Tensor]) -> Tensor:
-    """Join along axis 1, in the memory order of the first part (channel-last
-    after a conv), so that a pointwise conv reads the result as a view."""
+    """Join (N, C_i, H, W) arrays along the channel axis, into a channel-last
+    array that a pointwise conv reads as a view."""
     widths = [p.shape[1] for p in parts]
-    data = np.empty_like(parts[0].data, shape=(parts[0].shape[0], sum(widths))
-                         + parts[0].shape[2:],
-                         dtype=np.result_type(*(p.data for p in parts)))
-    start = 0
-    for p, w in zip(parts, widths):
-        data[:, start:start + w] = p.data
-        start += w
+    data = np.concatenate([_nhwc(p.data) for p in parts], axis=3)
 
     def backward(g):
+        g = _nhwc(g)
         start = 0
         for p, w in zip(parts, widths):
             if p.requires_grad:
-                p._accumulate(g[:, start:start + w])
+                p._accumulate(_nchw(g[..., start:start + w]))
             start += w
 
-    return _make(data, tuple(parts), backward, "concat_channels")
+    return _make(_nchw(data), tuple(parts), backward, "concat_channels")
 
 
 def narrow_channels(a: Tensor, start: int, length: int) -> Tensor:
-    data = a.data[:, start:start + length].copy()
+    data = _nhwc(a.data)[..., start:start + length].copy()
 
     def backward(g):
         if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[:, start:start + length] = g
-            a._accumulate(full)
+            full = np.zeros(data.shape[:3] + (a.shape[1],), dtype=a.dtype)
+            full[..., start:start + length] = _nhwc(g)
+            a._accumulate(_nchw(full))
 
-    return _make(data, (a,), backward, "narrow_channels")
+    return _make(_nchw(data), (a,), backward, "narrow_channels")
 
 
 def permute_channels(a: Tensor, index) -> Tensor:
@@ -402,30 +413,24 @@ def permute_channels(a: Tensor, index) -> Tensor:
 
     ``index`` lists distinct channels of ``a`` in any order: a permutation
     of range(C), or a part of one, such as one branch of a shuffled split.
-    The output keeps the input's memory order (channel-last after a conv),
-    and the backward scatters the gradient into a zero buffer laid out like
-    the input.
+    The gather takes along the contiguous channel axis of the channel-last
+    input, and the backward scatters the gradient into a channel-last zero
+    buffer.
     """
     index = np.asarray(index, dtype=np.int64)
     c = a.shape[1]
     if index.ndim != 1 or len(np.unique(index)) != len(index) \
             or (len(index) and not 0 <= index.min() <= index.max() < c):
         raise ValueError(f"channel index must list distinct channels of {c}")
-    data = np.empty_like(a.data, shape=(a.shape[0], len(index)) + a.shape[2:])
-    if data.ndim == 4 and data.transpose(0, 2, 3, 1).flags.c_contiguous:
-        # channel-last: take along the contiguous last axis of both views
-        np.take(a.data.transpose(0, 2, 3, 1), index, axis=3,
-                out=data.transpose(0, 2, 3, 1), mode="clip")
-    else:
-        np.take(a.data, index, axis=1, out=data, mode="clip")
+    data = np.take(_nhwc(a.data), index, axis=3)
 
     def backward(g):
         if a.requires_grad:
-            full = np.zeros_like(a.data, dtype=g.dtype)
-            full[:, index] = g
-            a._accumulate(full)
+            full = np.zeros(data.shape[:3] + (c,), dtype=g.dtype)
+            full[..., index] = _nhwc(g)
+            a._accumulate(_nchw(full))
 
-    return _make(data, (a,), backward, "permute_channels")
+    return _make(_nchw(data), (a,), backward, "permute_channels")
 
 
 # -- dense layers -------------------------------------------------------------
@@ -475,13 +480,25 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 
 
 def _tap(a: np.ndarray, i: int, j: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """View of the (N,C,Ho,Wo) elements of padded ``a`` under window tap (i, j)."""
-    return a[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+    """View of the (N,Ho,Wo,C) elements of padded (N,Hp,Wp,C) ``a`` under
+    window tap (i, j)."""
+    return a[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
 
 
 def _crop(gxp: np.ndarray, padding: int, h: int, w: int) -> np.ndarray:
-    """Drop the padding from a (N,C,Hp,Wp) gradient."""
-    return gxp[:, :, padding:padding + h, padding:padding + w] if padding else gxp
+    """Drop the padding from a (N,Hp,Wp,C) gradient."""
+    return gxp[:, padding:padding + h, padding:padding + w] if padding else gxp
+
+
+def _padded(a: np.ndarray, padding: int, fill: float) -> np.ndarray:
+    """(N,H,W,C) ``a`` inside a border of ``padding`` rows and columns of
+    ``fill``; ``a`` itself without padding."""
+    if not padding:
+        return a
+    n, h, w, c = a.shape
+    ap = np.full((n, h + 2 * padding, w + 2 * padding, c), fill, dtype=a.dtype)
+    _crop(ap, padding, h, w)[...] = a
+    return ap
 
 
 # bytes of ``cols`` filled per block of images: small enough that the block
@@ -491,22 +508,15 @@ _IM2COL_BLOCK_BYTES = 512 * 1024
 
 def _im2col(x: np.ndarray, k: int, stride: int, padding: int,
             ho: int, wo: int) -> np.ndarray:
-    """(N,C,H,W) -> (N*Ho*Wo, K*K*C) matrix of zero-padded windows, rows in
-    (n, oh, ow) order and columns in (i, j, c) order. In a channel-last
-    buffer the K columns of a window row are then one run of K*C values,
-    and each window row is copied whole. With one tap (K = 1) the columns
-    are the channels."""
-    n, c, h, w = x.shape
+    """(N,H,W,C) -> (N*Ho*Wo, K*K*C) matrix of zero-padded windows, rows in
+    (n, oh, ow) order and columns in (i, j, c) order. The K columns of a
+    window row are then one run of K*C values, and each window row is
+    copied whole. With one tap (K = 1) the columns are the channels, and
+    without padding the matrix is a view of ``x``."""
+    n, h, w, c = x.shape
+    xp = _padded(x, padding, 0.0)
     if k == 1 and stride == 1:
-        # a view when x is channel-last
-        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
-            if padding else x
-        return xp.transpose(0, 2, 3, 1).reshape(n * ho * wo, c)
-    if padding:
-        xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
-        xp[:, padding:padding + h, padding:padding + w] = x.transpose(0, 2, 3, 1)
-    else:
-        xp = x.transpose(0, 2, 3, 1)
+        return xp.reshape(n * ho * wo, c)
     # (N, Hp, Wo, K, C): the K columns under each output column, per row
     rows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride]
     rows = rows.transpose(0, 1, 2, 4, 3)
@@ -564,21 +574,21 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     wo = conv_output_size(w, k, stride, padding)
 
     # im2col + GEMM: (N*Ho*Wo, K*K*C_in) @ (K*K*C_in, C_out)
-    cols = _im2col(x.data, k, stride, padding, ho, wo)
+    cols = _im2col(_nhwc(x.data), k, stride, padding, ho, wo)
     out = cols @ _tap_major(weight.data).T
     if bias is not None:
         # added as one tiled (Wo*C_out) row over (N*Ho, Wo*C_out) rows
         rows = out.reshape(n * ho, wo * c_out)
         rows += _tile_row(bias.data, wo)
-    data = out.reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2)
+    data = _nchw(out.reshape(n, ho, wo, c_out))
 
     def backward(g):
-        g2 = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, c_out)
+        g2 = _nhwc(g).reshape(n * ho * wo, c_out)
         if weight.requires_grad:
             weight._accumulate(
                 (g2.T @ cols).reshape(c_out, k, k, c_in).transpose(0, 3, 1, 2))
         if bias is not None and bias.requires_grad:
-            bias._accumulate(_channel_sums(g))
+            bias._accumulate(_channel_sums(g2))
         if not x.requires_grad:
             return
         # taken again rather than kept from the forward, so that no copy of
@@ -587,7 +597,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         if k == 1 and stride == 1 and padding == 0:
             # one tap covering every position: the channel-last product is
             # the gradient (``_accumulate`` adds it to +0.0, as col2im did)
-            x._accumulate(gcols.reshape(n, h, w, c_in).transpose(0, 3, 1, 2))
+            x._accumulate(_nchw(gcols.reshape(n, h, w, c_in)))
             return
         # col2im into a channel-last buffer, so each tap adds rows of
         # contiguous channels; taps are added in row-major order
@@ -595,9 +605,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         gxp = np.zeros((n, h + 2 * padding, w + 2 * padding, c_in), dtype=gcols.dtype)
         for i in range(k):
             for j in range(k):
-                dst = gxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
+                dst = _tap(gxp, i, j, stride, ho, wo)
                 dst += gcols[:, :, :, i, j]
-        x._accumulate(_crop(gxp.transpose(0, 3, 1, 2), padding, h, w))
+        x._accumulate(_nchw(_crop(gxp, padding, h, w)))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(data, parents, backward, "conv2d")
@@ -607,12 +617,12 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
                      stride: int = 1, padding: int = 0) -> Tensor:
     """Channelwise convolution: output channel c depends only on input channel c.
 
-    ``kernel`` is shaped (C_in, K, K). The input is copied once into a
-    zero-padded channel-last buffer, and each of the K*K taps is one
+    ``kernel`` is shaped (C_in, K, K). With padding, the channel-last input
+    is copied once into a zero-padded buffer. Each of the K*K taps is one
     multiply-add of a (N, Ho, Wo, C) view of it with that tap's kernel
     values, tiled to a contiguous (Wo, C) block so that at stride 1 the
     inner loop runs over Wo*C contiguous values. Taps are added in
-    row-major order, then the bias. The output is channel-last.
+    row-major order, then the bias.
     """
     if x.ndim != 4 or kernel.ndim != 3:
         raise ValueError("depthwise_conv2d expects 4-D input and 3-D kernel")
@@ -627,50 +637,39 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     dtype = np.result_type(*(t.data for t in parents))
 
-    if padding:
-        xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
-        xp[:, padding:padding + h, padding:padding + w] = x.data.transpose(0, 2, 3, 1)
-    else:
-        xp = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1))
+    xp = _padded(_nhwc(x.data), padding, 0.0)
     taps = [(i, j) for i in range(k) for j in range(k)]
-
-    def tap(a, i, j):
-        """The (N,Ho,Wo,C) view of padded channel-last ``a`` under tap (i, j)."""
-        return a[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
-
     # tiled[i, j] is kernel[:, i, j] repeated over a contiguous (Wo, C) block
     tiled = np.empty((k, k, wo, c), dtype=dtype)
     tiled[...] = kernel.data.transpose(1, 2, 0)[:, :, None, :]
     out = np.empty((n, ho, wo, c), dtype=dtype)
-    np.multiply(tap(xp, 0, 0), tiled[0, 0], out=out)
+    np.multiply(_tap(xp, 0, 0, stride, ho, wo), tiled[0, 0], out=out)
     scratch = np.empty_like(out)
     for i, j in taps[1:]:
-        out += np.multiply(tap(xp, i, j), tiled[i, j], out=scratch)
+        out += np.multiply(_tap(xp, i, j, stride, ho, wo), tiled[i, j], out=scratch)
     if bias is not None:
         rows = out.reshape(n * ho, wo * c)
         rows += _tile_row(bias.data, wo)
-    data = out.transpose(0, 3, 1, 2)
 
     def backward(g):
-        gl = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
-        prod = np.empty_like(gl, dtype=np.result_type(gl, dtype))
+        g = _nhwc(g)
+        prod = np.empty_like(g, dtype=np.result_type(g, dtype))
         if kernel.requires_grad:
             gk = np.empty((c, k, k), dtype=prod.dtype)
             for i, j in taps:
-                np.multiply(gl, tap(xp, i, j), out=prod)
-                gk[:, i, j] = _channel_sums(prod.transpose(0, 3, 1, 2))
+                np.multiply(g, _tap(xp, i, j, stride, ho, wo), out=prod)
+                gk[:, i, j] = _channel_sums(prod.reshape(-1, c))
             kernel._accumulate(gk)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(_channel_sums(gl.transpose(0, 3, 1, 2)))
+            bias._accumulate(_channel_sums(g.reshape(-1, c)))
         if x.requires_grad:
             gxp = np.zeros(xp.shape, dtype=prod.dtype)
             for i, j in taps:
-                dst = tap(gxp, i, j)
-                dst += np.multiply(gl, tiled[i, j], out=prod)
-            gx = gxp[:, padding:padding + h, padding:padding + w] if padding else gxp
-            x._accumulate(gx.transpose(0, 3, 1, 2))
+                dst = _tap(gxp, i, j, stride, ho, wo)
+                dst += np.multiply(g, tiled[i, j], out=prod)
+            x._accumulate(_nchw(_crop(gxp, padding, h, w)))
 
-    return _make(data, parents, backward, "depthwise_conv2d")
+    return _make(_nchw(out), parents, backward, "depthwise_conv2d")
 
 
 def max_pool2d(x: Tensor, window: int = 3, stride: int = 2, padding: int = 0) -> Tensor:
@@ -678,8 +677,8 @@ def max_pool2d(x: Tensor, window: int = 3, stride: int = 2, padding: int = 0) ->
 
     Ties go to the first maximum in row-major window order (+0.0 and -0.0
     tie, and the earlier one's sign is kept); backward sends each output's
-    whole gradient to that one position. The output has the input's memory
-    order (channel-last after a conv), so no layout change is paid here.
+    whole gradient to that one position. The windows are read from, and
+    the gradient routed into, channel-last buffers.
     """
     if x.ndim != 4:
         raise ValueError("max_pool2d expects 4-D input")
@@ -688,15 +687,9 @@ def max_pool2d(x: Tensor, window: int = 3, stride: int = 2, padding: int = 0) ->
     n, c, h, w = x.shape
     ho = conv_output_size(h, window, stride, padding)
     wo = conv_output_size(w, window, stride, padding)
-    if padding:
-        # padded in the input's memory order, which the output then keeps
-        xp = np.full_like(x.data, -np.inf,
-                          shape=(n, c, h + 2 * padding, w + 2 * padding))
-        xp[:, :, padding:padding + h, padding:padding + w] = x.data
-    else:
-        xp = x.data
+    xp = _padded(_nhwc(x.data), padding, -np.inf)
     taps = [(i, j) for i in range(window) for j in range(window)]
-    data = _tap(xp, 0, 0, stride, ho, wo).copy(order="K")
+    data = _tap(xp, 0, 0, stride, ho, wo).copy()
     for i, j in taps[1:]:
         # the running maximum is the second operand: np.maximum returns it
         # on ties, so the first maximum wins
@@ -705,8 +698,9 @@ def max_pool2d(x: Tensor, window: int = 3, stride: int = 2, padding: int = 0) ->
     def backward(g):
         if not x.requires_grad:
             return
-        # routed into a buffer laid out like the (padded) input, through
-        # per-tap buffers that are reused rather than allocated per tap
+        # routed through per-tap buffers that are reused rather than
+        # allocated per tap
+        g = _nhwc(g)
         gxp = np.zeros_like(xp, dtype=g.dtype)
         free = np.ones_like(data, dtype=bool)   # outputs not yet routed
         first = np.empty_like(free)
@@ -720,9 +714,9 @@ def max_pool2d(x: Tensor, window: int = 3, stride: int = 2, padding: int = 0) ->
             np.multiply(g, first, out=routed)
             dst = _tap(gxp, i, j, stride, ho, wo)
             dst += routed
-        x._accumulate(_crop(gxp, padding, h, w))
+        x._accumulate(_nchw(_crop(gxp, padding, h, w)))
 
-    return _make(data, (x,), backward, "max_pool2d")
+    return _make(_nchw(data), (x,), backward, "max_pool2d")
 
 
 # -- normalization & softmax ---------------------------------------------------
@@ -734,40 +728,17 @@ def _into(buf: np.ndarray | None, ufunc, a: np.ndarray, b: np.ndarray) -> np.nda
     return ufunc(a, b)
 
 
-def _channel_sums(a: np.ndarray) -> np.ndarray:
-    """Sums of a (N, C, H, W) array over (N, H, W), one per channel: batch
-    norm's statistics and gradients, and the bias gradients of conv2d and
-    depthwise_conv2d.
+def _channel_sums(rows: np.ndarray) -> np.ndarray:
+    """Column sums of an (M, C) matrix, the (N*H*W, C) view of a channel-last
+    array: batch norm's statistics and gradients, and the bias gradients of
+    conv2d and depthwise_conv2d.
 
-    On the 2-D view with channels on one axis, the sum is a GEMM against two
-    rows (or columns) of ones. On OpenBLAS 0.3.31 its bytes were measured
-    equal at 1, 2, 3, 4 and 8 threads at shape (43264, 16). One row of ones
-    would make it a GEMV, whose bytes there differ between 1 and 2 threads
-    and which is slower at 2 threads. Any other layout falls back to ``sum``.
+    The sum is a GEMM against two rows of ones. On OpenBLAS 0.3.31 its bytes
+    were measured equal at 1, 2, 3, 4 and 8 threads at shape (43264, 16).
+    One row of ones would make it a GEMV, whose bytes there differ between
+    1 and 2 threads and which is slower at 2 threads.
     """
-    n, c, h, w = a.shape
-    m = n * h * w
-    rows = a.transpose(0, 2, 3, 1)   # channel-last, as conv2d stores its output
-    if rows.flags.c_contiguous:
-        return (np.ones((2, m), dtype=a.dtype) @ rows.reshape(m, c))[0]
-    cols = a.transpose(1, 0, 2, 3)   # channel axis outermost
-    if cols.flags.c_contiguous:
-        return (cols.reshape(c, m) @ np.ones((m, 2), dtype=a.dtype))[:, 0]
-    return a.sum(axis=(0, 2, 3))
-
-
-def _per_channel_rows(shape: tuple[int, ...]):
-    """For a channel-last (N, C, H, W) array, as conv2d and depthwise_conv2d
-    store their outputs: functions to its (N*H, W*C) rows and back, and one
-    giving a per-channel vector as a ``_tile_row``."""
-    n, c, h, w = shape
-    return (lambda a: a.transpose(0, 2, 3, 1).reshape(n * h, w * c),
-            lambda r: r.reshape(n, h, w, c).transpose(0, 3, 1, 2),
-            lambda v: _tile_row(v, w))
-
-
-# any other layout: (N, C, H, W) arrays as they are, vectors broadcast along axis 1
-_PER_CHANNEL_BROADCAST = (lambda a: a, lambda a: a, lambda v: v[None, :, None, None])
+    return (np.ones((2, rows.shape[0]), dtype=rows.dtype) @ rows)[0]
 
 
 def batch_norm2d(x: Tensor, scale: Tensor, shift: Tensor,
@@ -779,9 +750,8 @@ def batch_norm2d(x: Tensor, scale: Tensor, shift: Tensor,
     In training mode the batch statistics are used and the running buffers are
     updated in place as (1 - momentum) * old + momentum * batch.
 
-    A channel-last input (a conv output) runs every per-channel vector as one
-    tiled row over its (N*H, W*C) rows; any other layout broadcasts them. The
-    output has the input's memory order.
+    Every per-channel vector meets the channel-last (N*H, W*C) rows of the
+    input as one tiled row (``_tile_row``).
 
     With ``relu`` the op is batch norm followed by ``relu``, as one graph
     node with the same bytes: the finite check runs on the batch-norm values,
@@ -795,26 +765,25 @@ def batch_norm2d(x: Tensor, scale: Tensor, shift: Tensor,
     if scale.shape != (c,) or shift.shape != (c,):
         raise ValueError("batch_norm2d scale/shift must be per-channel vectors")
     m = n * h * w
-    rows, nchw, per_channel = _per_channel_rows(x.shape) \
-        if x.data.transpose(0, 2, 3, 1).flags.c_contiguous else _PER_CHANNEL_BROADCAST
+    rows = _nhwc(x.data).reshape(n * h, w * c)
     if training:
-        mean = _channel_sums(x.data) / m
-        centred = rows(x.data) - per_channel(mean)
+        mean = _channel_sums(rows.reshape(m, c)) / m
+        centred = rows - _tile_row(mean, w)
         # two-pass variance: the sum of squared centred values
         sq = centred * centred
-        var = _channel_sums(nchw(sq)) / m
+        var = _channel_sums(sq.reshape(m, c)) / m
         running_mean.data[...] = (1 - momentum) * running_mean.data + momentum * mean
         running_var.data[...] = (1 - momentum) * running_var.data + momentum * var
     else:
         mean = running_mean.data
         var = running_var.data
-        centred = rows(x.data) - per_channel(mean)
+        centred = rows - _tile_row(mean, w)
         sq = None
     inv_std = 1.0 / np.sqrt(var + eps)
     # xhat overwrites centred, and scale * xhat + shift overwrites sq
-    xhat = _into(centred, np.multiply, centred, per_channel(inv_std))
-    out = _into(sq, np.multiply, per_channel(scale.data), xhat)
-    out = _into(out, np.add, out, per_channel(shift.data))
+    xhat = _into(centred, np.multiply, centred, _tile_row(inv_std, w))
+    out = _into(sq, np.multiply, _tile_row(scale.data, w), xhat)
+    out = _into(out, np.add, out, _tile_row(shift.data, w))
     _check_finite(out, "batch_norm2d")
     if relu:
         # as ``relu``: fmax, then +0.0 to turn a kept -0.0 into +0.0
@@ -822,34 +791,35 @@ def batch_norm2d(x: Tensor, scale: Tensor, shift: Tensor,
         out += 0.0
 
     def backward(g):
-        g = rows(g)
+        g = _nhwc(g).reshape(n * h, w * c)
         if relu:
             # ``relu``'s mask (the output is > 0 exactly where the batch-norm
             # value was), then the +0.0 of its gradient's first write
             g = g * (out > 0)
             g += 0.0
-        sum_g = _channel_sums(nchw(g))
+        sum_g = _channel_sums(g.reshape(m, c))
         scratch = g * xhat
-        sum_g_xhat = _channel_sums(nchw(scratch))
+        sum_g_xhat = _channel_sums(scratch.reshape(m, c))
         if shift.requires_grad:
             shift._accumulate(sum_g)
         if scale.requires_grad:
             scale._accumulate(sum_g_xhat)
         if not x.requires_grad:
             return
-        gain = per_channel(scale.data * inv_std)
+        gain = _tile_row(scale.data * inv_std, w)
         if not training:
-            x._accumulate(nchw(g * gain))
+            x._accumulate(_nchw((g * gain).reshape(n, h, w, c)))
             return
         # batch statistics are functions of x: the two sums above are the
         # whole correction, (g - xhat * sum(g xhat) / m - sum(g) / m) * gain
-        scratch = _into(scratch, np.multiply, xhat, per_channel(sum_g_xhat / m))
+        scratch = _into(scratch, np.multiply, xhat, _tile_row(sum_g_xhat / m, w))
         gx = _into(scratch, np.subtract, g, scratch)
-        gx = _into(gx, np.subtract, gx, per_channel(sum_g / m))
+        gx = _into(gx, np.subtract, gx, _tile_row(sum_g / m, w))
         gx = _into(gx, np.multiply, gx, gain)
-        x._accumulate(nchw(gx))
+        x._accumulate(_nchw(gx.reshape(n, h, w, c)))
 
-    return _make(nchw(out), (x, scale, shift), backward, "batch_norm2d", checked=True)
+    return _make(_nchw(out.reshape(n, h, w, c)), (x, scale, shift), backward,
+                 "batch_norm2d", checked=True)
 
 
 def softmax(x: Tensor, axis: int = 1) -> Tensor:

@@ -1,4 +1,5 @@
-"""Shared helpers: finite-difference gradient checking in float64."""
+"""Shared helpers: finite-difference gradient checking in float64, and
+feature maps stored in given memory layouts."""
 from __future__ import annotations
 
 import numpy as np
@@ -29,6 +30,36 @@ def gradcheck(fn, tensors: list[Tensor], step: float = 1e-3) -> float:
         denom = max(np.abs(num).max(), np.abs(t.grad).max(), 1e-6)
         worst = max(worst, float(np.abs(t.grad - num).max() / denom))
     return worst
+
+
+def _layout(array, channel_last):
+    """Same values; channel_last stores them as a conv2d output is stored."""
+    if channel_last:
+        return array.transpose(0, 2, 3, 1).copy().transpose(0, 3, 1, 2)
+    return array.copy()
+
+
+_BN_LAYOUTS = ("c_order", "channel_last", "channels_first", "strided")
+
+
+def _bn_layout(array, layout):
+    """Same values, stored as a conv2d output is (channel_last), with the
+    channel axis outermost (channels_first), in C order, or as a strided
+    view that is contiguous in no axis order."""
+    if layout == "channel_last":
+        return _layout(array, True)
+    if layout == "channels_first":
+        return array.transpose(1, 0, 2, 3).copy().transpose(1, 0, 2, 3)
+    if layout == "strided":
+        wide = np.zeros(array.shape[:3] + (2 * array.shape[3],), array.dtype)
+        wide[..., ::2] = array
+        return wide[..., ::2]
+    return array.copy()
+
+
+def assert_channel_last(array, what=""):
+    """``array`` is stored as a conv2d output is: channel-last."""
+    assert array.strides == _layout(array, True).strides, what
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from parcnn.blocks import (BottleneckHeadSpec, ForwardContext, ParConvSpec,
                            shuffle_permutation)
 from parcnn.tensor import Tensor
 
-from conftest import gradcheck
+from conftest import _BN_LAYOUTS, _bn_layout, _layout, assert_channel_last, gradcheck
 
 
 def _channel_tagged(channels: int) -> Tensor:
@@ -88,9 +88,7 @@ class TestShuffleSplitGather:
         # halves with zeros of both signs, stored as given or as a conv's output
         values = np.round(rng.normal(size=(3, c, 5, 4)) * 2) / 2
         values = np.where(rng.random(values.shape) < 0.1, -0.0, values)
-        x = values.astype(np.float32)
-        if channel_last:
-            x = x.transpose(0, 2, 3, 1).copy().transpose(0, 3, 1, 2)
+        x = _layout(values.astype(np.float32), channel_last)
         upstream = [rng.normal(size=(3, w, 5, 4)).astype(np.float32) for w in (a, b)]
         runs = []
         for gathered in (True, False):
@@ -111,13 +109,30 @@ class TestShuffleSplitGather:
         assert grad.strides == grad_ref.strides == x.strides
         assert grad.tobytes() == grad_ref.tobytes()
 
-    def test_gather_keeps_the_input_layout(self, rng):
+    @pytest.mark.parametrize("layout", _BN_LAYOUTS)
+    def test_channel_ops_write_channel_last(self, layout, rng):
+        """The gather, the join and the narrowing take any input layout and
+        give a channel-last output; each input gradient is the upstream
+        gradient scattered back to the channels it came from."""
         x = rng.normal(size=(2, 5, 3, 4)).astype(np.float32)
-        last = x.transpose(0, 2, 3, 1).copy().transpose(0, 3, 1, 2)
-        for source in (x, last):
-            out = T.permute_channels(Tensor(source), [4, 0, 2])
-            assert out.data.strides == np.empty_like(source, shape=out.shape).strides
-            np.testing.assert_array_equal(out.data, x[:, [4, 0, 2]])
+        y = rng.normal(size=(2, 2, 3, 4)).astype(np.float32)
+        cases = [("gather", lambda a, b: T.permute_channels(a, [4, 0, 2]),
+                  [4, 0, 2]),
+                 ("join", lambda a, b: T.concat_channels([a, b]), list(range(7))),
+                 ("narrow", lambda a, b: T.narrow_channels(a, 1, 3), [1, 2, 3])]
+        for name, op, channels in cases:
+            a, b = (Tensor(_bn_layout(v, layout), requires_grad=True) for v in (x, y))
+            out = op(a, b)
+            assert_channel_last(out.data, name)
+            joined = np.concatenate([x, y], axis=1)
+            np.testing.assert_array_equal(out.data, joined[:, channels], name)
+            upstream = rng.normal(size=out.shape).astype(np.float32)
+            T.tsum(T.mul(out, Tensor(upstream))).backward()
+            want = np.zeros_like(joined)
+            want[:, channels] = upstream
+            np.testing.assert_array_equal(a.grad, want[:, :5], name)
+            if name == "join":
+                np.testing.assert_array_equal(b.grad, want[:, 5:], name)
 
     @pytest.mark.parametrize("index", [[0, 0], [5], [-1], [[0, 1]]])
     def test_gather_rejects_repeated_or_missing_channels(self, index):

@@ -9,7 +9,8 @@ from parcnn import tensor as T
 from parcnn.errors import NumericalError
 from parcnn.tensor import Tensor, load_checkpoint, save_checkpoint
 
-from conftest import f64, gradcheck
+from conftest import (_BN_LAYOUTS, _bn_layout, _layout, assert_channel_last, f64,
+                      gradcheck)
 
 
 class TestConv2d:
@@ -246,13 +247,14 @@ class TestBackward:
 # max_pool2d, relu and Tensor._accumulate as they were before their data
 # movement was rewritten. The engine must keep their float operations and
 # order, so its outputs and gradients must equal these byte for byte, in
-# value and (apart from max pooling's output, which keeps its input's memory
-# order) in memory layout. ref_conv2d (a GEMM over channel-major windows),
-# ref_depthwise_conv2d (an einsum over sliding windows) and ref_batch_norm2d
-# (the plain formula) sum in another order than the engine's tap-major GEMM,
-# tap multiply-adds and GEMM channel sums, so the engine is held to them run
-# in float64, within a tolerance; ref_conv2d also byte for byte on rounded
-# values, whose sums are exact in any order.
+# value and (apart from max pooling's output, which is channel-last whatever
+# the input's layout) in memory layout. ref_conv2d (a GEMM over
+# channel-major windows), ref_depthwise_conv2d (an einsum over sliding
+# windows) and ref_batch_norm2d (the plain formula) sum in another order
+# than the engine's tap-major GEMM, tap multiply-adds and GEMM channel sums,
+# so the engine is held to them run in float64, within a tolerance;
+# ref_conv2d also byte for byte on rounded values, whose sums are exact in
+# any order.
 
 def _patches(xp, kernel, stride):
     """(N,C,Hp,Wp) -> view (N,C,Ho,Wo,K,K) of sliding windows."""
@@ -407,31 +409,6 @@ def ref_accumulate(self, g):
     self.grad += g
 
 
-def _layout(array, channel_last):
-    """Same values; channel_last stores them as a conv2d output is stored."""
-    if channel_last:
-        return array.transpose(0, 2, 3, 1).copy().transpose(0, 3, 1, 2)
-    return array.copy()
-
-
-_BN_LAYOUTS = ("c_order", "channel_last", "channels_first", "strided")
-
-
-def _bn_layout(array, layout):
-    """Same values, stored as a conv2d output is (channel_last), with the
-    channel axis outermost (channels_first), in C order, or as a strided
-    view that neither GEMM reduction takes."""
-    if layout == "channel_last":
-        return _layout(array, True)
-    if layout == "channels_first":
-        return array.transpose(1, 0, 2, 3).copy().transpose(1, 0, 2, 3)
-    if layout == "strided":
-        wide = np.zeros(array.shape[:3] + (2 * array.shape[3],), array.dtype)
-        wide[..., ::2] = array
-        return wide[..., ::2]
-    return array.copy()
-
-
 def _rounded(rng, shape, dtype):
     """Halves in [-2, 2]: many exact ties, and zeros of both signs."""
     values = np.round(rng.normal(size=shape) * 2) / 2
@@ -451,26 +428,25 @@ def _assert_same_bytes(a, b, what, strides=None):
     assert a.tobytes() == b.tobytes(), what
 
 
-def _check_against_reference(op, ref, inputs, upstream_rng,
-                             output_in_input_order=False, **kwargs):
+def _check_against_reference(op, ref, inputs, upstream_rng, layout=None, **kwargs):
     """Run ``op`` and ``ref`` on layout-keeping copies of ``inputs`` through
     one backward pass with a shared upstream gradient, and compare the
-    output and every leaf gradient byte for byte. With
-    ``output_in_input_order`` the output's strides are not the reference's:
-    the output must have the memory order of the first input instead."""
+    output and every leaf gradient byte for byte. With ``layout`` the first
+    input is stored that way (``_bn_layout``), and the output's strides are
+    not the reference's: the output must be channel-last instead."""
     runs = []
     upstream = None
     for fn in (ref, op):
-        leaves = [Tensor(a.copy(order="K"), requires_grad=True) for a in inputs]
+        leaves = [Tensor(_bn_layout(a, layout) if layout and k == 0
+                         else a.copy(order="K"), requires_grad=True)
+                  for k, a in enumerate(inputs)]
         y = fn(*leaves, **kwargs)
         if upstream is None:
             upstream = _rounded(upstream_rng, y.shape, y.dtype)
         T.tsum(T.mul(y, Tensor(upstream))).backward()
         runs.append((y, leaves))
     (y_ref, leaves_ref), (y, leaves) = runs
-    strides = None
-    if output_in_input_order:
-        strides = np.empty_like(leaves[0].data, shape=y.shape).strides
+    strides = _layout(y.data, True).strides if layout else None
     _assert_same_bytes(y.data, y_ref.data, "output", strides)
     for k, (t, t_ref) in enumerate(zip(leaves, leaves_ref)):
         _assert_same_bytes(t.grad, t_ref.grad, f"gradient of input {k}")
@@ -541,28 +517,27 @@ class TestWindowOpsMatchReference:
                 T.depthwise_conv2d, ref_depthwise_conv2d, inputs, rng,
                 stride=s, padding=p)
             # the output is channel-last whatever the input's layout
-            assert out.strides == _layout(out, True).strides
+            assert_channel_last(out)
 
-    @_ORACLE_CASES
-    def test_max_pool2d(self, dtype, channel_last, rounded, rng):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", _BN_LAYOUTS)
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_max_pool2d(self, dtype, layout, rounded, rng):
         draw = _sampler(rng, dtype, rounded)
         for k, s, p in _WINDOWS:
-            x = _layout(draw((2, 5, 11, 11)), channel_last)
-            _check_against_reference(T.max_pool2d, ref_max_pool2d, [x], rng,
-                                     output_in_input_order=True,
+            _check_against_reference(T.max_pool2d, ref_max_pool2d,
+                                     [draw((2, 5, 11, 11))], rng, layout=layout,
                                      window=k, stride=s, padding=p)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("channel_last", [False, True])
-    def test_max_pool2d_signed_zero_ties(self, dtype, channel_last, rng):
+    @pytest.mark.parametrize("layout", _BN_LAYOUTS)
+    def test_max_pool2d_signed_zero_ties(self, dtype, layout, rng):
         # windows whose maximum is a 0 of either sign, or both
         values = np.array([-0.0, 0.0, -1.0, -0.5], dtype)
         for k, s, p in _WINDOWS:
             x = rng.choice(values, size=(2, 5, 11, 11))
-            _check_against_reference(T.max_pool2d, ref_max_pool2d,
-                                     [_layout(x, channel_last)], rng,
-                                     output_in_input_order=True,
-                                     window=k, stride=s, padding=p)
+            _check_against_reference(T.max_pool2d, ref_max_pool2d, [x], rng,
+                                     layout=layout, window=k, stride=s, padding=p)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("layout", _BN_LAYOUTS)
@@ -600,8 +575,7 @@ class TestWindowOpsMatchReference:
             runs.append([y.data] + [t.grad for t in leaves] + [rm.data, rv.data])
         engine, reference = runs
         assert engine[0].dtype == np.result_type(dtype, param_dtype)
-        if layout != "strided":
-            assert engine[0].strides == np.empty_like(x, dtype=engine[0].dtype).strides
+        assert_channel_last(engine[0], "output")
         # float32 anywhere bounds the precision
         tol = 1e-4 if np.float32 in (dtype, param_dtype) else 1e-10
         names = ["output", "gradient of x", "gradient of scale",
@@ -737,7 +711,7 @@ class TestFusedBatchNormRelu:
     @pytest.mark.parametrize("dtype,param_dtype", [
         (np.float32, np.float32), (np.float64, np.float64),
         (np.float32, np.float64), (np.float64, np.float32)])
-    @pytest.mark.parametrize("layout", ["channel_last", "c_order", "strided"])
+    @pytest.mark.parametrize("layout", _BN_LAYOUTS)
     @pytest.mark.parametrize("training", [True, False])
     def test_same_bytes_as_batch_norm_then_relu(self, dtype, param_dtype, layout,
                                                 training, rng):
@@ -751,9 +725,7 @@ class TestFusedBatchNormRelu:
                 T.tsum(T.mul(y, Tensor(upstream))).backward()
                 runs.append([y.data] + [t.grad for t in leaves] + [rm.data, rv.data])
             (y_ref, *ref), (y, *fused) = runs
-            if layout != "strided":
-                # the output keeps the input's memory order
-                assert y.strides == np.empty_like(x, dtype=y.dtype).strides
+            assert_channel_last(y, f"output at {shape}")
             _assert_same_bytes(y, y_ref, f"output at {shape}")
             names = ["gradient of x", "gradient of scale", "gradient of shift",
                      "running mean", "running variance"]
@@ -933,6 +905,39 @@ class TestTrainingStepMatchesReference:
         assert calls.count("relu") == relu_calls
         assert calls.count(("batch_norm2d", True)) == fused
         assert calls.count(("batch_norm2d", False)) == unfused
+
+
+class TestOneActivationLayout:
+    """Every 4-D op writes its output and input gradient channel-last, so in
+    a network each ``_nhwc`` read of an activation or a gradient is a view.
+    An op that wrote another layout would make the next op copy."""
+
+    @pytest.mark.parametrize("name", ["mnist_small", "student", "res18_mini",
+                                      "parres18_mini", "dcnn_table2"])
+    def test_training_step_copies_no_activation(self, name, monkeypatch, rng):
+        from parcnn.arch import build_model
+        from parcnn.transform import DistillPolicy, distill_architecture
+        from parcnn.zoo import build_zoo_arch
+        arch = build_zoo_arch("mnist_small" if name == "student" else name)
+        if name == "student":
+            arch = distill_architecture(arch, DistillPolicy())
+        model = build_model(arch, seed=3)
+        reads, copies = [], []
+        engine_nhwc = T._nhwc
+
+        def nhwc(a):
+            out = engine_nhwc(a)
+            reads.append(a.shape)
+            if not np.shares_memory(out, a):
+                copies.append(a.shape)
+            return out
+
+        monkeypatch.setattr(T, "_nhwc", nhwc)
+        x = rng.normal(size=(2, arch.in_channels, arch.in_height, arch.in_width))
+        logits = model.forward(x.astype(np.float32), training=True)
+        T.tsum(T.square(logits)).backward()
+        assert reads
+        assert copies == []
 
 
 # One stem conv2d with its batch norm, a depthwise conv with its batch norm,
