@@ -8,8 +8,10 @@ Every run writes its outputs under a fresh directory (default
 ``runs/<command>-<timestamp>``, override with ``--run-dir``) including a
 ``run.json`` with the resolved configuration and the numpy, BLAS and
 thread environment. When ``train`` or ``distill`` finishes, ``run.json`` is
-rewritten with a ``summary`` of what the run cost: its wall seconds and its
-training samples per second; an aborted run keeps the configuration only.
+rewritten with a ``summary`` of what the run cost: its wall seconds, its
+training samples per second and the process's peak resident memory (where
+the ``resource`` module exists); an aborted run keeps the configuration
+only.
 Architectures are given either as a JSON file path or as ``zoo:<name>``.
 
 ``--log-level`` (before the subcommand) sets which messages of the
@@ -26,6 +28,11 @@ import os
 import sys
 import time
 from pathlib import Path
+
+try:
+    import resource
+except ImportError:  # Windows
+    resource = None
 
 # keep BLAS deterministic and single-threaded unless the user overrides
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -109,9 +116,15 @@ def _write_run_summary(run_dir: Path, config: dict, started: float,
                        samples: int, train_s: float) -> None:
     """Rewrite ``run.json`` with what the finished run cost: wall seconds
     since the command started, and the samples its training loop stepped
-    through (epochs x training set) per second of that loop."""
+    through (epochs x training set) per second of that loop, and the
+    process's peak resident memory so far."""
     summary = {"wall_s": time.perf_counter() - started, "train_samples": samples,
                "train_s": train_s, "train_samples_per_s": samples / train_s}
+    if resource is not None:
+        # ru_maxrss is in KiB on Linux and in bytes on macOS
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        summary["peak_rss_mb"] = peak / (1024 * 1024 if sys.platform == "darwin"
+                                         else 1024)
     _write_run_json(run_dir, {**config, "summary": summary})
 
 

@@ -54,6 +54,14 @@ Forward ops verify their outputs are finite and raise NumericalError
 otherwise; disable with ``finite_checks(False)`` in hot loops at your own
 risk.
 
+conv2d keeps no im2col matrix from its forward to its backward: the
+backward builds the columns again from ``x.data``, as it reads
+``weight.data`` again, and frees them before the input gradient's columns
+exist. So a conv's input, like its weight, must not be written in place
+between its forward and its backward. Nothing in the toolkit does:
+``load_state`` and the optimizer step write parameters only, outside a
+step's graph.
+
 Inside ``with no_grad():`` ops wire no graph: their outputs have
 ``requires_grad`` False and no parents, so nothing holds the inputs and
 intermediates a backward pass would need. The values are byte-identical to
@@ -561,6 +569,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     The GEMM reads the weight tap-major, as (C_out, K*K*C_in) in (i, j, c)
     order: a view of a weight stored that way (``blocks.Conv2d`` does), one
     copy of any other. The weight gradient comes back in the same order.
+
+    The im2col columns are not kept for the backward, which builds them
+    again from ``x.data``: neither ``x`` nor ``weight`` may be written in
+    place between this call and the graph's ``backward()``.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ValueError("conv2d expects 4-D input and weight")
@@ -573,9 +585,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     ho = conv_output_size(h, k, stride, padding)
     wo = conv_output_size(w, k, stride, padding)
 
-    # im2col + GEMM: (N*Ho*Wo, K*K*C_in) @ (K*K*C_in, C_out)
-    cols = _im2col(_nhwc(x.data), k, stride, padding, ho, wo)
-    out = cols @ _tap_major(weight.data).T
+    # im2col + GEMM: (N*Ho*Wo, K*K*C_in) @ (K*K*C_in, C_out); the columns
+    # are freed with the GEMM
+    out = _im2col(_nhwc(x.data), k, stride, padding, ho, wo) @ _tap_major(weight.data).T
     if bias is not None:
         # added as one tiled (Wo*C_out) row over (N*Ho, Wo*C_out) rows
         rows = out.reshape(n * ho, wo * c_out)
@@ -585,8 +597,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     def backward(g):
         g2 = _nhwc(g).reshape(n * ho * wo, c_out)
         if weight.requires_grad:
-            weight._accumulate(
-                (g2.T @ cols).reshape(c_out, k, k, c_in).transpose(0, 3, 1, 2))
+            # built again rather than kept from the forward, and freed with
+            # the GEMM, so no two im2col-sized matrices are alive at once
+            gw = g2.T @ _im2col(_nhwc(x.data), k, stride, padding, ho, wo)
+            weight._accumulate(gw.reshape(c_out, k, k, c_in).transpose(0, 3, 1, 2))
         if bias is not None and bias.requires_grad:
             bias._accumulate(_channel_sums(g2))
         if not x.requires_grad:

@@ -244,11 +244,13 @@ class TestTrainCommand:
 
 def assert_run_summary(run_dir, command: str, samples: int) -> None:
     """run.json holds the run's configuration and, once it has finished, a
-    summary of its wall time and training throughput."""
+    summary of its wall time, training throughput and peak memory."""
     record = json.loads((run_dir / "run.json").read_text())
     assert record["command"] == command and "environment" in record
     summary = record["summary"]
-    assert set(summary) == {"wall_s", "train_samples", "train_s", "train_samples_per_s"}
+    assert set(summary) == {"wall_s", "train_samples", "train_s", "train_samples_per_s",
+                            "peak_rss_mb"}
+    assert summary["peak_rss_mb"] > 0
     assert summary["train_samples"] == samples
     assert 0 < summary["train_s"] <= summary["wall_s"]
     assert summary["train_samples_per_s"] == samples / summary["train_s"]

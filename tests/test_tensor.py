@@ -683,6 +683,76 @@ class TestConvWeightLayout:
             _assert_same_bytes(a, a_ref, name)
 
 
+def _col2im(gcols, shape, k, stride, padding, ho, wo):
+    """(N*Ho*Wo, K*K*C) window gradients, columns in (i, j, c) order, added
+    tap by tap in row-major order onto a zeroed padded (N,Hp,Wp,C) buffer;
+    returns the logical (N,C,H,W) view of its unpadded part."""
+    n, c, h, w = shape
+    gcols = gcols.reshape(n, ho, wo, k, k, c)
+    gxp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), gcols.dtype)
+    for i in range(k):
+        for j in range(k):
+            dst = gxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
+            dst += gcols[:, :, :, i, j]
+    return gxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
+
+
+class TestConvRebuildsColumns:
+    """conv2d keeps no im2col matrix from its forward: the backward builds
+    the columns again from the input, with the same bytes."""
+
+    def test_forward_holds_no_im2col_matrix(self, rng):
+        import tracemalloc
+        x = Tensor(rng.normal(size=(4, 16, 32, 32)).astype(np.float32),
+                   requires_grad=True)
+        w = Tensor(rng.normal(size=(8, 16, 5, 5)).astype(np.float32),
+                   requires_grad=True)
+        cols_bytes = 4 * 28 * 28 * 5 * 5 * 16 * 4      # 5.0 MB; the output is 0.1 MB
+        tracemalloc.start()
+        try:
+            y = T.conv2d(x, w)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert y.requires_grad and held < cols_bytes
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channel_last", [False, True])
+    @pytest.mark.parametrize("stem", [False, True])
+    def test_gradients_equal_explicit_gemms_byte_for_byte(self, dtype, channel_last,
+                                                          stem, rng):
+        """The weight gradient is ``g2.T @ _im2col(x)`` and the input gradient
+        the col2im of ``g2 @ W``, each as one explicit GEMM. ``stem`` is a
+        bias-free conv whose input needs no gradient, as a network's first."""
+        for c in (1, 5):
+            for k, s, p in _WINDOWS:
+                x = _layout(rng.normal(size=(2, c, 11, 11)).astype(dtype), channel_last)
+                w = rng.normal(size=(4, c, k, k)).astype(dtype)
+                bias = None if stem else Tensor(rng.normal(size=4).astype(dtype),
+                                                requires_grad=True)
+                xt = Tensor(x.copy(order="K"), requires_grad=not stem)
+                wt = Tensor(w.copy(), requires_grad=True)
+                y = T.conv2d(xt, wt, bias, stride=s, padding=p)
+                n, c_out, ho, wo = y.shape
+                upstream = _layout(rng.normal(size=y.shape).astype(dtype), True)
+                T.tsum(T.mul(y, Tensor(upstream))).backward()
+
+                g2 = T._nhwc(upstream).reshape(n * ho * wo, c_out)
+                cols = T._im2col(T._nhwc(x), k, s, p, ho, wo)
+                gw = (g2.T @ cols).reshape(c_out, k, k, c).transpose(0, 3, 1, 2)
+                # ``_accumulate`` writes a first gradient as +0.0 + g
+                _assert_same_bytes(np.ascontiguousarray(wt.grad),
+                                   np.ascontiguousarray(gw + 0.0),
+                                   f"weight gradient at {c, k, s, p}")
+                if stem:
+                    assert xt.grad is None
+                    continue
+                gx = _col2im(g2 @ T._tap_major(w), x.shape, k, s, p, ho, wo)
+                _assert_same_bytes(np.ascontiguousarray(xt.grad),
+                                   np.ascontiguousarray(gx + 0.0),
+                                   f"input gradient at {c, k, s, p}")
+
+
 # the batch-norm inputs of the mnist_small student (and its teacher's conv1)
 _STUDENT_BN_SHAPES = [(64, 16, 26, 26), (64, 32, 12, 12), (64, 8, 12, 12),
                       (64, 64, 5, 5)]
