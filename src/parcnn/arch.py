@@ -130,10 +130,11 @@ class ArchSpec:
         Path(path).write_text(self.to_json() + "\n")
 
     def copy(self) -> "ArchSpec":
-        """A validated deep copy, not checked again for unknown fields."""
-        spec = replace(self, layers=json.loads(json.dumps(self.layers)))
-        spec.validate()
-        return spec
+        """A copy whose layer entries can be edited without touching this
+        spec's: every entry dict and every residual's ``body`` list is new,
+        and field values are shared. The copy is not validated, so a caller
+        validates it after editing it."""
+        return replace(self, layers=_copy_entries(self.layers))
 
     # -- validation -------------------------------------------------------
     def validate(self) -> list[TraceEntry]:
@@ -149,36 +150,37 @@ class ArchSpec:
 
     def _walk(self, entries: list[dict], state: tuple, prefix: str,
               names: set[str]) -> tuple[list[TraceEntry], tuple]:
+        """Trace ``entries``, the list at path ``prefix``, from ``state``; an
+        entry's path (``prefix[i]``) is formatted only for an error."""
         trace: list[TraceEntry] = []
         for i, entry in enumerate(entries):
-            where = f"{prefix}[{i}]"
             if not isinstance(entry, dict) or "type" not in entry:
-                raise ArchError(f"{where}: each layer entry needs a 'type' field")
+                raise ArchError(f"{prefix}[{i}]: each layer entry needs a 'type' field")
             kind = entry["type"]
             if not isinstance(kind, str) or kind not in _SCHEMA:
-                raise ArchError(f"{where}.type: unknown layer type {kind!r}")
-            name = entry.get("name", f"{kind}{i}")
+                raise ArchError(f"{prefix}[{i}].type: unknown layer type {kind!r}")
+            name = entry["name"] if "name" in entry else f"{kind}{i}"
             if not isinstance(name, str):
-                raise ArchError(f"{where}.name: expected a string, got {name!r}")
+                raise ArchError(f"{prefix}[{i}].name: expected a string, got {name!r}")
             if name in names:
-                raise ArchError(f"{where}.name: duplicate layer name {name!r}")
+                raise ArchError(f"{prefix}[{i}].name: duplicate layer name {name!r}")
             names.add(name)
             try:
                 te = TraceEntry(i, name, kind, state, state, _resolve(kind, entry))
-                state = self._step(te, state, names, where)
+                state = self._step(te, state, names, prefix)
             except ArchError:
                 raise   # from a residual body, already naming its path
             except _FieldError as exc:
-                raise ArchError(f"{where}.{exc.key}: {exc}") from exc
+                raise ArchError(f"{prefix}[{i}].{exc.key}: {exc}") from exc
             except (ValueError, KeyError, TypeError) as exc:
-                raise ArchError(f"{where}: {exc}") from exc
+                raise ArchError(f"{prefix}[{i}]: {exc}") from exc
             te.out_state = state
             trace.append(te)
         return trace, state
 
-    def _step(self, te: TraceEntry, state: tuple, names: set[str], where: str) -> tuple:
-        """Check the resolved entry at path ``where`` against ``state``;
-        return its output state."""
+    def _step(self, te: TraceEntry, state: tuple, names: set[str], prefix: str) -> tuple:
+        """Check the resolved entry ``te`` of the list at path ``prefix``
+        against ``state``; return its output state."""
         f, kind = te.fields, te.kind
         if kind in ("conv", "dsconv", "parconv", "sparconv", "maxpool", "batchnorm",
                     "residual"):
@@ -234,7 +236,8 @@ class ArchSpec:
             BottleneckHeadSpec(state[1], f["bottleneck_dim"], f["out_features"])
             return ("flat", f["out_features"])
         if kind == "residual":
-            te.body, out = self._walk(f["body"], state, f"{where}.body", names)
+            te.body, out = self._walk(f["body"], state, f"{prefix}[{te.index}].body",
+                                      names)
             if out[0] != "map":
                 raise ValueError("residual body must produce a feature map")
             _, c_in, h, w = state
@@ -371,6 +374,18 @@ def _reject_unknown_fields(entries: list[dict], prefix: str) -> None:
             raise ArchError(f"{prefix}[{i}].{min(unknown)}: unknown field")
         if entry["type"] == "residual":
             _reject_unknown_fields(entry["body"], f"{prefix}[{i}].body")
+
+
+def _copy_entries(entries: list) -> list:
+    """``entries`` with each entry dict copied, and each ``body`` list in it."""
+    copies = []
+    for entry in entries:
+        if isinstance(entry, dict):
+            entry = dict(entry)
+            if isinstance(entry.get("body"), list):
+                entry["body"] = _copy_entries(entry["body"])
+        copies.append(entry)
+    return copies
 
 
 def walk_trace(trace: list[TraceEntry], owner: list[dict]):

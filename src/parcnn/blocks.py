@@ -45,10 +45,12 @@ class ForwardContext:
 def _init_conv(rng: np.random.Generator, c_out: int, c_in: int, k: int) -> np.ndarray:
     """A (C_out, C_in, K, K) weight stored tap-major, as (C_out, K, K, C_in)
     in memory: the order ``tensor.conv2d``'s GEMMs read it in, so that they
-    copy no weight. The float32 cast makes the layout in the same pass."""
+    copy no weight. The float32 cast writes that layout in the same pass."""
     std = 1.0 / np.sqrt(c_in * k * k)
     w = rng.normal(0.0, std, size=(c_out, c_in, k, k))
-    return w.transpose(0, 2, 3, 1).astype(np.float32, order="C").transpose(0, 3, 1, 2)
+    out = np.empty((c_out, k, k, c_in), np.float32)
+    np.copyto(out, w.transpose(0, 2, 3, 1), casting="same_kind")
+    return out.transpose(0, 3, 1, 2)
 
 
 def _init_depthwise(rng: np.random.Generator, c: int, k: int) -> np.ndarray:

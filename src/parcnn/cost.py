@@ -256,8 +256,13 @@ def _entry_cost(te: TraceEntry) -> LayerCost | None:
 
 
 def analyze(arch: ArchSpec) -> CostReport:
-    """Per-layer and total FLOPs/storage for a validated architecture."""
-    trace = arch.validate()
+    """Per-layer and total FLOPs/storage of ``arch``, which it validates once."""
+    return _report(arch, arch.validate())
+
+
+def _report(arch: ArchSpec, trace: list[TraceEntry]) -> CostReport:
+    """The cost report of ``arch`` from its ``validate()`` trace: how a caller
+    that already holds the trace analyzes without validating again."""
     layers = [LayerCost("input", "input",
                         f"{arch.in_channels}x{arch.in_height}x{arch.in_width}",
                         f"{arch.in_height}x{arch.in_width}", 0, 0, False)]

@@ -10,10 +10,16 @@ The transformation has two independent steps, applied in order:
 
 Both steps choose what to change from the ``validate()`` trace of the
 architecture, reading each layer's resolved fields and input shape rather
-than its raw entry, and write new entries only. Replaced layers keep their
+than its raw entry, and write new entries only, into a copy
+(``ArchSpec.copy``, which does not validate). Replaced layers keep their
 names (an unnamed one its ``<type><index>`` name); everything else is
 untouched, so the spatial/channel trace of the result still validates and
 logits keep their shape.
+
+``transform_with_report`` validates three times: the source, whose trace
+gives gamma before and the head entries; the copy once any head change is
+made, whose one trace gives gamma after and the convolutions to replace;
+and the result. ``apply_bottleneck`` validates its source and its result.
 """
 from __future__ import annotations
 
@@ -133,10 +139,22 @@ def _replace_one(owner: list[dict], conv: TraceEntry, policy: DistillPolicy) -> 
 
 
 def apply_bottleneck(arch: ArchSpec, bottleneck_dim: int) -> ArchSpec:
-    """Insert or resize the pre-output bottleneck; the rest is untouched."""
+    """Insert or resize the pre-output bottleneck; the rest is untouched.
+    Validates ``arch`` and then the result, once each."""
+    new = _bottlenecked(arch, bottleneck_dim)
+    new.validate()
+    return new
+
+
+def _bottlenecked(arch: ArchSpec, bottleneck_dim: int,
+                  trace: list[TraceEntry] | None = None) -> ArchSpec:
+    """``apply_bottleneck``'s result, not validated; ``trace`` is ``arch``'s
+    ``validate()`` trace, which is taken here when not given."""
     if bottleneck_dim < 1:
         raise ArchError("bottleneck dimension must be >= 1")
-    head = [te for te in arch.validate() if te.kind in ("linear", "bottleneck_head")]
+    if trace is None:
+        trace = arch.validate()
+    head = [te for te in trace if te.kind in ("linear", "bottleneck_head")]
     if not head:
         raise ArchError("architecture has no linear head to bottleneck")
     new = arch.copy()
@@ -152,7 +170,6 @@ def apply_bottleneck(arch: ArchSpec, bottleneck_dim: int) -> ArchSpec:
             "bottleneck_dim": bottleneck_dim,
             "out_features": last.fields["out_features"],
         }
-    new.validate()
     return new
 
 
@@ -172,14 +189,20 @@ def distill_architecture(arch: ArchSpec, policy: DistillPolicy) -> ArchSpec:
 
 
 def transform_with_report(arch: ArchSpec, policy: DistillPolicy) -> TransformResult:
-    gamma_before = cost.gamma(arch)     # validates arch first
+    """``distill_architecture`` and what it did. Validates three times:
+    ``arch``, the copy it edits (once any head change is made) and the
+    result, reading each trace for everything it answers."""
+    trace = arch.validate()
+    gamma_before = cost._report(arch, trace).gamma
     head_changed = gamma_before > policy.threshold
-    new = apply_bottleneck(arch, policy.bottleneck_dim) if head_changed else arch.copy()
-    gamma_after = cost.gamma(new)
+    new = (_bottlenecked(arch, policy.bottleneck_dim, trace) if head_changed
+           else arch.copy())
+    # the copy's trace: its entries are the ones the replacements edit
+    trace = new.validate()
+    gamma_after = cost._report(new, trace).gamma
     if head_changed and gamma_after > policy.threshold:
         log.warning("bottleneck dim %d only reaches gamma=%.4f (> threshold %.4f)",
                     policy.bottleneck_dim, gamma_after, policy.threshold)
-    trace = new.validate()
     picked = select_replacements(new, trace, policy)
     if not picked:
         # re-running on an already-compact architecture is a no-op, but a

@@ -319,3 +319,16 @@ def test_integral_float_fields_are_accepted_as_integers():
     spec = ArchSpec.from_obj(obj)
     assert spec.in_channels == 1 and type(spec.in_channels) is int
     assert spec.validate()[0].out_state == ("map", 4, 4, 4)
+
+
+def test_copy_is_an_independent_unvalidated_copy():
+    source = zoo.build_zoo_arch("res18_mini")
+    text = source.to_json()
+    copy = source.copy()
+    assert copy.to_json() == text
+    residual = next(e for e in copy.layers if e["type"] == "residual")
+    residual["body"][0]["out_channels"] += 1
+    residual["body"].append({"type": "relu"})
+    assert source.to_json() == text
+    # not validated: a caller validates the copy once it has edited it
+    ArchSpec(1, 8, 8, [{"type": "no_such_layer"}]).copy()

@@ -1068,11 +1068,30 @@ print(json.dumps({name: hashlib.sha256(a.tobytes()).hexdigest()
 """
 
 
+# the weight gradient of a 3x3 pad-1 64->64 conv on 48 samples of 5x5, as
+# conv3_x of mnist_small sees its last, short batch: a (64 x 1200) @ (1200 x
+# 576) GEMM, whose bytes OpenBLAS 0.3.31 changes at 2 threads
+_WIDE_GEMM_PROBE = """
+import hashlib, json
+import numpy as np
+from parcnn import tensor as T
+from parcnn.tensor import Tensor
+
+rng = np.random.default_rng(0)
+x = Tensor(rng.normal(size=(48, 64, 5, 5)).astype(np.float32), requires_grad=True)
+w = Tensor(rng.normal(size=(64, 64, 3, 3)).astype(np.float32), requires_grad=True)
+y = T.conv2d(x, w, None, 1, 1)
+T.tsum(T.mul(y, Tensor(rng.normal(size=y.shape).astype(np.float32)))).backward()
+print(json.dumps({"grad_w": hashlib.sha256(w.grad.tobytes()).hexdigest()}))
+"""
+
+
 class TestBlasThreadInvariance:
     """Same-seed bytes must not depend on the BLAS thread count, which
     library and test callers may leave unpinned."""
 
-    def test_conv_and_batch_norm_bytes_equal_at_one_and_two_threads(self):
+    @staticmethod
+    def _digests_at_one_and_two_threads(probe: str) -> list[dict]:
         import json
         import subprocess
         import sys
@@ -1081,14 +1100,28 @@ class TestBlasThreadInvariance:
         for threads in ("1", "2"):
             env = {**child_env(), "OPENBLAS_NUM_THREADS": threads,
                    "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
-            proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+            proc = subprocess.run([sys.executable, "-c", probe], env=env,
                                   capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr
             digests.append(json.loads(proc.stdout))
+        return digests
+
+    def test_conv_and_batch_norm_bytes_equal_at_one_and_two_threads(self):
+        digests = self._digests_at_one_and_two_threads(_THREAD_PROBE)
         # 17 for the conv and depthwise pairs; the ParConv block's output,
         # its input gradient and 14 parameter gradients; the 3x3 conv's
         # output and its input, weight and bias gradients
         assert len(digests[0]) == 37
+        assert digests[0] == digests[1]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="on numpy 2.4.6 with OpenBLAS 0.3.31 the conv weight-gradient "
+               "GEMM g2.T @ cols of shape (64 x 1200) @ (1200 x 576) gives "
+               "other bytes at 2 threads than at 1; with 400, 800, 1600 or "
+               "2400 rows it does not, with 1100, 1300, 3000 or 3888 it does")
+    def test_wide_weight_gradient_bytes_equal_at_one_and_two_threads(self):
+        digests = self._digests_at_one_and_two_threads(_WIDE_GEMM_PROBE)
         assert digests[0] == digests[1]
 
 

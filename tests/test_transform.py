@@ -208,3 +208,36 @@ class TestDistillArchitecture:
         assert result.gamma_before == pytest.approx(0.3497, abs=1e-3)
         assert result.gamma_after_head == pytest.approx(0.0519, abs=1e-3)
         assert result.head_changed
+
+
+class TestValidateCount:
+    """A transform validates its source, the copy it edits and the result
+    once each; a static cost analysis validates once."""
+
+    @staticmethod
+    def _count_validates(monkeypatch) -> list:
+        calls = []
+        validate = ArchSpec.validate
+
+        def counted(spec):
+            calls.append(spec)
+            return validate(spec)
+        monkeypatch.setattr(ArchSpec, "validate", counted)
+        return calls
+
+    @pytest.mark.parametrize("name,selector,head_changed", [
+        ("dcnn_table2", "interior", True), ("res18_mini", "residual_body", False)])
+    def test_transform_validates_at_most_three_times(self, monkeypatch, name, selector,
+                                                     head_changed):
+        arch = zoo.build_zoo_arch(name)
+        calls = self._count_validates(monkeypatch)
+        result = transform.transform_with_report(
+            arch, DistillPolicy(replace_selector=selector))
+        assert result.head_changed == head_changed and result.replaced > 0
+        assert len(calls) <= 3
+
+    def test_analyze_validates_once(self, monkeypatch):
+        arch = zoo.build_zoo_arch("dcnn_table2")
+        calls = self._count_validates(monkeypatch)
+        cost.analyze(arch)
+        assert calls == [arch]
