@@ -228,7 +228,7 @@ def cmd_train(args) -> int:
             weight_decay=args.weight_decay, seed=args.seed, eval_data=test_set,
             checkpoint_prefix=run_dir / "model", on_row=write_row)
         train_s = time.perf_counter() - loop_start
-    result = train.evaluate(model, test_set)
+    result = train.evaluate(model, test_set, args.batch)
     _write_run_summary(run_dir, run_config, started, args.epochs * len(train_set),
                        train_s)
     print(f"[train] test error {100 * result.cer:.2f}% "
@@ -310,7 +310,7 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
 
 def _add_opt_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=_positive_int, default=1)
-    p.add_argument("--batch", type=_positive_int, default=64)
+    p.add_argument("--batch", type=_positive_int, default=train.BATCH_SIZE)
     p.add_argument("--lr", type=_nonneg_float, default=0.01)
     p.add_argument("--momentum", type=_nonneg_float, default=0.9)
     p.add_argument("--weight-decay", type=_nonneg_float, default=1e-4)

@@ -32,7 +32,7 @@ from .arch import Model
 from .data import Dataset, batches
 from .errors import ArchError
 from .tensor import Tensor
-from .train import _sgd_loop, constant_schedule
+from .train import BATCH_SIZE, _sgd_loop, constant_schedule
 
 ZERO_NORM_EPS = 1e-12
 _NORM_TINY = 1e-30   # keeps sqrt differentiable at an all-zero map
@@ -153,7 +153,7 @@ class DistillConfig:
     lam: float = 0.1
     tap_pairs: list[tuple[str, str]] | None = None   # None: derive from the arch
     epochs: int = 1
-    batch_size: int = 64
+    batch_size: int = BATCH_SIZE
     lr: float = 0.01
     momentum: float = 0.9
     weight_decay: float = 1e-4

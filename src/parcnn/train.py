@@ -13,6 +13,10 @@ from .data import Dataset, batch_indices, batches
 from .errors import NumericalError
 from .tensor import Tensor
 
+# The one default batch: of training, distillation, the CLI's --batch and
+# evaluation alike.
+BATCH_SIZE = 64
+
 
 class SGDMomentum:
     """Classical momentum SGD with coupled weight decay.
@@ -91,8 +95,12 @@ class EvalResult:
         return self.substitutions / self.total
 
 
-def evaluate(model: Model, dataset: Dataset, batch_size: int = 256) -> EvalResult:
-    """Argmax classification error rate; ties break to the lowest class index."""
+def evaluate(model: Model, dataset: Dataset, batch_size: int = BATCH_SIZE) -> EvalResult:
+    """Argmax classification error rate; ties break to the lowest class index.
+
+    A run evaluates at the batch it trains with, so no forward-only pass of
+    the run is larger than its training step and none sets its peak memory.
+    The rate does not depend on ``batch_size``."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     wrong = 0
@@ -146,7 +154,7 @@ def _sgd_loop(model: Model, n: int, step, *, epochs, batch_size, seed, schedule,
 
 
 def train_classifier(model: Model, train_data: Dataset, epochs: int,
-                     batch_size: int = 64,
+                     batch_size: int = BATCH_SIZE,
                      schedule: Callable[[int], float] | None = None,
                      momentum: float = 0.9, weight_decay: float = 1e-4,
                      seed: int = 0, eval_data: Dataset | None = None,
@@ -154,9 +162,10 @@ def train_classifier(model: Model, train_data: Dataset, epochs: int,
                      on_row: Callable[[dict], None] | None = None) -> list[dict]:
     """Plain cross-entropy training; returns per-iteration metrics rows
     (epoch, iteration, loss, lr, test_error), plus a test-error row after
-    each epoch if ``eval_data`` is given. ``on_row`` gets each row as it is
-    recorded, so the rows before a divergence abort can be kept; with
-    ``checkpoint_prefix`` the model is saved after every epoch."""
+    each epoch if ``eval_data`` is given, evaluated at ``batch_size``.
+    ``on_row`` gets each row as it is recorded, so the rows before a
+    divergence abort can be kept; with ``checkpoint_prefix`` the model is
+    saved after every epoch."""
     from .distill import cross_entropy  # local import to avoid a cycle
 
     def step(idx, epoch):
@@ -168,7 +177,7 @@ def train_classifier(model: Model, train_data: Dataset, epochs: int,
 
     def test_error_row(epoch, iteration):
         return {"epoch": epoch, "iteration": iteration, "loss": "", "lr": "",
-                "test_error": evaluate(model, eval_data).cer}
+                "test_error": evaluate(model, eval_data, batch_size).cer}
 
     return _sgd_loop(model, len(train_data), step, epochs=epochs,
                      batch_size=batch_size, seed=seed,

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, reproducibility."""
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import parcnn
-from parcnn import distill
+from parcnn import distill, train
 from parcnn.arch import build_model, load_model
 from parcnn.cli import main
 from parcnn.data import (MNIST_TEST_FILES, MNIST_TRAIN_FILES, make_synthetic,
@@ -205,6 +206,22 @@ class TestTrainCommand:
         assert_rows_kept_before(tmp_path / "b", tmp_path / "a", 3)
         # an aborted run keeps its configuration only
         assert "summary" not in json.loads((tmp_path / "b" / "run.json").read_text())
+
+    def test_evaluates_at_the_training_batch(self, tmp_path, monkeypatch):
+        real, batch_sizes = train.evaluate, []
+
+        def recording(*args, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            batch_sizes.append(bound.arguments["batch_size"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(train, "evaluate", recording)
+        assert run_cli("train", "--model", "zoo:mnist_small", "--synthetic",
+                       "--per-class", "4", "--batch", "20", "--epochs", "2",
+                       "--run-dir", str(tmp_path / "r")) == 0
+        # one test-error row per epoch, then the final evaluation
+        assert batch_sizes == [20, 20, 20]
 
     def test_different_seed_changes_metrics(self, tmp_path):
         self._train(tmp_path / "a", seed="7")

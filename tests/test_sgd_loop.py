@@ -51,7 +51,7 @@ def ref_train_classifier(model, train_data, epochs, batch_size=64, schedule=None
                     "loss": value, "lr": lr, "test_error": ""})
             iteration += 1
         if eval_data is not None:
-            err = evaluate(model, eval_data).cer
+            err = evaluate(model, eval_data, batch_size).cer
             record({"epoch": epoch, "iteration": iteration,
                     "loss": "", "lr": "", "test_error": err})
     return metrics

@@ -1,13 +1,19 @@
 """Optimizer, schedules, evaluation, zoo models, weight statistics."""
+import inspect
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from parcnn import cost, train, zoo
 from parcnn.arch import build_model
+from parcnn.cli import build_parser
 from parcnn.data import Dataset, make_synthetic
+from parcnn.distill import DistillConfig
 from parcnn.tensor import Tensor
-from parcnn.train import (EvalResult, SGDMomentum, constant_schedule, evaluate,
-                          step_decay_schedule, weight_histogram)
+from parcnn.train import (BATCH_SIZE, EvalResult, SGDMomentum, constant_schedule,
+                          evaluate, step_decay_schedule, weight_histogram)
+from parcnn.transform import DistillPolicy, distill_architecture
 
 
 def sgd_step(theta, grad, lr, momentum=0.9, weight_decay=0.0):
@@ -148,6 +154,30 @@ class TestEvaluate:
         assert len(outputs) == 3
         assert all(not out.requires_grad and out._parents == () for out in outputs)
 
+    @staticmethod
+    def _traced_peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("role", ["teacher", "student"])
+    def test_peak_no_larger_than_a_training_step(self, role):
+        """At the default batch, evaluating 500 images holds no more memory
+        than one training step of the same model at that batch."""
+        arch = zoo.build_zoo_arch("mnist_small")
+        if role == "student":
+            arch = distill_architecture(arch, DistillPolicy())
+        model = build_model(arch, seed=0)
+        test = make_synthetic(10, 50, seed=900, separation=3.0, noise=0.03)
+        one_batch = test.subset(BATCH_SIZE)
+        eval_peak = self._traced_peak(lambda: evaluate(model, test))
+        step_peak = self._traced_peak(
+            lambda: train.train_classifier(model, one_batch, epochs=1))
+        assert eval_peak <= step_peak
+
     def test_empty_dataset_rejected(self):
         ds = Dataset(np.zeros((0, 1, 2, 2), np.float32), np.zeros(0, np.int64),
                      classes=1)
@@ -159,6 +189,17 @@ class TestEvaluate:
             EvalResult(total=10, substitutions=-1)
         r = EvalResult(total=10, substitutions=4)
         assert r.cer == pytest.approx(0.4)
+
+
+def test_one_default_batch():
+    """Training, evaluation, distillation and the CLI's --batch share one
+    default batch."""
+    parser = build_parser()
+    assert [inspect.signature(evaluate).parameters["batch_size"].default,
+            inspect.signature(train.train_classifier).parameters["batch_size"].default,
+            DistillConfig().batch_size,
+            parser.parse_args(["train", "--model", "m"]).batch,
+            parser.parse_args(["distill", "--teacher", "t"]).batch] == [BATCH_SIZE] * 5
 
 
 class TestZooModels:
