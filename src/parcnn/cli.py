@@ -143,27 +143,22 @@ def _csv_rows(path: Path, columns: list[str]):
         yield write
 
 
-def _load_train_test(args) -> tuple[data.Dataset, data.Dataset]:
-    """Dataset resolution: --synthetic, else MNIST via --data-dir/$MNIST_DIR."""
-    if getattr(args, "synthetic", False):
-        train_set = data.make_synthetic(args.classes, args.per_class, seed=args.seed,
-                                        image_size=args.image_size,
-                                        separation=args.separation)
-        test_set = data.make_synthetic(args.classes, max(args.per_class // 5, 1),
-                                       seed=args.seed + 10_000,
-                                       image_size=args.image_size,
-                                       separation=args.separation)
-        return train_set, test_set
-    found = data.find_mnist(getattr(args, "data_dir", None))
+def _load_split(args, split: str) -> data.Dataset:
+    """The "train" or "test" split: --synthetic (the test split a fifth the
+    size, from its own seed), else MNIST via --data-dir/$MNIST_DIR."""
+    train = split == "train"
+    if args.synthetic:
+        return data.make_synthetic(
+            args.classes, args.per_class if train else max(args.per_class // 5, 1),
+            seed=args.seed if train else args.seed + 10_000,
+            image_size=args.image_size, separation=args.separation)
+    found = data.find_mnist(args.data_dir)
     if found is None:
         raise DataFormatError(
             "no dataset: pass --synthetic, or point --data-dir/$MNIST_DIR at "
             "the four MNIST IDX files")
-    train_set = data.load_mnist_idx(*found["train"], split="train")
-    test_set = data.load_mnist_idx(*found["test"], split="test")
-    if args.limit:
-        train_set = train_set.subset(args.limit)
-    return train_set, test_set
+    dataset = data.load_mnist_idx(*found[split], split=split)
+    return dataset.subset(args.limit) if train and args.limit else dataset
 
 
 def _check_images(dataset: data.Dataset, arch: ArchSpec, role: str) -> None:
@@ -214,8 +209,9 @@ def cmd_train(args) -> int:
     started = time.perf_counter()
     arch = resolve_arch(args.model)
     model = build_model(arch, seed=args.seed)
-    train_set, test_set = _load_train_test(args)
+    train_set = _load_split(args, "train")
     _check_images(train_set, arch, "model")
+    test_set = _load_split(args, "test")
     schedule = train.constant_schedule(args.lr) if args.schedule == "constant" \
         else train.step_decay_schedule(args.lr, floor=args.lr_floor)
     run_dir = _make_run_dir(args, "train")
@@ -245,7 +241,7 @@ def cmd_distill(args) -> int:
     else:
         student_arch = transform.distill_architecture(teacher.arch, _policy(args))
     student = build_model(student_arch, seed=args.seed)
-    train_set, _ = _load_train_test(args)
+    train_set = _load_split(args, "train")
     _check_images(train_set, teacher.arch, "teacher")
     _check_images(train_set, student_arch, "student")
     pairs = None
@@ -308,20 +304,25 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--separation", type=_nonneg_float, default=3.0)
 
 
+# the library's defaults, which the flags below take as theirs
+_CONFIG = distill.DistillConfig()
+_POLICY = transform.DistillPolicy()
+
+
 def _add_opt_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=_positive_int, default=1)
-    p.add_argument("--batch", type=_positive_int, default=train.BATCH_SIZE)
-    p.add_argument("--lr", type=_nonneg_float, default=0.01)
-    p.add_argument("--momentum", type=_nonneg_float, default=0.9)
-    p.add_argument("--weight-decay", type=_nonneg_float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=_positive_int, default=_CONFIG.epochs)
+    p.add_argument("--batch", type=_positive_int, default=_CONFIG.batch_size)
+    p.add_argument("--lr", type=_nonneg_float, default=_CONFIG.lr)
+    p.add_argument("--momentum", type=_nonneg_float, default=_CONFIG.momentum)
+    p.add_argument("--weight-decay", type=_nonneg_float, default=_CONFIG.weight_decay)
+    p.add_argument("--seed", type=int, default=_CONFIG.seed)
 
 
 def _add_policy_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--omega", type=_nonneg_float, default=0.5)
-    p.add_argument("--bottleneck", type=_positive_int, default=50)
-    p.add_argument("--threshold", type=_nonneg_float, default=0.1)
-    p.add_argument("--variant", choices=transform.VARIANTS, default="parconv")
+    p.add_argument("--omega", type=_nonneg_float, default=_POLICY.omega)
+    p.add_argument("--bottleneck", type=_positive_int, default=_POLICY.bottleneck_dim)
+    p.add_argument("--threshold", type=_nonneg_float, default=_POLICY.threshold)
+    p.add_argument("--variant", choices=transform.VARIANTS, default=_POLICY.variant)
     p.add_argument("--residual", action="store_true")
 
 
@@ -353,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="turn a baseline into a compact network")
     p.add_argument("arch")
     _add_policy_args(p)
-    p.add_argument("--selector", default="interior",
+    p.add_argument("--selector", default=_POLICY.replace_selector,
                    help="interior | residual_body | all | comma-separated names")
     _add_common_run_args(p)
     p.set_defaults(func=cmd_transform)
@@ -371,9 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--teacher", required=True, help="teacher checkpoint prefix")
     p.add_argument("--student", default=None,
                    help="student architecture (default: transform the teacher)")
-    p.add_argument("--mu", type=_nonneg_float, default=0.8)
-    p.add_argument("--beta", type=_nonneg_float, default=0.2)
-    p.add_argument("--lambda", dest="lam", type=_nonneg_float, default=0.1)
+    p.add_argument("--mu", type=_nonneg_float, default=_CONFIG.mu)
+    p.add_argument("--beta", type=_nonneg_float, default=_CONFIG.beta)
+    p.add_argument("--lambda", dest="lam", type=_nonneg_float, default=_CONFIG.lam)
     p.add_argument("--taps", default=None, help="tap pairs, e.g. s1_in:s1_out,...")
     _add_policy_args(p)
     _add_opt_args(p)

@@ -862,53 +862,45 @@ def log_softmax(x: Tensor, axis: int = 1) -> Tensor:
 
 # -- checkpoint I/O -------------------------------------------------------------
 
-_CKPT_MAGIC = "parcnn-checkpoint-v1"
+_CKPT_MAGIC = "parcnn-checkpoint-v2"
 
 
 def save_checkpoint(prefix: str | Path, tensors: dict[str, Tensor | np.ndarray],
                     extra: dict | None = None) -> None:
-    """Write ``prefix``.json (manifest) + ``prefix``.bin (little-endian f32 blob).
-
-    The manifest lists, per tensor: shape and byte offset into the blob, and
-    the blob's CRC-32. Round-tripping float32 values is bit-exact. ``extra``
-    entries (for example the architecture description) are stored alongside.
-
-    The blob is written first and the manifest second, each to a temporary
-    file in the same directory that is then moved into place, and the
-    directory is synced after each move, so neither file is ever left half
-    written and the blob is on disk before the manifest that names it. The
-    two moves are not one atomic step: a crash between them leaves the new
-    blob beside the old manifest, which ``load_checkpoint`` rejects by its
-    CRC-32 rather than returning new values under the old ``extra``.
-    """
+    """Write ``prefix``.ckpt: a line of compact JSON manifest (the format,
+    each tensor's ``[name, shape]`` in blob order, the blob's CRC-32, then
+    the ``extra`` entries such as the architecture), then the blob of
+    little-endian float32 tensors. Round trips of float32 are bit-exact.
+    One ``_write_then_replace`` writes the manifest and each tensor's bytes
+    in turn, never holding the blob whole, and moves the file over any
+    previous checkpoint in one replace, so a crash leaves one of the two
+    complete."""
+    arrays = {name: np.asarray(t.data if isinstance(t, Tensor) else t,
+                               dtype="<f4", order="C")
+              for name, t in tensors.items()}
+    crc = 0
+    for arr in arrays.values():
+        crc = zlib.crc32(arr, crc)
+    manifest = {"format": _CKPT_MAGIC,
+                "tensors": [[name, list(arr.shape)] for name, arr in arrays.items()],
+                "crc32": crc, **(extra or {})}
     prefix = Path(prefix)
-    manifest: dict = {"format": _CKPT_MAGIC, "tensors": {}}
-    if extra:
-        manifest.update(extra)
-    offset = 0
-    chunks = []
-    for name, t in tensors.items():
-        arr = t.data if isinstance(t, Tensor) else np.asarray(t)
-        blob = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        manifest["tensors"][name] = {"shape": list(arr.shape), "offset": offset}
-        offset += len(blob)
-        chunks.append(blob)
-    blob = b"".join(chunks)
-    manifest["crc32"] = zlib.crc32(blob)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    _write_then_replace(prefix.with_suffix(prefix.suffix + ".bin"), blob)
-    _write_then_replace(prefix.with_suffix(prefix.suffix + ".json"),
-                        json.dumps(manifest, indent=1, sort_keys=True).encode())
+    _write_then_replace(prefix.with_name(prefix.name + ".ckpt"),
+                        json.dumps(manifest, separators=(",", ":")).encode() + b"\n",
+                        *arrays.values())
 
 
-def _write_then_replace(path: Path, payload: bytes) -> None:
-    """Write ``payload`` to a temporary file beside ``path``, move it over
-    ``path`` and sync the directory so the move itself is durable; the
-    temporary file is removed if writing or moving fails."""
+def _write_then_replace(path: Path, *chunks) -> None:
+    """Write the bytes-like ``chunks`` one after another to a temporary file
+    beside ``path``, move it over ``path`` and sync the directory so the
+    move itself is durable; the temporary file is removed if writing or
+    moving fails."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(payload)
+            for chunk in chunks:
+                f.write(chunk)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -923,44 +915,47 @@ def _write_then_replace(path: Path, payload: bytes) -> None:
         os.close(directory)
 
 
-def load_manifest(prefix: str | Path) -> dict:
+def _read_checkpoint(prefix: str | Path, blob: bool) -> tuple[dict, bytes]:
+    """``prefix``.ckpt's manifest and, if ``blob``, the bytes after it."""
     prefix = Path(prefix)
-    manifest_path = prefix.with_suffix(prefix.suffix + ".json")
-    if not manifest_path.exists():
-        raise DataFormatError(f"checkpoint manifest not found: {manifest_path}")
-    with open(manifest_path) as f:
-        manifest = json.load(f)
-    if manifest.get("format") != _CKPT_MAGIC:
-        raise DataFormatError(f"unrecognized checkpoint manifest: {manifest_path}")
-    return manifest
+    path = prefix.with_name(prefix.name + ".ckpt")
+    if not path.exists():
+        old = prefix.with_name(prefix.name + ".json")
+        if old.exists():
+            raise DataFormatError(f"{old} is a two-file checkpoint from before "
+                                  f"format v2, which is not read")
+        raise DataFormatError(f"checkpoint not found: {path}")
+    with open(path, "rb") as f:
+        try:
+            manifest = json.loads(f.readline())
+        except ValueError:
+            manifest = None
+        if not isinstance(manifest, dict) or manifest.get("format") != _CKPT_MAGIC:
+            raise DataFormatError(f"unrecognized checkpoint: {path}")
+        return manifest, f.read() if blob else b""
+
+
+def load_manifest(prefix: str | Path) -> dict:
+    """The manifest of ``prefix``.ckpt, read from its first line alone."""
+    return _read_checkpoint(prefix, blob=False)[0]
 
 
 def load_checkpoint(prefix: str | Path) -> dict[str, np.ndarray]:
-    prefix = Path(prefix)
-    manifest = load_manifest(prefix)
-    blob_path = prefix.with_suffix(prefix.suffix + ".bin")
-    if not blob_path.exists():
-        raise DataFormatError(f"checkpoint blob not found: {blob_path}")
-    blob = blob_path.read_bytes()
-    entries = manifest["tensors"]
-    expected = sum(4 * math.prod(entry["shape"]) for entry in entries.values())
-    if len(blob) != expected:
-        raise DataFormatError(f"checkpoint blob {blob_path} holds {len(blob)} bytes; "
-                              f"its manifest describes {expected}")
-    # manifests written before the CRC-32 was recorded get the length check only
-    if "crc32" in manifest and zlib.crc32(blob) != manifest["crc32"]:
-        raise DataFormatError(f"checkpoint blob {blob_path} does not match the CRC-32 "
+    """The tensors of ``prefix``.ckpt as writable float32 arrays, once the
+    blob holds exactly the bytes of the listed shapes and matches the
+    manifest's CRC-32."""
+    manifest, blob = _read_checkpoint(prefix, blob=True)
+    sizes = [math.prod(shape) for _, shape in manifest["tensors"]]
+    if len(blob) != 4 * sum(sizes):
+        raise DataFormatError(f"checkpoint {prefix} holds {len(blob)} tensor bytes; "
+                              f"its manifest describes {4 * sum(sizes)}")
+    if zlib.crc32(blob) != manifest["crc32"]:
+        raise DataFormatError(f"checkpoint {prefix} does not match the CRC-32 "
                               f"of its manifest")
-    out: dict[str, np.ndarray] = {}
-    for name, entry in entries.items():
-        shape = tuple(entry["shape"])
-        start = entry["offset"]
-        end = start + 4 * math.prod(shape)
-        if end > len(blob):
-            raise DataFormatError(f"checkpoint blob truncated at tensor {name!r}")
-        arr = np.frombuffer(blob[start:end], dtype="<f4").reshape(shape)
-        out[name] = np.array(arr, dtype=np.float32)  # writable copy
-    return out
+    flat = np.frombuffer(blob, dtype="<f4").astype(np.float32)   # writable copy
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    return {name: part.reshape(shape)
+            for (name, shape), part in zip(manifest["tensors"], parts)}
 
 
 # -- gradient checking ----------------------------------------------------------

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import parcnn
-from parcnn import distill, train
+from parcnn import data, distill, train, transform
 from parcnn.arch import build_model, load_model
-from parcnn.cli import main
+from parcnn.cli import build_parser, main
 from parcnn.data import (MNIST_TEST_FILES, MNIST_TRAIN_FILES, make_synthetic,
                          save_mnist_idx)
 from parcnn.tensor import Tensor
@@ -187,8 +187,8 @@ class TestTrainCommand:
         assert self._train(tmp_path / "b") == 0
         assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
             (tmp_path / "b" / "metrics.csv").read_bytes()
-        assert (tmp_path / "a" / "model.bin").read_bytes() == \
-            (tmp_path / "b" / "model.bin").read_bytes()
+        assert (tmp_path / "a" / "model.ckpt").read_bytes() == \
+            (tmp_path / "b" / "model.ckpt").read_bytes()
 
     def test_divergence_mid_epoch_keeps_earlier_metrics(self, tmp_path, capsys,
                                                         monkeypatch):
@@ -297,17 +297,16 @@ class TestDistillCommand:
         assert len(rows) > 1
         assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
             (tmp_path / "b" / "metrics.csv").read_bytes()
-        assert (tmp_path / "a" / "student.json").exists()
+        assert (tmp_path / "a" / "student.ckpt").exists()
 
-    def test_one_student_checkpoint_pair_saved_each_epoch(self, tmp_path, teacher_ckpt):
+    def test_one_student_checkpoint_file_saved_each_epoch(self, tmp_path, teacher_ckpt):
         run_dir = tmp_path / "r"
         assert run_cli("distill", "--teacher", str(teacher_ckpt), "--synthetic",
                        "--per-class", "4", "--batch", "20", "--epochs", "2",
                        "--run-dir", str(run_dir)) == 0
         assert_run_summary(run_dir, "distill", samples=80)   # 10 x 4, 2 epochs
         assert sorted(p.name for p in run_dir.iterdir()) == [
-            "metrics.csv", "run.json", "student.bin", "student.json",
-            "student_arch.json"]
+            "metrics.csv", "run.json", "student.ckpt", "student_arch.json"]
         student = load_model(run_dir / "student")
         assert student.arch.to_obj() == \
             json.loads((run_dir / "student_arch.json").read_text())
@@ -362,6 +361,63 @@ class TestDistillCommand:
                      "--taps", "s1_in", "--synthetic", "--per-class", "8",
                      "--run-dir", str(tmp_path / "r"))
         assert rc == 3
+
+    def test_builds_the_training_split_only(self, tmp_path, teacher_ckpt, monkeypatch):
+        real, calls = data.make_synthetic, []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(data, "make_synthetic", counting)
+        assert run_cli("distill", "--teacher", str(teacher_ckpt), "--synthetic",
+                       "--per-class", "4", "--batch", "20", "--seed", "3",
+                       "--run-dir", str(tmp_path / "r")) == 0
+        assert calls == [3]
+
+
+@pytest.mark.parametrize("argv", [["distill", "--teacher"], ["report", "--ckpt"]],
+                         ids=["distill", "report"])
+def test_two_file_checkpoint_from_before_v2_exits_3(argv, tmp_path, capsys):
+    (tmp_path / "old.json").write_text('{"format": "parcnn-checkpoint-v1"}')
+    (tmp_path / "old.bin").write_bytes(b"")
+    run_dir = tmp_path / "r"
+    assert run_cli(*argv, str(tmp_path / "old"), "--run-dir", str(run_dir)) == 3
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'old.json'} is a two-file checkpoint from before "
+        f"format v2, which is not read\n")
+    assert not run_dir.exists()
+
+
+class TestParserDefaults:
+    """The flags take the library's defaults rather than restating them."""
+
+    @pytest.mark.parametrize("dest,field", [
+        ("mu", "mu"), ("beta", "beta"), ("lam", "lam"), ("epochs", "epochs"),
+        ("batch", "batch_size"), ("lr", "lr"), ("momentum", "momentum"),
+        ("weight_decay", "weight_decay"), ("seed", "seed")])
+    def test_distill_config_fields(self, dest, field):
+        args = build_parser().parse_args(["distill", "--teacher", "t"])
+        assert getattr(args, dest) == getattr(distill.DistillConfig(), field)
+
+    @pytest.mark.parametrize("argv", [["transform", "a"], ["distill", "--teacher", "t"]],
+                             ids=["transform", "distill"])
+    @pytest.mark.parametrize("dest,field", [
+        ("omega", "omega"), ("bottleneck", "bottleneck_dim"),
+        ("threshold", "threshold"), ("variant", "variant")])
+    def test_distill_policy_fields(self, argv, dest, field):
+        args = build_parser().parse_args(argv)
+        assert getattr(args, dest) == getattr(transform.DistillPolicy(), field)
+
+    def test_transform_selector(self):
+        args = build_parser().parse_args(["transform", "a"])
+        assert args.selector == transform.DistillPolicy().replace_selector
+
+    def test_train_optimizer_defaults_are_train_classifiers(self):
+        args = build_parser().parse_args(["train", "--model", "m"])
+        params = inspect.signature(train.train_classifier).parameters
+        assert (args.momentum, args.weight_decay) == \
+            (params["momentum"].default, params["weight_decay"].default)
 
 
 # flag values argparse accepts but the library rejects: (argv, exit code,

@@ -322,13 +322,12 @@ class TestDistillTrain:
         prefix = tmp_path / "student"
         metrics = distill_train(teacher, student, data, config,
                                 checkpoint_prefix=prefix)
-        assert (tmp_path / "student.json").exists()
-        blob_before = (tmp_path / "student.bin").read_bytes()
+        before = (tmp_path / "student.ckpt").read_bytes()
         # poison the student; the next run must abort without clobbering it
         dict(student.params())["c1.weight"].data[...] = 1e30
         with np.errstate(over="ignore"), pytest.raises(NumericalError):
             distill_train(teacher, student, data, config, checkpoint_prefix=prefix)
-        assert (tmp_path / "student.bin").read_bytes() == blob_before
+        assert (tmp_path / "student.ckpt").read_bytes() == before
         assert len(metrics) > 0
 
 

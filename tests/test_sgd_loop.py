@@ -163,11 +163,11 @@ def _distill_setup():
     return teacher, student, data, config
 
 
-def test_distill_leaves_one_checkpoint_pair_of_the_last_epoch(tmp_path):
+def test_distill_leaves_one_checkpoint_file_of_the_last_epoch(tmp_path):
     teacher, student, data, config = _distill_setup()
     distill_train(teacher, student, data, config,
                   checkpoint_prefix=tmp_path / "student")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["student.bin", "student.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["student.ckpt"]
     saved = T.load_checkpoint(tmp_path / "student")
     for name, tensor in student.state().items():
         assert saved[name].tobytes() == tensor.data.tobytes(), name
@@ -216,4 +216,4 @@ def test_a_later_abort_names_the_checkpoint_it_left(tmp_path, monkeypatch, loop)
                          monkeypatch, distill, "total_loss", 4)
     assert message == (f"training diverged at iteration 4 (loss=nan); "
                        f"checkpoint {prefix} of epoch 0 retained")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin", "model.json"]
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

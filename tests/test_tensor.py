@@ -1239,73 +1239,90 @@ class TestCheckpoint:
         assert set(loaded) == set(tensors)
         for name, t in tensors.items():
             assert loaded[name].tobytes() == t.data.tobytes()
+            assert loaded[name].dtype == np.float32 and loaded[name].flags.writeable
 
     def test_blob_is_little_endian_f32(self, tmp_path):
+        import json
+        import zlib
         value = np.array([1.5, -2.25], np.float32)
-        save_checkpoint(tmp_path / "c", {"v": Tensor(value)})
-        blob = (tmp_path / "c.bin").read_bytes()
+        save_checkpoint(tmp_path / "c", {"v": Tensor(value)}, extra={"step": 3})
+        assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
+        line, blob = (tmp_path / "c.ckpt").read_bytes().split(b"\n", 1)
         assert blob == value.astype("<f4").tobytes()
+        assert json.loads(line) == {"format": "parcnn-checkpoint-v2",
+                                    "tensors": [["v", [2]]],
+                                    "crc32": zlib.crc32(blob), "step": 3}
 
     def test_missing_files_raise(self, tmp_path):
         from parcnn.errors import DataFormatError
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match="checkpoint not found"):
             load_checkpoint(tmp_path / "nope")
+
+    def test_two_file_checkpoint_from_before_v2_is_named_not_read(self, tmp_path):
+        from parcnn.errors import DataFormatError
+        from parcnn.tensor import load_manifest
+        (tmp_path / "old.json").write_text('{"format": "parcnn-checkpoint-v1"}')
+        (tmp_path / "old.bin").write_bytes(b"\0" * 4)
+        for load in (load_checkpoint, load_manifest):
+            with pytest.raises(DataFormatError, match="old.json is a two-file "
+                               "checkpoint from before format v2, which is not read"):
+                load(tmp_path / "old")
+
+    def test_file_without_the_format_line_rejected(self, tmp_path):
+        from parcnn.errors import DataFormatError
+        (tmp_path / "c.ckpt").write_bytes(b"\x00\x01 not json\n")
+        with pytest.raises(DataFormatError, match="unrecognized checkpoint"):
+            load_checkpoint(tmp_path / "c")
+
+    @staticmethod
+    def _two_tensors(tmp_path):
+        save_checkpoint(tmp_path / "c", {"a": Tensor(np.ones((2, 3), np.float32)),
+                                         "b": Tensor(np.ones(4, np.float32))})
+        path = tmp_path / "c.ckpt"
+        line, blob = path.read_bytes().split(b"\n", 1)
+        assert len(blob) == 40
+        return path, line + b"\n", blob
 
     @pytest.mark.parametrize("change", ["trailing", "truncated"])
     def test_blob_of_the_wrong_length_rejected(self, tmp_path, change):
         from parcnn.errors import DataFormatError
-        save_checkpoint(tmp_path / "c", {"a": Tensor(np.ones((2, 3), np.float32)),
-                                         "b": Tensor(np.ones(4, np.float32))})
-        blob = tmp_path / "c.bin"
-        data = blob.read_bytes()
-        assert len(data) == 40
-        blob.write_bytes(data + b"\0" * 4 if change == "trailing" else data[:-4])
-        with pytest.raises(DataFormatError, match="holds (44|36) bytes; its manifest "
-                                                  "describes 40"):
+        path, line, blob = self._two_tensors(tmp_path)
+        path.write_bytes(line + (blob + b"\0" * 4 if change == "trailing" else blob[:-4]))
+        with pytest.raises(DataFormatError, match="holds (44|36) tensor bytes; its "
+                                                  "manifest describes 40"):
             load_checkpoint(tmp_path / "c")
 
-    @staticmethod
-    def _crash_at_manifest_replace(monkeypatch):
-        import os
-        real_replace = os.replace
-
-        def replace(src, dst):
-            if str(dst).endswith(".json"):
-                raise OSError("simulated crash before the manifest is replaced")
-            real_replace(src, dst)
-
-        monkeypatch.setattr(os, "replace", replace)
-
-    def test_crash_between_the_replaces_is_rejected_not_mixed(
-            self, tmp_path, monkeypatch, rng):
+    def test_flipped_tensor_byte_fails_the_crc32(self, tmp_path):
         from parcnn.errors import DataFormatError
-        from parcnn.tensor import load_manifest
-        shapes = {"w": (3, 4), "b": (4,)}
-        save_checkpoint(tmp_path / "c", {k: Tensor(np.zeros(v, np.float32))
-                                         for k, v in shapes.items()}, extra={"step": 1})
-        with monkeypatch.context() as patch:
-            self._crash_at_manifest_replace(patch)
-            with pytest.raises(OSError, match="simulated crash"):
-                save_checkpoint(tmp_path / "c",
-                                {k: Tensor(rng.normal(size=v).astype(np.float32))
-                                 for k, v in shapes.items()}, extra={"step": 2})
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bin", "c.json"]
-        assert load_manifest(tmp_path / "c")["step"] == 1
-        # same sizes, so only the CRC-32 tells the new blob from the old one
+        path, line, blob = self._two_tensors(tmp_path)
+        flipped = bytearray(blob)
+        flipped[29] ^= 0x10
+        path.write_bytes(line + bytes(flipped))
         with pytest.raises(DataFormatError, match="does not match the CRC-32"):
             load_checkpoint(tmp_path / "c")
 
-    def test_crash_between_the_replaces_with_resized_tensors_is_rejected(
-            self, tmp_path, monkeypatch):
-        from parcnn.errors import DataFormatError
-        save_checkpoint(tmp_path / "c", {"w": Tensor(np.zeros((3, 4), np.float32))})
+    def test_crash_at_the_replace_keeps_the_previous_checkpoint(
+            self, tmp_path, monkeypatch, rng):
+        import os
+        from parcnn.tensor import load_manifest
+        first = {"w": rng.normal(size=(3, 4)).astype(np.float32),
+                 "b": rng.normal(size=4).astype(np.float32)}
+        save_checkpoint(tmp_path / "c", first, extra={"step": 1})
+
+        def replace(src, dst):
+            raise OSError("simulated crash before the replace")
+
         with monkeypatch.context() as patch:
-            self._crash_at_manifest_replace(patch)
+            patch.setattr(os, "replace", replace)
             with pytest.raises(OSError, match="simulated crash"):
-                save_checkpoint(tmp_path / "c", {"w": Tensor(np.zeros((5, 4), np.float32))})
-        with pytest.raises(DataFormatError, match="holds 80 bytes; its manifest "
-                                                  "describes 48"):
-            load_checkpoint(tmp_path / "c")
+                save_checkpoint(tmp_path / "c",
+                                {"w": np.zeros((5, 4), np.float32)}, extra={"step": 2})
+        assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
+        assert load_manifest(tmp_path / "c")["step"] == 1
+        loaded = load_checkpoint(tmp_path / "c")
+        assert list(loaded) == ["w", "b"]
+        for name, value in first.items():
+            assert loaded[name].tobytes() == value.tobytes()
 
 
 class TestDeterminism:
