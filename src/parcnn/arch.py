@@ -519,8 +519,10 @@ def _build_one(te: TraceEntry, rng) -> Layer:
             ("conv", B.Conv2d(te.in_state[1], f["out_channels"], f["kernel"],
                               f["stride"], f["padding"], bias=f["bias"], rng=rng))]
         if f["bn"]:
-            # a ReLU after the batch norm runs inside it, as one op
-            stack.append(("bn", B.BatchNorm2d(f["out_channels"], relu=f["relu"])))
+            # a ReLU after the batch norm runs inside it, as one op, and
+            # the batch norm reuses the conv output only it reads
+            stack.append(("bn", B.BatchNorm2d(f["out_channels"], relu=f["relu"],
+                                              reuse_input=True)))
         elif f["relu"]:
             stack.append(("relu", B.ReLU()))
         return B.Sequential(stack) if len(stack) > 1 else stack[0][1]

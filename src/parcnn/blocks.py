@@ -25,6 +25,14 @@ Compact blocks:
 Each fused BN+ReLU layer is one ``BatchNorm2d(relu=True)`` under the
 ``bn*`` name, and runs as one op. All compact blocks preserve spatial size
 (stride 1, padding (K-1)/2).
+
+Who may reuse a buffer: a ``BatchNorm2d(reuse_input=True)`` normalises in
+place of its input (``tensor.batch_norm2d``), so it is built that way only
+where its input is the private output of the conv or depthwise conv just
+before it: every ``_bn_relu`` layer, ParConv's ``post_bn``, the residual
+projection's batch norm, and the batch norm of an architecture's ``conv``
+entry. A standalone ``batchnorm`` entry never sets it, since its input
+may be a tapped activation or a skip path that is read again.
 """
 from __future__ import annotations
 
@@ -134,13 +142,16 @@ class BatchNorm2d(Layer):
     """Four per-channel values: scale, shift, running mean, running variance.
     With ``relu`` the layer is batch norm followed by ReLU, run as one op
     (``tensor.batch_norm2d(..., relu=True)``); a ReLU holds no state, so the
-    state names are the same."""
+    state names are the same. With ``reuse_input`` it writes over its input's
+    buffer, which only a layer whose input nothing else reads may do (see
+    the module docstring)."""
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1,
-                 relu: bool = False):
+                 relu: bool = False, reuse_input: bool = False):
         self.eps = eps
         self.momentum = momentum
         self.relu = relu
+        self.reuse_input = reuse_input
         self.scale = Tensor(np.ones(channels, np.float32), requires_grad=True)
         self.shift = Tensor(np.zeros(channels, np.float32), requires_grad=True)
         self.running_mean = Tensor(np.zeros(channels, np.float32))
@@ -150,7 +161,8 @@ class BatchNorm2d(Layer):
         return T.batch_norm2d(x, self.scale, self.shift,
                               self.running_mean, self.running_var,
                               training=ctx.training, momentum=self.momentum,
-                              eps=self.eps, relu=self.relu)
+                              eps=self.eps, relu=self.relu,
+                              reuse_input=self.reuse_input)
 
     def params(self):
         return [("scale", self.scale), ("shift", self.shift)]
@@ -288,7 +300,7 @@ class BottleneckHeadSpec:
 
 
 def _bn_relu(channels: int, suffix: str = "") -> tuple[str, Layer]:
-    return f"bn{suffix}", BatchNorm2d(channels, relu=True)
+    return f"bn{suffix}", BatchNorm2d(channels, relu=True, reuse_input=True)
 
 
 class ParConvBlock(Layer):
@@ -320,7 +332,7 @@ class ParConvBlock(Layer):
             ("pw_project", Conv2d(e, spec.out_channels, 1, bias=True, rng=rng)))
         self.branch_a = Sequential(stack)
         self.branch_b = Conv2d(b, spec.out_channels, 1, bias=True, rng=rng)
-        self.post_bn = BatchNorm2d(spec.out_channels, relu=True)
+        self.post_bn = BatchNorm2d(spec.out_channels, relu=True, reuse_input=True)
 
     def sublayers(self):
         return [("branch_a", self.branch_a), ("branch_b", self.branch_b),
@@ -373,7 +385,7 @@ class ResidualBlock(Layer):
             self.projection = Sequential([
                 ("pw", Conv2d(in_channels, out_channels, 1, stride=skip_stride,
                               bias=True, rng=rng)),
-                ("bn", BatchNorm2d(out_channels)),
+                ("bn", BatchNorm2d(out_channels, reuse_input=True)),
             ])
 
     def sublayers(self):

@@ -23,6 +23,10 @@ LABELS_MAGIC = 0x00000801
 MNIST_TRAIN_FILES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte")
 MNIST_TEST_FILES = ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
 
+# bytes of standard-normal draws per block of synthetic images: bounds the
+# block's temporaries; the result does not depend on it
+_SYNTH_BLOCK_BYTES = 2 * 1024 * 1024
+
 
 @dataclass
 class Dataset:
@@ -149,6 +153,12 @@ def make_synthetic(classes: int, per_class: int, seed: int,
     Gaussian whose sigma is (adjacent-center distance) / separation, so
     larger ``separation`` means an easier problem. Pixels are quantized to
     the uint8 grid so IDX round trips are exact.
+
+    Images are made in blocks of ``_SYNTH_BLOCK_BYTES`` of draws. Per image
+    the generator stream holds two jitter draws, then H*W noise draws when
+    ``noise`` is set; one (B, 2 + H*W) ``standard_normal`` draw per block
+    reads it in the same order, and ``rng.normal(0.0, s)`` is ``0.0 + s*z``,
+    so the bytes are those of drawing image by image.
     """
     if classes < 1 or per_class < 1:
         raise ValueError("classes and per_class must be positive")
@@ -156,6 +166,9 @@ def make_synthetic(classes: int, per_class: int, seed: int,
         raise ValueError(f"image_size must be >= 4, got {image_size}")
     if separation <= 0:
         raise ValueError("separation must be positive")
+    if noise < 0:
+        # a scaled draw would flip the noise's sign rather than raise
+        raise ValueError(f"noise must be non-negative, got {noise}")
     rng = np.random.default_rng(seed)
     n = classes * per_class
     center = (image_size - 1) / 2.0
@@ -173,12 +186,16 @@ def make_synthetic(classes: int, per_class: int, seed: int,
     ys, xs = np.mgrid[0:image_size, 0:image_size].astype(np.float64)
     images = np.empty((n, 1, image_size, image_size), dtype=np.float32)
     labels = np.repeat(np.arange(classes), per_class)
-    for i, label in enumerate(labels):
-        cy, cx = centers[label] + rng.normal(0.0, sigma_jitter, size=2)
+    draws = 2 + (image_size * image_size if noise else 0)
+    block = max(_SYNTH_BLOCK_BYTES // (8 * draws), 1)
+    for start in range(0, n, block):
+        z = rng.standard_normal((min(block, n - start), draws))
+        jittered = centers[labels[start:start + len(z)]] + (sigma_jitter * z[:, :2] + 0.0)
+        cy, cx = jittered.T[:, :, None, None]
         img = np.exp(-((ys - cy) ** 2 + (xs - cx) ** 2) / (2 * blob_width ** 2))
         if noise:
-            img = img + rng.normal(0.0, noise, size=img.shape)
-        images[i, 0] = np.clip(img, 0.0, 1.0)
+            img += (noise * z[:, 2:] + 0.0).reshape(img.shape)
+        images[start:start + len(z), 0] = np.clip(img, 0.0, 1.0)
     images = np.round(images * 255.0).astype(np.float32) / 255.0
     order = rng.permutation(n)
     return Dataset(images[order], labels[order], split="synthetic", classes=classes)

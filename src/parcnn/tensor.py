@@ -60,7 +60,11 @@ backward builds the columns again from ``x.data``, as it reads
 exist. So a conv's input, like its weight, must not be written in place
 between its forward and its backward. Nothing in the toolkit does:
 ``load_state`` and the optimizer step write parameters only, outside a
-step's graph.
+step's graph. The other way round, neither conv2d's nor
+depthwise_conv2d's backward reads its own output (``Tensor._accumulate``
+takes only its shape, dtype and strides), so a batch norm that alone
+consumes that output may overwrite it (``batch_norm2d(...,
+reuse_input=True)``).
 
 Inside ``with no_grad():`` ops wire no graph: their outputs have
 ``requires_grad`` False and no parents, so nothing holds the inputs and
@@ -572,7 +576,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     The im2col columns are not kept for the backward, which builds them
     again from ``x.data``: neither ``x`` nor ``weight`` may be written in
-    place between this call and the graph's ``backward()``.
+    place between this call and the graph's ``backward()``. The backward
+    does not read the output, so an op that alone consumes it may
+    overwrite it (``batch_norm2d(..., reuse_input=True)``).
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ValueError("conv2d expects 4-D input and weight")
@@ -636,7 +642,8 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     multiply-add of a (N, Ho, Wo, C) view of it with that tap's kernel
     values, tiled to a contiguous (Wo, C) block so that at stride 1 the
     inner loop runs over Wo*C contiguous values. Taps are added in
-    row-major order, then the bias.
+    row-major order, then the bias. As in conv2d, the backward does not
+    read the output, so an op that alone consumes it may overwrite it.
     """
     if x.ndim != 4 or kernel.ndim != 3:
         raise ValueError("depthwise_conv2d expects 4-D input and 3-D kernel")
@@ -758,7 +765,7 @@ def _channel_sums(rows: np.ndarray) -> np.ndarray:
 def batch_norm2d(x: Tensor, scale: Tensor, shift: Tensor,
                  running_mean: Tensor, running_var: Tensor,
                  training: bool, momentum: float = 0.1, eps: float = 1e-5,
-                 relu: bool = False) -> Tensor:
+                 relu: bool = False, reuse_input: bool = False) -> Tensor:
     """Per-channel batch normalization over (N, H, W).
 
     In training mode the batch statistics are used and the running buffers are
@@ -772,6 +779,14 @@ def batch_norm2d(x: Tensor, scale: Tensor, shift: Tensor,
     ReLU is then applied in place, and the backward masks the gradient and
     adds +0.0 to it, as ``relu``'s backward and ``Tensor._accumulate`` do,
     before the batch-norm backward.
+
+    With ``reuse_input`` the centred values, and then xhat, are written into
+    ``x.data``'s own buffer (the same float ops, so the same bytes), which
+    saves one activation-sized buffer per call; ``x.data`` then holds xhat.
+    Set it only when nothing else reads ``x`` afterwards, neither a later
+    forward nor a backward: a conv2d or depthwise_conv2d output that only
+    this call consumes qualifies (``blocks`` says which layers set it); a
+    tapped tensor, a skip path or a network input does not.
     """
     if x.ndim != 4:
         raise ValueError("batch_norm2d expects 4-D input")
@@ -780,9 +795,10 @@ def batch_norm2d(x: Tensor, scale: Tensor, shift: Tensor,
         raise ValueError("batch_norm2d scale/shift must be per-channel vectors")
     m = n * h * w
     rows = _nhwc(x.data).reshape(n * h, w * c)
+    lent = rows if reuse_input else None
     if training:
         mean = _channel_sums(rows.reshape(m, c)) / m
-        centred = rows - _tile_row(mean, w)
+        centred = _into(lent, np.subtract, rows, _tile_row(mean, w))
         # two-pass variance: the sum of squared centred values
         sq = centred * centred
         var = _channel_sums(sq.reshape(m, c)) / m
@@ -791,7 +807,7 @@ def batch_norm2d(x: Tensor, scale: Tensor, shift: Tensor,
     else:
         mean = running_mean.data
         var = running_var.data
-        centred = rows - _tile_row(mean, w)
+        centred = _into(lent, np.subtract, rows, _tile_row(mean, w))
         sq = None
     inv_std = 1.0 / np.sqrt(var + eps)
     # xhat overwrites centred, and scale * xhat + shift overwrites sq
@@ -915,8 +931,9 @@ def _write_then_replace(path: Path, *chunks) -> None:
         os.close(directory)
 
 
-def _read_checkpoint(prefix: str | Path, blob: bool) -> tuple[dict, bytes]:
-    """``prefix``.ckpt's manifest and, if ``blob``, the bytes after it."""
+def _read_checkpoint(prefix: str | Path, blob: bool) -> tuple[dict, bytearray]:
+    """``prefix``.ckpt's manifest and, if ``blob``, the bytes after it, read
+    into one buffer sized from the file."""
     prefix = Path(prefix)
     path = prefix.with_name(prefix.name + ".ckpt")
     if not path.exists():
@@ -932,7 +949,12 @@ def _read_checkpoint(prefix: str | Path, blob: bool) -> tuple[dict, bytes]:
             manifest = None
         if not isinstance(manifest, dict) or manifest.get("format") != _CKPT_MAGIC:
             raise DataFormatError(f"unrecognized checkpoint: {path}")
-        return manifest, f.read() if blob else b""
+        if not blob:
+            return manifest, bytearray()
+        data = bytearray(os.fstat(f.fileno()).st_size - f.tell())
+        # a file cut short after the size was taken reads short
+        del data[f.readinto(data):]
+        return manifest, data
 
 
 def load_manifest(prefix: str | Path) -> dict:
@@ -943,7 +965,8 @@ def load_manifest(prefix: str | Path) -> dict:
 def load_checkpoint(prefix: str | Path) -> dict[str, np.ndarray]:
     """The tensors of ``prefix``.ckpt as writable float32 arrays, once the
     blob holds exactly the bytes of the listed shapes and matches the
-    manifest's CRC-32."""
+    manifest's CRC-32. The arrays are views of the one buffer the blob was
+    read into, so loading holds the tensor bytes once."""
     manifest, blob = _read_checkpoint(prefix, blob=True)
     sizes = [math.prod(shape) for _, shape in manifest["tensors"]]
     if len(blob) != 4 * sum(sizes):
@@ -952,7 +975,8 @@ def load_checkpoint(prefix: str | Path) -> dict[str, np.ndarray]:
     if zlib.crc32(blob) != manifest["crc32"]:
         raise DataFormatError(f"checkpoint {prefix} does not match the CRC-32 "
                               f"of its manifest")
-    flat = np.frombuffer(blob, dtype="<f4").astype(np.float32)   # writable copy
+    # a view on little-endian hosts, a native copy elsewhere
+    flat = np.frombuffer(blob, dtype="<f4").astype(np.float32, copy=False)
     parts = np.split(flat, np.cumsum(sizes)[:-1])
     return {name: part.reshape(shape)
             for (name, shape), part in zip(manifest["tensors"], parts)}

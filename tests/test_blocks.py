@@ -357,6 +357,78 @@ class TestResidual:
         assert block.projection is not None
 
 
+def _batch_norms(layer):
+    """Every BatchNorm2d under ``layer``, depth first."""
+    if isinstance(layer, B.BatchNorm2d):
+        return [layer]
+    return [bn for _, child in layer.sublayers() for bn in _batch_norms(child)]
+
+
+class TestBatchNormReusesOnlyPrivateInputs:
+    """A batch norm that directly follows its own conv or depthwise conv
+    normalises in that conv's output buffer; a standalone ``batchnorm``
+    entry, whose input another layer may still read, does not."""
+
+    def test_tapped_input_of_a_standalone_batchnorm_is_kept(self, rng):
+        from parcnn.arch import ArchSpec, build_model
+        arch = ArchSpec(1, 8, 8, [
+            {"type": "conv", "name": "conv", "out_channels": 4, "kernel": 3,
+             "bn": False, "relu": False},
+            {"type": "tap", "name": "t"},
+            {"type": "batchnorm", "name": "bn"},
+            {"type": "flatten"},
+            {"type": "linear", "name": "fc", "out_features": 3}])
+        model = build_model(arch, seed=0)
+        conv = model.root.children[0][1]
+        x = rng.normal(size=(2, 1, 8, 8)).astype(np.float32)
+        for training in (True, False):
+            taps = {}
+            model.forward(x, training=training, taps=taps)
+            expected = conv.forward(Tensor(x), ForwardContext(training=training))
+            assert taps["t"].data.tobytes() == expected.data.tobytes()
+        assert [bn.reuse_input for bn in _batch_norms(model.root)] == [False]
+
+    @pytest.mark.parametrize("name", ["res18_mini", "parres18_mini", "student"])
+    def test_every_block_batch_norm_reuses_its_conv_output(self, name):
+        from parcnn.arch import build_model
+        from parcnn.transform import DistillPolicy, distill_architecture
+        from parcnn.zoo import build_zoo_arch
+        arch = build_zoo_arch("mnist_small" if name == "student" else name)
+        if name == "student":
+            arch = distill_architecture(arch, DistillPolicy())
+        norms = _batch_norms(build_model(arch, seed=0).root)
+        assert norms and all(bn.reuse_input for bn in norms)
+
+    @staticmethod
+    def _step_peak(reuse_input):
+        """One res18_mini training step at batch 8: its tracemalloc peak,
+        the loss and every gradient and running statistic."""
+        import tracemalloc
+        from parcnn.arch import build_model
+        from parcnn.zoo import build_zoo_arch
+        model = build_model(build_zoo_arch("res18_mini"), seed=3)
+        for bn in _batch_norms(model.root):
+            bn.reuse_input = reuse_input
+        x = np.random.default_rng(5).normal(size=(8, 1, 28, 28)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            loss = T.tsum(T.square(model.forward(x, training=True)))
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, [loss.data] + [t.grad for _, t in model.params()] + \
+            [t.data for _, t in model.buffers()]
+
+    def test_training_step_same_bytes_and_lower_peak(self):
+        peak, values = self._step_peak(True)
+        peak_off, values_off = self._step_peak(False)
+        assert len(values) == len(values_off)
+        for a, b in zip(values, values_off):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert peak <= 0.9 * peak_off, f"{peak / 2**20:.1f} vs {peak_off / 2**20:.1f} MiB"
+
+
 class TestBottleneckHead:
     def test_zero_bottleneck_rejected(self):
         with pytest.raises(ValueError):

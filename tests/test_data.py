@@ -4,9 +4,38 @@ import struct
 import numpy as np
 import pytest
 
+from parcnn import data
 from parcnn.data import (Dataset, batch_indices, batches, load_mnist_idx,
                          make_synthetic, save_mnist_idx, find_mnist)
 from parcnn.errors import DataFormatError
+
+
+def ref_make_synthetic(classes, per_class, seed, image_size=28, separation=5.0,
+                       noise=0.02):
+    """``make_synthetic`` drawing image by image: the byte oracle of its
+    block draws."""
+    rng = np.random.default_rng(seed)
+    n = classes * per_class
+    center = (image_size - 1) / 2.0
+    radius = 0.32 * image_size
+    angles = 2 * np.pi * np.arange(classes) / classes
+    centers = np.stack([center + radius * np.cos(angles),
+                        center + radius * np.sin(angles)], axis=1)
+    min_dist = 2 * radius * np.sin(np.pi / classes) if classes > 1 else radius
+    sigma_jitter = min_dist / separation
+    blob_width = image_size / 9.0
+    ys, xs = np.mgrid[0:image_size, 0:image_size].astype(np.float64)
+    images = np.empty((n, 1, image_size, image_size), dtype=np.float32)
+    labels = np.repeat(np.arange(classes), per_class)
+    for i, label in enumerate(labels):
+        cy, cx = centers[label] + rng.normal(0.0, sigma_jitter, size=2)
+        img = np.exp(-((ys - cy) ** 2 + (xs - cx) ** 2) / (2 * blob_width ** 2))
+        if noise:
+            img = img + rng.normal(0.0, noise, size=img.shape)
+        images[i, 0] = np.clip(img, 0.0, 1.0)
+    images = np.round(images * 255.0).astype(np.float32) / 255.0
+    order = rng.permutation(n)
+    return Dataset(images[order], labels[order], split="synthetic", classes=classes)
 
 
 def _write_idx_pair(tmp_path, images: np.ndarray, labels: np.ndarray,
@@ -118,6 +147,48 @@ class TestSynthetic:
             make_synthetic(classes=2, per_class=5, seed=0, image_size=3)
         assert make_synthetic(classes=2, per_class=5, seed=0,
                               image_size=4).images.shape == (10, 1, 4, 4)
+
+    @pytest.mark.parametrize("kwargs", [
+        # kd-synthetic's training and test sets: four and two 2 MB blocks
+        dict(classes=10, per_class=120, seed=100, separation=3.0, noise=0.03),
+        dict(classes=10, per_class=50, seed=900, separation=3.0, noise=0.03),
+        # train-res18's
+        dict(classes=10, per_class=4, seed=1),
+        dict(classes=3, per_class=40, seed=5, noise=0.0),
+        dict(classes=1, per_class=30, seed=6),
+        dict(classes=4, per_class=90, seed=7, image_size=48, noise=0.1)],
+        ids=["kd-train", "kd-test", "res18", "noise0", "one-class", "48px"])
+    @pytest.mark.parametrize("block_bytes", [None, 100 * 1024, 1],
+                             ids=["2MB", "100KB", "one-image"])
+    def test_block_draws_equal_image_by_image_draws(self, kwargs, block_bytes,
+                                                    monkeypatch):
+        if block_bytes is not None:
+            monkeypatch.setattr(data, "_SYNTH_BLOCK_BYTES", block_bytes)
+        ds, ref = make_synthetic(**kwargs), ref_make_synthetic(**kwargs)
+        assert ds.images.tobytes() == ref.images.tobytes()
+        assert ds.labels.tobytes() == ref.labels.tobytes()
+
+    def test_negative_noise_rejected_before_drawing(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew from the generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match=r"^noise must be non-negative, got -0.01$"):
+            make_synthetic(classes=2, per_class=5, seed=0, noise=-0.01)
+
+    def test_peak_memory_bounded_by_one_block(self):
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            ds = make_synthetic(classes=10, per_class=600, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the quantising round holds the images and two image-sized
+        # temporaries; the draws add one block and its float64 temporaries
+        # (one draw for all 6000 images peaks above 120 MB)
+        bound = 3 * ds.images.nbytes + 4 * data._SYNTH_BLOCK_BYTES
+        assert peak <= bound, f"{peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
 
     def test_linear_classifier_separates_well_separated_blobs(self):
         # independent oracle: one-vs-all least squares on raw pixels

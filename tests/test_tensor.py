@@ -858,6 +858,52 @@ class TestFusedBatchNormRelu:
         assert gradcheck(fn, [x, scale, shift], step=1e-5) < 1e-3
 
 
+class TestBatchNormReusesItsInput:
+    """``batch_norm2d(..., reuse_input=True)`` writes its centred values and
+    xhat into the input's buffer: the same float ops, so the same bytes."""
+
+    @staticmethod
+    def _run(x, param_dtype, upstream, training, relu, reuse_input):
+        leaves, rm, rv = _bn_leaves(x, param_dtype, x.shape[1])
+        y = T.batch_norm2d(*leaves, rm, rv, training=training, relu=relu,
+                           reuse_input=reuse_input)
+        T.tsum(T.mul(y, Tensor(upstream))).backward()
+        return leaves[0], [y.data] + [t.grad for t in leaves] + [rm.data, rv.data]
+
+    @pytest.mark.parametrize("dtype,param_dtype", [
+        (np.float32, np.float32), (np.float64, np.float64),
+        (np.float32, np.float64), (np.float64, np.float32)])
+    @pytest.mark.parametrize("layout", ["channel_last", "c_order"])
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_same_bytes_as_a_private_buffer(self, dtype, param_dtype, layout, relu,
+                                            training, rng):
+        shape = (8, 16, 13, 13)
+        x = _bn_layout(rng.normal(size=shape).astype(dtype), layout)
+        upstream = _rounded(rng, shape, np.result_type(dtype, param_dtype))
+        x_kept, ref = self._run(x, param_dtype, upstream, training, relu, False)
+        x_lent, lent = self._run(x, param_dtype, upstream, training, relu, True)
+        names = ["output", "gradient of x", "gradient of scale",
+                 "gradient of shift", "running mean", "running variance"]
+        for name, a, a_ref in zip(names, lent, ref):
+            _assert_same_bytes(a, a_ref, name)
+        assert x_kept.data.tobytes() == x.tobytes()
+        # a channel-last input is the buffer batch norm writes xhat into,
+        # unless its result would be wider than the input's dtype
+        overwritten = x_lent.data.tobytes() != x.tobytes()
+        assert overwritten == (layout == "channel_last"
+                               and (training or param_dtype == np.float32
+                                    or dtype == np.float64))
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_without_the_flag_the_input_is_untouched(self, training, rng):
+        x = _layout(rng.normal(size=(4, 8, 6, 6)).astype(np.float32), True)
+        upstream = _rounded(rng, x.shape, np.float32)
+        x_kept, _ = self._run(x, np.float32, upstream, training, True, False)
+        assert x_kept.data.tobytes() == x.tobytes()
+        assert x_kept.data.strides == x.strides
+
+
 class TestTiledBiasAdd:
     """conv2d and depthwise_conv2d add their bias as one tiled row over a
     channel-last output: the same bytes as broadcasting it along axis 1."""
@@ -1240,6 +1286,25 @@ class TestCheckpoint:
         for name, t in tensors.items():
             assert loaded[name].tobytes() == t.data.tobytes()
             assert loaded[name].dtype == np.float32 and loaded[name].flags.writeable
+
+    def test_load_holds_the_tensor_bytes_once(self, tmp_path, rng):
+        import tracemalloc
+        tensors = {f"t{i}": rng.normal(size=shape).astype(np.float32)
+                   for i, shape in enumerate([(256, 64, 3, 3), (512, 256), (512,),
+                                              (128, 128, 3, 3), (7,)])}
+        state_bytes = sum(a.nbytes for a in tensors.values())
+        save_checkpoint(tmp_path / "c", tensors)
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(tmp_path / "c")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * state_bytes, f"{peak} > 1.1 x {state_bytes}"
+        for name, value in tensors.items():
+            assert loaded[name].tobytes() == value.tobytes()
+            assert loaded[name].dtype == np.float32 and loaded[name].flags.writeable
+            loaded[name][...] = 0.0
 
     def test_blob_is_little_endian_f32(self, tmp_path):
         import json
