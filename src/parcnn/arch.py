@@ -477,7 +477,7 @@ class Model:
             if tuple(arr.shape) != tensor.shape:
                 raise ValueError(f"shape mismatch for {name}: "
                                  f"{arr.shape} vs {tensor.shape}")
-            tensor.data[...] = arr.astype(tensor.dtype)
+            tensor.data[...] = arr
 
     def save(self, prefix: str | Path) -> None:
         T.save_checkpoint(prefix, self.state(), extra={"arch": self.arch.to_obj()})

@@ -146,10 +146,7 @@ class BatchNorm2d(Layer):
     buffer, which only a layer whose input nothing else reads may do (see
     the module docstring)."""
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1,
-                 relu: bool = False, reuse_input: bool = False):
-        self.eps = eps
-        self.momentum = momentum
+    def __init__(self, channels: int, relu: bool = False, reuse_input: bool = False):
         self.relu = relu
         self.reuse_input = reuse_input
         self.scale = Tensor(np.ones(channels, np.float32), requires_grad=True)
@@ -160,8 +157,7 @@ class BatchNorm2d(Layer):
     def forward(self, x, ctx):
         return T.batch_norm2d(x, self.scale, self.shift,
                               self.running_mean, self.running_var,
-                              training=ctx.training, momentum=self.momentum,
-                              eps=self.eps, relu=self.relu,
+                              training=ctx.training, relu=self.relu,
                               reuse_input=self.reuse_input)
 
     def params(self):

@@ -34,10 +34,16 @@ try:
 except ImportError:  # Windows
     resource = None
 
-# keep BLAS deterministic and single-threaded unless the user overrides
+# keep BLAS deterministic and single-threaded unless the user overrides.
+# BLAS reads these once, when numpy is first imported: if numpy came before
+# this module, the defaults do not reach it, and run.json records the values
+# it did load with
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_BLAS_THREADS = {v: os.environ.get(v) for v in _THREAD_VARS}
 for _var in _THREAD_VARS:
     os.environ.setdefault(_var, "1")
+if "numpy" not in sys.modules:
+    _BLAS_THREADS = {v: os.environ[v] for v in _THREAD_VARS}
 
 import numpy as np  # noqa: E402
 
@@ -89,7 +95,7 @@ def _environment() -> dict:
     """What decides speed and, through BLAS summation order, the exact
     float results of a run."""
     env = {"numpy": np.__version__,
-           "threads": {v: os.environ.get(v) for v in _THREAD_VARS}}
+           "threads": dict(_BLAS_THREADS)}
     try:  # show_config(mode=...) needs numpy >= 1.25
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         env["blas"] = {"name": blas.get("name"), "version": blas.get("version")}

@@ -365,10 +365,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def backward(g):
         if not a.requires_grad:
             return
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.shape).astype(a.dtype, copy=False))
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             axes = axis if isinstance(axis, tuple) else (axis,)
             g = np.expand_dims(g, axes)
         a._accumulate(np.broadcast_to(g, a.shape).astype(a.dtype, copy=False))
@@ -513,39 +510,28 @@ def _padded(a: np.ndarray, padding: int, fill: float) -> np.ndarray:
     return ap
 
 
-# bytes of ``cols`` filled per block of images: small enough that the block
-# stays in cache across its K*K taps; the result does not depend on it
-_IM2COL_BLOCK_BYTES = 512 * 1024
-
-
 def _im2col(x: np.ndarray, k: int, stride: int, padding: int,
             ho: int, wo: int) -> np.ndarray:
     """(N,H,W,C) -> (N*Ho*Wo, K*K*C) matrix of zero-padded windows, rows in
-    (n, oh, ow) order and columns in (i, j, c) order. The K columns of a
-    window row are then one run of K*C values, and each window row is
-    copied whole. With one tap (K = 1) the columns are the channels, and
-    without padding the matrix is a view of ``x``."""
+    (n, oh, ow) order and columns in (i, j, c) order, copied from one
+    (N, Ho, Wo, K, K, C) window view of the padded input. With one tap
+    (K = 1) and stride 1 the columns are the channels, and without padding
+    the matrix is a view of ``x``."""
     n, h, w, c = x.shape
     xp = _padded(x, padding, 0.0)
     if k == 1 and stride == 1:
         return xp.reshape(n * ho * wo, c)
-    # (N, Hp, Wo, K, C): the K columns under each output column, per row
-    rows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride]
-    rows = rows.transpose(0, 1, 2, 4, 3)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+    windows = windows[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
     cols = np.empty((n, ho, wo, k, k, c), dtype=x.dtype)
-    image_bytes = max(ho * wo * k * k * c * x.itemsize, 1)
-    block = max(_IM2COL_BLOCK_BYTES // image_bytes, 1)
-    for start in range(0, n, block):
-        src = rows[start:start + block]
-        dst = cols[start:start + block]
+    if c == 1:
+        # a window is only K*K values: copy tap by tap, which numpy runs
+        # along Wo instead, about 2x faster at 28x28
         for i in range(k):
-            if c == 1:
-                # a window row is only K values: copy tap by tap, which
-                # numpy runs along Wo instead, about 2x faster at 28x28
-                for j in range(k):
-                    dst[:, :, :, i, j] = src[:, i:i + stride * ho:stride, :, j]
-            else:
-                dst[:, :, :, i] = src[:, i:i + stride * ho:stride]
+            for j in range(k):
+                cols[:, :, :, i, j] = windows[:, :, :, i, j]
+    else:
+        cols[...] = windows
     return cols.reshape(n * ho * wo, -1)
 
 

@@ -179,6 +179,32 @@ class TestConvWeightLayout:
             for name, t in self._conv_weights(loaded):
                 assert _is_tap_major(t.data), name
 
+    def test_load_holds_the_state_once(self, tmp_path):
+        """``Model.load`` writes each checkpoint array straight into its
+        tensor, with the bytes and strides of a write through a cast copy."""
+        import tracemalloc
+        from parcnn.arch import build_model
+        from parcnn.zoo import build_zoo_arch
+        arch = build_zoo_arch("res18_mini")
+        build_model(arch, seed=1).save(tmp_path / "m")
+        model, reference = build_model(arch, seed=2), build_model(arch, seed=2)
+        state_bytes = sum(t.data.nbytes for t in model.state().values())
+        tracemalloc.start()
+        try:
+            model.load(tmp_path / "m")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * state_bytes, f"{peak} > 1.05 x {state_bytes}"
+        saved, want = T.load_checkpoint(tmp_path / "m"), reference.state()
+        for name, t in want.items():
+            t.data[...] = saved[name].astype(t.dtype)
+        for name, t in model.state().items():
+            assert t.data.strides == want[name].data.strides, name
+            assert t.data.tobytes() == want[name].data.tobytes(), name
+        for name, t in self._conv_weights(model):
+            assert _is_tap_major(t.data), name
+
     def test_checkpoint_bytes_equal_those_of_c_order_weights(self, tmp_path):
         from parcnn.arch import build_model
         from parcnn.zoo import build_zoo_arch

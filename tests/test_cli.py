@@ -22,6 +22,9 @@ from parcnn.zoo import build_zoo_arch
 from test_arch import MALFORMED_LAYER_LISTS, NESTED_BODY_ERRORS, UNKNOWN_FIELDS
 
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def run_cli(*argv) -> int:
     return main(list(argv))
 
@@ -251,12 +254,29 @@ class TestTrainCommand:
         self._train(tmp_path / "a")
         env = json.loads((tmp_path / "a" / "run.json").read_text())["environment"]
         assert env["numpy"] == np.__version__
-        assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                       "MKL_NUM_THREADS"}
+        assert set(env["threads"]) == set(THREAD_VARS)
+        # this process imported numpy before parcnn.cli, so a variable is
+        # recorded as BLAS read it, unset (None) where the CLI set its default
         for var, value in env["threads"].items():
-            assert value == os.environ.get(var)
+            assert os.environ[var] == ("1" if value is None else value)
         if np.lib.NumpyVersion(np.__version__) >= "1.25.0":
             assert set(env["blas"]) == {"name", "version"}
+
+    @pytest.mark.parametrize("numpy_first", [False, True])
+    def test_run_json_records_the_threads_blas_loaded_with(self, tmp_path, numpy_first):
+        """With the thread variables unset, the CLI's default of one thread
+        reaches BLAS only if the CLI is imported before numpy; imported after
+        it, run.json records the variables unset, as BLAS read them."""
+        probe = ("import sys\n" + ("import numpy\n" if numpy_first else "")
+                 + "from parcnn.cli import main\n"
+                 "sys.exit(main(['analyze', 'zoo:mnist_small', '--run-dir', sys.argv[1]]))")
+        env = {k: v for k, v in child_env().items() if k not in THREAD_VARS}
+        proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "r")],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads((tmp_path / "r" / "run.json").read_text())
+        assert record["environment"]["threads"] == \
+            dict.fromkeys(THREAD_VARS, None if numpy_first else "1")
 
 
 def assert_run_summary(run_dir, command: str, samples: int) -> None:

@@ -587,16 +587,12 @@ class TestWindowOpsMatchReference:
             np.testing.assert_allclose(a, a_ref, rtol=tol, atol=tol, err_msg=name)
 
     @_ORACLE_CASES
-    def test_conv2d_spanning_im2col_blocks(self, dtype, channel_last, rounded, rng):
+    def test_conv2d_wide_input_every_padding(self, dtype, channel_last, rounded, rng):
         draw = _sampler(rng, dtype, rounded)
         n, c, h = 3, 16, 40
         for k in (3, 5):
             for s in (1, 2):
                 for p in range(k):
-                    ho = T.conv_output_size(h, k, s, p)
-                    image_bytes = ho * ho * c * k * k * np.dtype(dtype).itemsize
-                    # the batch is filled in at least two blocks of images
-                    assert max(T._IM2COL_BLOCK_BYTES // image_bytes, 1) < n
                     x = _layout(draw((n, c, h, h)), channel_last)
                     inputs = [x, draw((4, c, k, k)), draw((4,))]
                     _check_conv2d(inputs, rounded, rng, stride=s, padding=p)
@@ -695,6 +691,60 @@ def _col2im(gcols, shape, k, stride, padding, ho, wo):
             dst = gxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
             dst += gcols[:, :, :, i, j]
     return gxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
+
+
+def _ref_im2col(x, k, stride, padding, ho, wo):
+    """(N,H,W,C) -> (N*Ho*Wo, K*K*C) windows, filled tap by tap from the
+    zero-padded input."""
+    n, _, _, c = x.shape
+    pad = (padding, padding)
+    xp = np.pad(x, ((0, 0), pad, pad, (0, 0)))
+    cols = np.empty((n, ho, wo, k, k, c), x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, :, i, j, :] = xp[:, i::stride, j::stride][:, :ho, :wo]
+    return cols.reshape(n * ho * wo, -1)
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [1, 2, 5, 16])
+    def test_same_bytes_as_tap_by_tap_reference(self, dtype, c, rng):
+        """Every kernel, stride and padding, on inputs with H != W, stored
+        channel-last (a C-order NHWC array) and channel-major (its view)."""
+        for k in (1, 2, 3, 5):
+            for s in (1, 2, 3):
+                for p in range(k):
+                    for h in sorted({k, 7, 12}):
+                        x = rng.normal(size=(2, c, h, h + 1)).astype(dtype)
+                        ho = T.conv_output_size(h, k, s, p)
+                        wo = T.conv_output_size(h + 1, k, s, p)
+                        for channel_last in (False, True):
+                            xh = T._nhwc(_layout(x, channel_last))
+                            _assert_same_bytes(T._im2col(xh, k, s, p, ho, wo),
+                                               _ref_im2col(xh, k, s, p, ho, wo),
+                                               f"columns at {k, s, p, h, channel_last}")
+
+    @pytest.mark.parametrize("c,k,s,p", [(16, 3, 1, 1), (16, 3, 2, 0), (1, 3, 1, 1),
+                                         (1, 5, 2, 2), (16, 1, 1, 0), (16, 1, 2, 0)])
+    def test_peak_is_the_columns_and_the_padded_copy(self, c, k, s, p, rng):
+        """Nothing image-sized is allocated beyond the columns (none for a
+        1x1 window at stride 1) and the padded input (none without padding);
+        the smallest of these arrays is 16 KB, above the allowance for the
+        array objects themselves."""
+        import tracemalloc
+        n, h, w = 8, 20, 21
+        x = rng.normal(size=(n, h, w, c)).astype(np.float32)
+        ho, wo = T.conv_output_size(h, k, s, p), T.conv_output_size(w, k, s, p)
+        cols_bytes = 0 if k == 1 and s == 1 else n * ho * wo * k * k * c * 4
+        padded_bytes = n * (h + 2 * p) * (w + 2 * p) * c * 4 if p else 0
+        tracemalloc.start()
+        try:
+            T._im2col(x, k, s, p, ho, wo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cols_bytes + padded_bytes <= peak < cols_bytes + padded_bytes + 4096
 
 
 class TestConvRebuildsColumns:
