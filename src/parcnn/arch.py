@@ -23,7 +23,7 @@ import numpy as np
 
 from . import blocks as B
 from . import tensor as T
-from .blocks import ForwardContext, Layer, ParConvSpec, BottleneckHeadSpec
+from .blocks import ForwardContext, Layer, ParConvSpec
 from .errors import ArchError
 from .tensor import Tensor
 
@@ -233,7 +233,10 @@ class ArchSpec:
         if kind == "bottleneck_head":
             if state[0] != "flat":
                 raise ValueError("bottleneck_head requires flat features")
-            BottleneckHeadSpec(state[1], f["bottleneck_dim"], f["out_features"])
+            if f["bottleneck_dim"] < 1:
+                raise ValueError("bottleneck dimension must be >= 1")
+            if f["out_features"] < 1:
+                raise ValueError("head dimensions must be positive")
             return ("flat", f["out_features"])
         if kind == "residual":
             te.body, out = self._walk(f["body"], state, f"{prefix}[{te.index}].body",
@@ -431,6 +434,44 @@ def parconv_spec_of(entry: dict, in_channels: int) -> ParConvSpec:
     return _parconv_spec(kind, _resolve(kind, entry), in_channels)
 
 
+def layers_of(te: TraceEntry) -> list[tuple]:
+    """The layers of trace entry ``te`` in build order, as the tuples
+    ``blocks.py`` describes: what the builder makes and the cost rules count.
+    A residual entry lists its projection; its body is its nested entries."""
+    f, c = te.fields, te.in_state[1]
+    kind = te.kind
+    if kind == "conv":
+        c_out = f["out_channels"]
+        layers = [("conv", "conv", c, c_out, f["kernel"], f["stride"], f["padding"],
+                   f["bias"])]
+        if f["bn"]:
+            # a ReLU after the batch norm runs inside it, as one op, and
+            # the batch norm reuses the conv output only it reads
+            layers.append(("bn", "bn", c_out, f["relu"], True))
+        elif f["relu"]:
+            layers.append(("relu", "relu"))
+        return layers
+    if kind in ("parconv", "sparconv"):
+        return B.parconv_layers(te.parconv)
+    if kind == "dsconv":
+        return B.dsconv_layers(c, f["out_channels"], f["kernel"])
+    if kind == "residual":
+        return B.projection_layers(c, te.out_state[1], te.skip_stride)
+    if kind == "maxpool":
+        return [("maxpool", "maxpool", f["window"], f["stride"], f["padding"])]
+    if kind == "linear":
+        return [("linear", "linear", c, f["out_features"], f["bias"])]
+    if kind == "bottleneck_head":
+        b = f["bottleneck_dim"]
+        return [("linear", "fc1", c, b, True),
+                ("linear", "fc2", b, f["out_features"], True)]
+    if kind == "batchnorm":
+        return [("bn", "bn", c, False, False)]
+    if kind in ("relu", "flatten", "tap"):
+        return [(kind, te.name)]
+    raise ArchError(f"no layer list for layer type {kind!r}")
+
+
 # -- model building ------------------------------------------------------------
 
 
@@ -513,42 +554,11 @@ def _build_entries(trace: list[TraceEntry], rng) -> list[tuple[str, Layer]]:
 
 
 def _build_one(te: TraceEntry, rng) -> Layer:
-    f = te.fields
-    if te.kind == "conv":
-        stack: list[tuple[str, Layer]] = [
-            ("conv", B.Conv2d(te.in_state[1], f["out_channels"], f["kernel"],
-                              f["stride"], f["padding"], bias=f["bias"], rng=rng))]
-        if f["bn"]:
-            # a ReLU after the batch norm runs inside it, as one op, and
-            # the batch norm reuses the conv output only it reads
-            stack.append(("bn", B.BatchNorm2d(f["out_channels"], relu=f["relu"],
-                                              reuse_input=True)))
-        elif f["relu"]:
-            stack.append(("relu", B.ReLU()))
-        return B.Sequential(stack) if len(stack) > 1 else stack[0][1]
-    if te.kind == "dsconv":
-        return B.dsconv_block(te.in_state[1], f["out_channels"], f["kernel"], rng=rng)
-    if te.kind in ("parconv", "sparconv"):
-        return B.ParConvBlock(te.parconv, rng=rng)
-    if te.kind == "maxpool":
-        return B.MaxPool2d(f["window"], f["stride"], f["padding"])
-    if te.kind == "relu":
-        return B.ReLU()
-    if te.kind == "batchnorm":
-        return B.BatchNorm2d(te.in_state[1])
-    if te.kind == "flatten":
-        return B.Flatten()
-    if te.kind == "linear":
-        return B.Linear(te.in_state[1], f["out_features"], bias=f["bias"], rng=rng)
-    if te.kind == "bottleneck_head":
-        return B.bottleneck_head(
-            BottleneckHeadSpec(te.in_state[1], f["bottleneck_dim"], f["out_features"]),
-            rng=rng)
     if te.kind == "residual":
+        # the body draws from ``rng`` before the projection
         body = B.Sequential(_build_entries(te.body, rng))
-        return B.ResidualBlock(body, te.in_state[1], te.out_state[1],
-                               skip_stride=te.skip_stride, post_relu=f["post_relu"],
-                               rng=rng)
-    if te.kind == "tap":
-        return B.Tap(te.name)
-    raise ArchError(f"cannot build layer type {te.kind!r}")
+        return B.ResidualBlock(body, B.build(layers_of(te), rng), te.fields["post_relu"])
+    children = B.build(layers_of(te), rng)
+    if te.kind in ("parconv", "sparconv"):
+        return B.ParConvBlock(children)
+    return B.Sequential(children) if len(children) > 1 else children[0][1]

@@ -5,34 +5,21 @@ A composite layer lists its children once, in ``sublayers()``, and its
 state is theirs. ``ctx`` carries the training flag and an optional tap
 dictionary that ``Tap`` layers write intermediate activations into.
 
-Compact blocks:
-
-* ``dsconv_block``  - a ``Sequential``: depthwise K x K over all channels,
-  then pointwise, each followed by a fused BN+ReLU layer.
-* ``ParConvBlock``  - channel shuffle, split into two branches; branch A
-  optionally expands by a pointwise conv (channel multiplier omega),
-  applies a depthwise conv, each followed by a fused BN+ReLU layer, then
-  projects pointwise to the output width; branch B is a single pointwise
-  conv; the branch outputs are summed channelwise, then a fused BN+ReLU
-  layer (``post_bn``). With ``omega=None``
-  there is no expanding conv: that is the simplified SParConv form, in
-  which by default a quarter of the input channels feed the depthwise
-  branch. The shuffle and split run as one channel gather per branch, and
-  branch A's projection and branch B run as one pointwise conv over both
-  branches' inputs, their weights joined at call time; the parameters are
-  still those of the two convs.
-
-Each fused BN+ReLU layer is one ``BatchNorm2d(relu=True)`` under the
-``bn*`` name, and runs as one op. All compact blocks preserve spatial size
-(stride 1, padding (K-1)/2).
+Compact blocks are written once each, as the layer lists below, which the
+model builder makes (``build``) and the cost rules count: ``dsconv_layers``,
+``parconv_layers`` (ParConv, and SParConv when omega is None) and, for a
+residual skip path, ``projection_layers``. Every conv inside a compact block
+is followed by a fused BN+ReLU layer, one ``BatchNorm2d(relu=True)`` run as
+one op; a ParConv block's branch sum is followed by one (``post_bn``). All
+compact blocks preserve spatial size (stride 1, padding (K-1)/2).
 
 Who may reuse a buffer: a ``BatchNorm2d(reuse_input=True)`` normalises in
 place of its input (``tensor.batch_norm2d``), so it is built that way only
 where its input is the private output of the conv or depthwise conv just
-before it: every ``_bn_relu`` layer, ParConv's ``post_bn``, the residual
-projection's batch norm, and the batch norm of an architecture's ``conv``
-entry. A standalone ``batchnorm`` entry never sets it, since its input
-may be a tapped activation or a skip path that is read again.
+before it: every ``bn`` in a compact block's or projection's layer list,
+and the batch norm of an architecture's ``conv`` entry. A standalone
+``batchnorm`` entry never sets it, since its input may be a tapped
+activation or a skip path that is read again.
 """
 from __future__ import annotations
 
@@ -280,128 +267,148 @@ class ParConvSpec:
         return parconv_widths(self.in_channels, self.alpha, self.omega)
 
 
-@dataclass
-class BottleneckHeadSpec:
-    """Two linear layers feature_dim -> bottleneck_dim -> output_dim."""
+# -- layer lists -------------------------------------------------------------
+# An architecture entry's layers, in the order they are built, as plain
+# tuples of a kind, a name and the geometry. A name is the layer's path in
+# the entry's state: ``branch_a.dw`` holds ``branch_a.dw.weight``.
+#   ("conv", name, c_in, c_out, k, stride, padding, bias)
+#   ("depthwise", name, c, k, padding), at stride 1 and with a bias
+#   ("bn", name, c, relu, reuse_input), ("linear", name, n_in, n_out, bias)
+#   ("maxpool", name, window, stride, padding)
+#   ("gather", name, c, shuffle, start, stop), see ``ChannelGather``
+#   ("relu", name), ("flatten", name), ("tap", name)
 
-    feature_dim: int
-    bottleneck_dim: int
-    output_dim: int
+def parconv_layers(spec: ParConvSpec) -> list[tuple]:
+    """A ParConv block's layers: the channel shuffle and split into two
+    branches, as one gather each; branch A's expanding pointwise conv
+    (channel multiplier omega; none when omega is None) and its depthwise
+    conv, each with a BN+ReLU, then its projection to the output width;
+    branch B, one pointwise conv; the BN+ReLU after the branches' sum."""
+    a, e, b = spec.widths()
+    c, c_out, k = spec.in_channels, spec.out_channels, spec.kernel
+    layers = [("gather", "gather_a", c, spec.include_shuffle, 0, a),
+              ("gather", "gather_b", c, spec.include_shuffle, a, c)]
+    if spec.omega is not None:
+        layers += [("conv", "branch_a.pw_expand", a, e, 1, 1, 0, True),
+                   ("bn", "branch_a.bn_expand", e, True, True)]
+    return layers + [("depthwise", "branch_a.dw", e, k, (k - 1) // 2),
+                     ("bn", "branch_a.bn", e, True, True),
+                     ("conv", "branch_a.pw_project", e, c_out, 1, 1, 0, True),
+                     ("conv", "branch_b", b, c_out, 1, 1, 0, True),
+                     ("bn", "post_bn", c_out, True, True)]
 
-    def __post_init__(self):
-        if self.bottleneck_dim < 1:
-            raise ValueError("bottleneck dimension must be >= 1")
-        if self.feature_dim < 1 or self.output_dim < 1:
-            raise ValueError("head dimensions must be positive")
+
+def dsconv_layers(in_channels: int, out_channels: int, kernel: int) -> list[tuple]:
+    """A DSConv block's layers: depthwise K x K over all input channels, then
+    a pointwise conv, each followed by BN+ReLU."""
+    return [("depthwise", "dw", in_channels, kernel, (kernel - 1) // 2),
+            ("bn", "bn_dw", in_channels, True, True),
+            ("conv", "pw", in_channels, out_channels, 1, 1, 0, True),
+            ("bn", "bn", out_channels, True, True)]
 
 
-def _bn_relu(channels: int, suffix: str = "") -> tuple[str, Layer]:
-    return f"bn{suffix}", BatchNorm2d(channels, relu=True, reuse_input=True)
+def projection_layers(in_channels: int, out_channels: int, stride: int) -> list[tuple]:
+    """A residual skip path's layers: none for the identity (equal channel
+    counts, stride 1), else a pointwise conv and its batch norm."""
+    if in_channels == out_channels and stride == 1:
+        return []
+    return [("conv", "projection.pw", in_channels, out_channels, 1, stride, 0, True),
+            ("bn", "projection.bn", out_channels, False, True)]
+
+
+def build(layers: list[tuple], rng: np.random.Generator) -> list[tuple[str, Layer]]:
+    """The named layers of a layer list, made in its order, which is the
+    order they draw from ``rng``."""
+    return [(layer[1], _layer(layer, rng)) for layer in layers]
+
+
+def _layer(layer: tuple, rng: np.random.Generator) -> Layer:
+    kind, name, *geometry = layer
+    if kind == "conv":
+        return Conv2d(*geometry, rng=rng)
+    if kind == "depthwise":
+        c, k, padding = geometry
+        return DepthwiseConv2d(c, k, padding=padding, rng=rng)
+    if kind == "linear":
+        return Linear(*geometry, rng=rng)
+    if kind == "bn":
+        return BatchNorm2d(*geometry)
+    if kind == "maxpool":
+        return MaxPool2d(*geometry)
+    if kind == "gather":
+        return ChannelGather(*geometry)
+    if kind == "tap":
+        return Tap(name)
+    return {"relu": ReLU, "flatten": Flatten}[kind]()
+
+
+class ChannelGather(Layer):
+    """Channels ``start:stop`` of the input, in channel-shuffle order when
+    ``shuffle``: one branch of ParConv's shuffle and split, as one gather."""
+
+    def __init__(self, channels: int, shuffle: bool, start: int, stop: int):
+        order = shuffle_permutation(channels) if shuffle else np.arange(channels)
+        self.channels, self.index = channels, order[start:stop]
+
+    def forward(self, x, ctx):
+        if x.shape[1] != self.channels:
+            raise ValueError(f"expected {self.channels} channels, got {x.shape[1]}")
+        return T.permute_channels(x, self.index)
 
 
 class ParConvBlock(Layer):
-    """Two-branch compact replacement for a stride-1 standard convolution.
+    """Two-branch compact replacement for a stride-1 standard convolution,
+    made of the layers ``parconv_layers`` lists, in that order.
 
-    ``branch_a`` ends in ``pw_project`` and ``branch_b`` is one pointwise
-    conv; their sum is computed as a single conv over [branch A before its
+    Branch A ends in ``pw_project`` and branch B is one pointwise conv;
+    their sum is computed as a single conv over [branch A before its
     projection | branch B's input] with weights [W_project | W_b] and the
     two biases added, so the state names and tensors are those of the two
     convs while the forward makes one GEMM and no add of activations.
     """
 
-    def __init__(self, spec: ParConvSpec, *, rng: np.random.Generator):
-        self.spec = spec
-        a, e, b = spec.widths()
-        # the shuffle and split, as the channels each branch gathers
-        order = shuffle_permutation(spec.in_channels) if spec.include_shuffle \
-            else np.arange(spec.in_channels)
-        self.gathers = (order[:a], order[a:])
-        pad = (spec.kernel - 1) // 2
-        stack: list[tuple[str, Layer]] = []
-        if spec.omega is not None:
-            stack.append(("pw_expand", Conv2d(a, e, 1, bias=True, rng=rng)))
-            stack.append(_bn_relu(e, "_expand"))
-        stack.append(
-            ("dw", DepthwiseConv2d(e, spec.kernel, padding=pad, bias=True, rng=rng)))
-        stack.append(_bn_relu(e))
-        stack.append(
-            ("pw_project", Conv2d(e, spec.out_channels, 1, bias=True, rng=rng)))
-        self.branch_a = Sequential(stack)
-        self.branch_b = Conv2d(b, spec.out_channels, 1, bias=True, rng=rng)
-        self.post_bn = BatchNorm2d(spec.out_channels, relu=True, reuse_input=True)
+    def __init__(self, children: list[tuple[str, Layer]]):
+        self.children = children
+        (_, gather_a), (_, gather_b), *inner, (_, self.project), \
+            (_, self.branch_b), (_, self.post_bn) = children
+        self.gathers = (gather_a, gather_b)
+        self.inner = [layer for _, layer in inner]
 
     def sublayers(self):
-        return [("branch_a", self.branch_a), ("branch_b", self.branch_b),
-                ("post_bn", self.post_bn)]
+        return self.children
 
     def forward(self, x, ctx):
-        if x.shape[1] != self.spec.in_channels:
-            raise ValueError(
-                f"expected {self.spec.in_channels} channels, got {x.shape[1]}")
-        xa, xb = (T.permute_channels(x, index) for index in self.gathers)
-        *inner, (_, project) = self.branch_a.children
-        for _, layer in inner:
+        xa, xb = (gather.forward(x, ctx) for gather in self.gathers)
+        for layer in self.inner:
             xa = layer.forward(xa, ctx)
         # pw_project and branch_b feed one sum: compute it as one pointwise
         # conv over both inputs, with their weights and biases joined here
         out = T.conv2d(T.concat_channels([xa, xb]),
-                       T.concat_channels([project.weight, self.branch_b.weight]),
-                       T.add(project.bias, self.branch_b.bias))
+                       T.concat_channels([self.project.weight, self.branch_b.weight]),
+                       T.add(self.project.bias, self.branch_b.bias))
         return self.post_bn.forward(out, ctx)
 
 
-def dsconv_block(in_channels: int, out_channels: int, kernel: int = 3, *,
-                 rng: np.random.Generator) -> Sequential:
-    """Depthwise K x K over all input channels followed by a pointwise conv,
-    each followed by BN+ReLU."""
-    pad = (kernel - 1) // 2
-    return Sequential(
-        [("dw", DepthwiseConv2d(in_channels, kernel, padding=pad, bias=True, rng=rng)),
-         _bn_relu(in_channels, "_dw"),
-         ("pw", Conv2d(in_channels, out_channels, 1, bias=True, rng=rng)),
-         _bn_relu(out_channels)])
-
-
 class ResidualBlock(Layer):
-    """Adds a skip path around ``body``.
+    """Adds a skip path around ``body``: the identity, or the ``projection``
+    layers that ``projection_layers`` lists."""
 
-    With matching channel counts and spatial size the skip is the identity;
-    otherwise a pointwise projection (with BN) adapts channels, striding when
-    the body downsamples.
-    """
-
-    def __init__(self, body: Layer, in_channels: int, out_channels: int,
-                 skip_stride: int = 1, post_relu: bool = False, *,
-                 rng: np.random.Generator):
+    def __init__(self, body: Layer, projection: list[tuple[str, Layer]] = (),
+                 post_relu: bool = False):
         self.body = body
+        self.projection = list(projection)
         self.post_relu = post_relu
-        if in_channels == out_channels and skip_stride == 1:
-            self.projection = None
-        else:
-            self.projection = Sequential([
-                ("pw", Conv2d(in_channels, out_channels, 1, stride=skip_stride,
-                              bias=True, rng=rng)),
-                ("bn", BatchNorm2d(out_channels, reuse_input=True)),
-            ])
 
     def sublayers(self):
-        if self.projection is None:
-            return [("body", self.body)]
-        return [("body", self.body), ("projection", self.projection)]
+        return [("body", self.body)] + self.projection
 
     def forward(self, x, ctx):
         y = self.body.forward(x, ctx)
-        skip = x if self.projection is None else self.projection.forward(x, ctx)
+        skip = x
+        for _, layer in self.projection:
+            skip = layer.forward(skip, ctx)
         if y.shape[2:] != skip.shape[2:]:
             raise ValueError(
                 f"residual spatial mismatch: body {y.shape[2:]} vs skip {skip.shape[2:]}")
         out = T.add(y, skip)
         return T.relu(out) if self.post_relu else out
-
-
-def bottleneck_head(spec: BottleneckHeadSpec, *, rng: np.random.Generator) -> Sequential:
-    """Two linear layers M -> B -> O, no nonlinearity in between."""
-    return Sequential([
-        ("fc1", Linear(spec.feature_dim, spec.bottleneck_dim, rng=rng)),
-        ("fc2", Linear(spec.bottleneck_dim, spec.output_dim, rng=rng)),
-    ])

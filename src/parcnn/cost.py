@@ -1,19 +1,21 @@
 """Static FLOPs and storage accounting for architecture descriptions.
 
-Counting rules (the only rules consistent with the reference cost tables):
+Counting rules (the only rules consistent with the reference cost tables).
+Each entry counts as the sum of its layers, as ``arch.layers_of`` lists
+them for the model builder too; a residual entry adds its body's entries.
 
 * FLOPs count multiply-accumulate applications of weights in one forward
-  pass: ``H_out * W_out * C_in * C_out * K^2`` for a standard convolution,
-  ``in * out`` for a linear layer, the per-branch sums for the compact
-  blocks. Bias adds, batch norm, activations, pooling and channelwise
-  additions are excluded.
+  pass, at the entry's output size: ``H_out * W_out * C_in * C_out * K^2``
+  for a convolution (``C * K^2`` per position for a depthwise one),
+  ``in * out`` for a linear layer. Bias adds, batch norm, activations,
+  pooling, channel gathers and channelwise additions are excluded.
 * Storage counts every parameter at 4 bytes (32-bit floats): conv/linear
   weights and biases plus 4 values per normalized channel (scale, shift,
-  running mean, running variance). MB means 2^20 bytes. A compact block
-  or residual projection counts as the sum of its layers: each conv's or
-  depthwise conv's weights, bias and BN.
+  running mean, running variance). MB means 2^20 bytes.
 * ``gamma`` is the fully-connected share of storage:
   fc_params / (fc_params + conv_params).
+
+The paper's closed forms of the compact blocks' FLOPs stay, as oracles.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import io
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
-from .arch import ArchSpec, TraceEntry
+from .arch import ArchSpec, TraceEntry, layers_of
 from .blocks import parconv_widths
 from .errors import ArchError
 
@@ -73,19 +75,8 @@ class CostReport:
         return params_mb(self.total_params)
 
     @property
-    def fc_params(self) -> int:
-        return sum(l.params for l in self.layers if l.is_fc)
-
-    @property
-    def conv_params(self) -> int:
-        return sum(l.params for l in self.layers if not l.is_fc)
-
-    @property
     def gamma(self) -> float:
-        total = self.total_params
-        if total == 0:
-            raise ArchError("gamma undefined for an architecture with no parameters")
-        return self.fc_params / total
+        return _share(sum(l.params for l in self.layers if l.is_fc), self.total_params)
 
     def flops_fraction(self, layer: LayerCost) -> float:
         total = self.total_flops
@@ -154,119 +145,89 @@ def parconv_ratio_asymptotic(k: int, omega: float) -> float:
     return 1.0 / (2 * k * k) + 3.0 * omega / (4 * k * k)
 
 
-# -- per-parameter counts ----------------------------------------------------
-# One rule per layer; a block's count sums its layers' in the order
-# ``blocks.py`` builds them.
-
-def _conv_params(c_in: int, c_out: int, k: int, bias: bool = True,
-                 bn: bool = True) -> int:
-    """A K x K conv's weights, its bias and the BN after it."""
-    n = c_out * c_in * k * k
-    if bias:
-        n += c_out
-    if bn:
-        n += BN_VALUES_PER_CHANNEL * c_out
-    return n
-
-
-def _depthwise_params(c: int, k: int) -> int:
-    """A depthwise K x K conv's weights, its bias and the BN after it."""
-    return c * k * k + c + BN_VALUES_PER_CHANNEL * c
-
-
-def _dsconv_params(c_in: int, c_out: int, k: int) -> int:
-    return _depthwise_params(c_in, k) + _conv_params(c_in, c_out, 1)
-
-
-def _parconv_params(c_in: int, c_out: int, k: int, omega: float | None,
-                    alpha: float) -> int:
-    a, e, b = parconv_widths(c_in, alpha, omega)
-    expand = 0 if omega is None else _conv_params(a, e, 1)
-    return (expand + _depthwise_params(e, k)
-            + _conv_params(e, c_out, 1, bn=False)      # pw_project
-            + _conv_params(b, c_out, 1))               # branch_b, then post_bn
-
-
 # -- the analyzer -------------------------------------------------------------
 
 _SKIP_REPORT = ("tap", "flatten", "relu")
+_FC_KINDS = ("linear", "bottleneck_head")
+
+
+def _layer_sums(layers: list[tuple]) -> tuple[int, int]:
+    """(MACs per output position, parameters) of a layer list: one rule per
+    kind of layer, summed."""
+    macs = params = 0
+    for layer in layers:
+        kind = layer[0]
+        if kind == "conv":
+            _, _, c_in, c_out, k, _, _, bias = layer
+            weights = c_in * c_out * k * k
+            macs += weights
+            params += weights + (c_out if bias else 0)
+        elif kind == "bn":
+            params += BN_VALUES_PER_CHANNEL * layer[2]
+        elif kind == "depthwise":
+            _, _, c, k, _ = layer
+            macs += c * k * k
+            params += c * k * k + c
+        elif kind == "linear":
+            _, _, n_in, n_out, bias = layer
+            macs += n_in * n_out
+            params += n_in * n_out + (n_out if bias else 0)
+    return macs, params
+
+
+def _config(te: TraceEntry, layers: list[tuple]) -> str:
+    f, c_in, c_out = te.fields, te.in_state[1], te.out_state[1]
+    if te.kind == "conv":
+        k = f["kernel"]
+        return f"F:{c_out}, K:{k}x{k}, S:{f['stride']}, P:{f['padding']}"
+    if te.kind == "dsconv":
+        return f"F:{c_out}, K:{f['kernel']}x{f['kernel']}"
+    if te.kind in ("parconv", "sparconv"):
+        spec = te.parconv
+        variant = (f"split:{spec.alpha:g}" if spec.omega is None
+                   else f"omega:{spec.omega:g}")
+        return f"F:{c_out}, K:{spec.kernel}x{spec.kernel}, {variant}"
+    if te.kind == "maxpool":
+        return f"K:{f['window']}x{f['window']}, S:{f['stride']}"
+    if te.kind == "batchnorm":
+        return f"F:{c_in}"
+    if te.kind == "linear":
+        return f"{c_in}x{c_out}"
+    if te.kind == "bottleneck_head":
+        return f"{c_in}x{f['bottleneck_dim']}x{c_out}"
+    # a residual entry: its body's reported kinds, and whether it projects
+    kinds = [sub.kind for sub in te.body if sub.kind not in _SKIP_REPORT + ("maxpool",)]
+    return "residual[" + ",".join(kinds) + "]" + ("+proj" if layers else "")
+
+
+def _sums(te: TraceEntry, layers: list[tuple]) -> tuple[int, int]:
+    """(FLOPs, parameters) of trace entry ``te`` whose layer list is
+    ``layers``, its residual body's included."""
+    macs, params = _layer_sums(layers)
+    # the output's spatial size
+    ho, wo = te.out_state[2:] if te.out_state[0] == "map" else (1, 1)
+    flops = ho * wo * macs
+    for sub in te.body or ():
+        sub_flops, sub_params = _sums(sub, layers_of(sub))
+        flops += sub_flops
+        params += sub_params
+    return flops, params
 
 
 def _entry_cost(te: TraceEntry) -> LayerCost | None:
     if te.kind in _SKIP_REPORT:
         return None
-    f = te.fields
-    # channels, or features once flat; the output's spatial size
-    c_in, c_out = te.in_state[1], te.out_state[1]
-    ho, wo = te.out_state[2:] if te.out_state[0] == "map" else (1, 1)
-    if te.kind == "conv":
-        k = f["kernel"]
-        cfg = f"F:{c_out}, K:{k}x{k}, S:{f['stride']}, P:{f['padding']}"
-        return LayerCost(te.name, "conv", cfg, te.spatial,
-                         conv_flops(ho, wo, c_in, c_out, k),
-                         _conv_params(c_in, c_out, k, f["bias"], f["bn"]), False)
-    if te.kind == "dsconv":
-        k = f["kernel"]
-        return LayerCost(te.name, "dsconv", f"F:{c_out}, K:{k}x{k}", te.spatial,
-                         dsconv_flops(ho, wo, c_in, c_out, k),
-                         _dsconv_params(c_in, c_out, k), False)
-    if te.kind in ("parconv", "sparconv"):
-        spec = te.parconv
-        variant = (f"split:{spec.alpha:g}" if spec.omega is None
-                   else f"omega:{spec.omega:g}")
-        cfg = f"F:{c_out}, K:{spec.kernel}x{spec.kernel}, {variant}"
-        return LayerCost(te.name, te.kind, cfg, te.spatial,
-                         parconv_flops_realized(ho, wo, c_in, c_out, spec.kernel,
-                                                spec.omega, spec.alpha),
-                         _parconv_params(c_in, c_out, spec.kernel, spec.omega,
-                                         spec.alpha), False)
-    if te.kind == "maxpool":
-        cfg = f"K:{f['window']}x{f['window']}, S:{f['stride']}"
-        return LayerCost(te.name, "maxpool", cfg, te.spatial, 0, 0, False)
-    if te.kind == "batchnorm":
-        return LayerCost(te.name, "batchnorm", f"F:{c_in}", te.spatial, 0,
-                         BN_VALUES_PER_CHANNEL * c_in, False)
-    if te.kind == "linear":
-        params = c_in * c_out + (c_out if f["bias"] else 0)
-        return LayerCost(te.name, "linear", f"{c_in}x{c_out}", "1x1",
-                         linear_flops(c_in, c_out), params, True)
-    if te.kind == "bottleneck_head":
-        m, b, o = c_in, f["bottleneck_dim"], c_out
-        params = m * b + b + b * o + o
-        return LayerCost(te.name, "bottleneck_head", f"{m}x{b}x{o}", "1x1",
-                         bottleneck_flops(m, b, o), params, True)
-    if te.kind == "residual":
-        flops = 0
-        params = 0
-        kinds = []
-        for sub in te.body:
-            c = _entry_cost(sub)
-            if c is not None:
-                flops += c.flops
-                params += c.params
-                if c.kind != "maxpool":
-                    kinds.append(c.kind)
-        cfg = "residual[" + ",".join(kinds) + "]"
-        if c_in != c_out or te.skip_stride != 1:
-            flops += conv_flops(ho, wo, c_in, c_out, 1)
-            params += _conv_params(c_in, c_out, 1)
-            cfg += "+proj"
-        return LayerCost(te.name, "residual", cfg, te.spatial, flops, params, False)
-    raise ArchError(f"no cost rule for layer type {te.kind!r}")
+    layers = layers_of(te)
+    return LayerCost(te.name, te.kind, _config(te, layers), te.spatial,
+                     *_sums(te, layers), te.kind in _FC_KINDS)
 
 
 def analyze(arch: ArchSpec) -> CostReport:
     """Per-layer and total FLOPs/storage of ``arch``, which it validates once."""
-    return _report(arch, arch.validate())
-
-
-def _report(arch: ArchSpec, trace: list[TraceEntry]) -> CostReport:
-    """The cost report of ``arch`` from its ``validate()`` trace: how a caller
-    that already holds the trace analyzes without validating again."""
     layers = [LayerCost("input", "input",
                         f"{arch.in_channels}x{arch.in_height}x{arch.in_width}",
                         f"{arch.in_height}x{arch.in_width}", 0, 0, False)]
-    for te in trace:
+    for te in arch.validate():
         cost = _entry_cost(te)
         if cost is not None:
             layers.append(cost)
@@ -275,7 +236,25 @@ def _report(arch: ArchSpec, trace: list[TraceEntry]) -> CostReport:
 
 def gamma(arch: ArchSpec) -> float:
     """Fully-connected storage share of the whole network."""
-    return analyze(arch).gamma
+    return _gamma(arch.validate())
+
+
+def _gamma(trace: list[TraceEntry]) -> float:
+    """``gamma`` from a ``validate()`` trace's parameter counts alone: how a
+    caller that holds the trace reads it without a whole report."""
+    fc = total = 0
+    for te in trace:
+        params = _sums(te, layers_of(te))[1]
+        total += params
+        if te.kind in _FC_KINDS:
+            fc += params
+    return _share(fc, total)
+
+
+def _share(fc: int, total: int) -> float:
+    if total == 0:
+        raise ArchError("gamma undefined for an architecture with no parameters")
+    return fc / total
 
 
 # -- rendering ----------------------------------------------------------------

@@ -196,7 +196,9 @@ def make_synthetic(classes: int, per_class: int, seed: int,
         if noise:
             img += (noise * z[:, 2:] + 0.0).reshape(img.shape)
         images[start:start + len(z), 0] = np.clip(img, 0.0, 1.0)
-    images = np.round(images * 255.0).astype(np.float32) / 255.0
+    images *= 255.0
+    np.round(images, out=images)
+    images /= 255.0
     order = rng.permutation(n)
     return Dataset(images[order], labels[order], split="synthetic", classes=classes)
 

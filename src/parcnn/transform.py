@@ -193,13 +193,13 @@ def transform_with_report(arch: ArchSpec, policy: DistillPolicy) -> TransformRes
     ``arch``, the copy it edits (once any head change is made) and the
     result, reading each trace for everything it answers."""
     trace = arch.validate()
-    gamma_before = cost._report(arch, trace).gamma
+    gamma_before = cost._gamma(trace)
     head_changed = gamma_before > policy.threshold
     new = (_bottlenecked(arch, policy.bottleneck_dim, trace) if head_changed
            else arch.copy())
     # the copy's trace: its entries are the ones the replacements edit
     trace = new.validate()
-    gamma_after = cost._report(new, trace).gamma
+    gamma_after = cost._gamma(trace)
     if head_changed and gamma_after > policy.threshold:
         log.warning("bottleneck dim %d only reaches gamma=%.4f (> threshold %.4f)",
                     policy.bottleneck_dim, gamma_after, policy.threshold)

@@ -1,10 +1,11 @@
-"""Shared helpers: finite-difference gradient checking in float64, and
-feature maps stored in given memory layouts."""
+"""Shared helpers: finite-difference gradient checking in float64, feature
+maps stored in given memory layouts, and a ParConv block built alone."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from parcnn import blocks as B
 from parcnn.tensor import Tensor, numeric_gradient
 
 
@@ -60,6 +61,12 @@ def _bn_layout(array, layout):
 def assert_channel_last(array, what=""):
     """``array`` is stored as a conv2d output is: channel-last."""
     assert array.strides == _layout(array, True).strides, what
+
+
+def parconv_block(spec: B.ParConvSpec, rng: np.random.Generator) -> B.ParConvBlock:
+    """The block of ``spec``, made from its layer list as the model builder
+    makes it, drawing its weights from ``rng``."""
+    return B.ParConvBlock(B.build(B.parconv_layers(spec), rng))
 
 
 @pytest.fixture

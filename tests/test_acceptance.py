@@ -24,7 +24,7 @@ from parcnn.distill import (DistillConfig, cross_entropy, distill_train, kd_loss
 from parcnn.tensor import Tensor
 from parcnn.train import constant_schedule, evaluate, train_classifier
 
-from conftest import f64, gradcheck
+from conftest import f64, gradcheck, parconv_block
 from test_cost import (DCNN_LAYERS, DCNN_PRINTED_FLOPS_E8, BOTTLENECK_TABLE,
                        PARCNN_TABLE, _compact_dcnn, count_conv_multiplies,
                        count_depthwise_multiplies)
@@ -199,11 +199,11 @@ class TestCriterion5NumericalProperties:
                     x, scale, shift, rm, rv, training=True))),
                 [x, scale, shift])
 
-        from parcnn.blocks import ForwardContext, ParConvBlock, ParConvSpec
+        from parcnn.blocks import ForwardContext, ParConvSpec
         # single rng stream for weights and input: this configuration is
         # verified to keep every pre-activation away from the ReLU kinks
         block_rng = np.random.default_rng(3)
-        block = ParConvBlock(ParConvSpec(8, 8, omega=0.5), rng=block_rng)
+        block = parconv_block(ParConvSpec(8, 8, omega=0.5), block_rng)
         leaves = []
         for _, p in block.params():
             p.data = p.data.astype(np.float64)

@@ -7,9 +7,10 @@ import json
 import numpy as np
 import pytest
 
+from parcnn import arch as A
 from parcnn import blocks as B
 from parcnn import cost, transform, zoo
-from parcnn.arch import ArchSpec, Model, build_model, load_model
+from parcnn.arch import ArchSpec, Model, build_model, layers_of, load_model
 from parcnn.errors import ArchError
 
 # every zoo arch, then each variant x residual transform of mnist_small
@@ -113,6 +114,61 @@ def test_analyzed_params_equal_built_layer_sizes(name, variant, residual):
     for layer_name, layer in layers.items():
         if layer_name not in reported:
             assert not layer.params() + layer.buffers(), layer_name
+
+
+@pytest.mark.parametrize("name,variant,residual", ARCHS, ids=ARCH_IDS)
+def test_analyzed_params_equal_state_sizes_by_name(name, variant, residual):
+    arch = _arch(name, variant, residual)
+    state = build_model(arch, seed=0).state()
+    report = cost.analyze(arch)
+    for row in report.layers[1:]:
+        size = sum(t.size for n, t in state.items() if n.startswith(row.name + "."))
+        assert row.params == size, row.name
+    assert report.total_params == sum(t.size for t in state.values())
+
+
+# one entry of each type, last, after the entries that give it its input
+ENTRY_EXAMPLES = {
+    "conv": [{"type": "conv", "out_channels": 4, "kernel": 3}],
+    "dsconv": [{"type": "dsconv", "out_channels": 4}],
+    "parconv": [{"type": "parconv", "out_channels": 4, "omega": 0.5}],
+    "sparconv": [{"type": "sparconv", "out_channels": 4}],
+    "maxpool": [{"type": "maxpool"}],
+    "relu": [{"type": "relu"}],
+    "batchnorm": [{"type": "batchnorm"}],
+    "flatten": [{"type": "flatten"}],
+    "linear": [{"type": "flatten"}, {"type": "linear", "out_features": 3}],
+    "bottleneck_head": [{"type": "flatten"},
+                        {"type": "bottleneck_head", "bottleneck_dim": 2,
+                         "out_features": 3}],
+    "residual": [{"type": "residual",
+                  "body": [{"type": "conv", "out_channels": 6, "kernel": 1}]}],
+    "tap": [{"type": "tap", "name": "t"}],
+}
+
+
+@pytest.mark.parametrize("kind", list(A._SCHEMA))
+def test_every_entry_type_has_a_layer_list(kind):
+    # a type added to the schema needs an example here, and a layer list
+    # that the builder and the cost rules read
+    arch = ArchSpec(4, 6, 6, ENTRY_EXAMPLES[kind])
+    te = arch.validate()[-1]
+    assert te.kind == kind
+    layers = layers_of(te)
+    assert layers and all(type(layer) is tuple for layer in layers)
+    B.build(layers, np.random.default_rng(0))
+    build_model(arch, seed=0)
+    cost.analyze(arch)
+
+
+def test_unknown_entry_type_has_no_layer_list():
+    te = ArchSpec(4, 6, 6, [{"type": "relu"}]).validate()[0]
+    te.kind = "no_such_layer"
+    rng = np.random.default_rng(0)
+    for read in (layers_of, cost._entry_cost, lambda te: A._build_one(te, rng)):
+        with pytest.raises(ArchError, match=r"^no layer list for layer type "
+                                            r"'no_such_layer'$"):
+            read(te)
 
 
 def test_repeated_state_names_rejected():

@@ -6,11 +6,12 @@ import pytest
 from parcnn import blocks as B
 from parcnn import cost
 from parcnn import tensor as T
-from parcnn.blocks import (BottleneckHeadSpec, ForwardContext, ParConvSpec,
-                           shuffle_permutation)
+from parcnn.blocks import ForwardContext, ParConvSpec, shuffle_permutation
+from parcnn.errors import ArchError
 from parcnn.tensor import Tensor
 
-from conftest import _BN_LAYOUTS, _bn_layout, _layout, assert_channel_last, gradcheck
+from conftest import (_BN_LAYOUTS, _bn_layout, _layout, assert_channel_last, gradcheck,
+                      parconv_block)
 
 
 def _channel_tagged(channels: int) -> Tensor:
@@ -28,6 +29,11 @@ def _realized_values(block) -> int:
     """Total stored values: trainable parameters plus BN running buffers."""
     return sum(t.size for _, t in block.params()) + \
         sum(t.size for _, t in block.buffers())
+
+
+def _listed_params(layers) -> int:
+    """The parameter count ``cost`` sums over a layer list."""
+    return cost._layer_sums(layers)[1]
 
 
 class TestChannelShuffle:
@@ -246,14 +252,14 @@ class TestParConvWidths:
 class TestParConvBlock:
     def test_shape_preservation(self, rng):
         spec = ParConvSpec(in_channels=100, out_channels=100, omega=0.5)
-        block = B.ParConvBlock(spec, rng=rng)
+        block = parconv_block(spec, rng)
         x = Tensor(rng.normal(size=(2, 100, 7, 7)).astype(np.float32))
         out = block.forward(x, ForwardContext(training=True))
         assert out.shape == (2, 100, 7, 7)
 
     def test_output_channels_change(self, rng):
         spec = ParConvSpec(in_channels=16, out_channels=24, omega=1.0)
-        block = B.ParConvBlock(spec, rng=rng)
+        block = parconv_block(spec, rng)
         x = Tensor(rng.normal(size=(1, 16, 5, 5)).astype(np.float32))
         out = block.forward(x, ForwardContext(training=True))
         assert out.shape == (1, 24, 5, 5)
@@ -261,8 +267,8 @@ class TestParConvBlock:
     def test_realized_parameter_count_matches_cost_model(self, rng):
         for c_in, c_out, omega in [(16, 24, 0.5), (32, 32, 1.0), (100, 300, 2.0)]:
             spec = ParConvSpec(in_channels=c_in, out_channels=c_out, omega=omega)
-            block = B.ParConvBlock(spec, rng=rng)
-            expected = cost._parconv_params(c_in, c_out, 3, omega, 0.5)
+            block = parconv_block(spec, rng)
+            expected = _listed_params(B.parconv_layers(spec))
             assert _realized_values(block) == expected
 
     def test_invalid_specs_rejected(self):
@@ -279,7 +285,7 @@ class TestParConvBlock:
         # kink (finite differences are meaningless across a kink).
         rng = np.random.default_rng(3)
         spec = ParConvSpec(in_channels=8, out_channels=8, omega=0.5)
-        block = B.ParConvBlock(spec, rng=rng)
+        block = parconv_block(spec, rng)
         leaves = []
         for _, p in block.params():
             p.data = p.data.astype(np.float64)
@@ -298,7 +304,7 @@ class TestSParConv:
         assert B.parconv_widths(100, 0.25, None) == (25, 25, 75)
 
     def test_shape_preserved(self, rng):
-        block = B.ParConvBlock(ParConvSpec(16, 16, omega=None, alpha=0.25), rng=rng)
+        block = parconv_block(ParConvSpec(16, 16, omega=None, alpha=0.25), rng)
         x = Tensor(rng.normal(size=(2, 16, 5, 5)).astype(np.float32))
         out = block.forward(x, ForwardContext(training=True))
         assert out.shape == (2, 16, 5, 5)
@@ -315,8 +321,9 @@ class TestSParConv:
         assert spar > par
 
     def test_realized_parameter_count_matches_cost_model(self, rng):
-        block = B.ParConvBlock(ParConvSpec(32, 48, omega=None, alpha=0.25), rng=rng)
-        assert _realized_values(block) == cost._parconv_params(32, 48, 3, None, 0.25)
+        spec = ParConvSpec(32, 48, omega=None, alpha=0.25)
+        block = parconv_block(spec, rng)
+        assert _realized_values(block) == _listed_params(B.parconv_layers(spec))
 
 
 class TestDSConv:
@@ -328,7 +335,7 @@ class TestDSConv:
             pytest.approx(1 / 300 + 1 / 9, rel=1e-12)
 
     def test_identity_weights_reproduce_input(self, rng):
-        block = B.dsconv_block(3, 3, rng=rng)
+        block = B.Sequential(B.build(B.dsconv_layers(3, 3, 3), rng))
         # identity depthwise kernels and identity pointwise weights
         dw = dict(block.params())["dw.weight"]
         dw.data[...] = 0.0
@@ -345,8 +352,9 @@ class TestDSConv:
         np.testing.assert_allclose(out.data, x.data, rtol=1e-4)
 
     def test_realized_parameter_count_matches_cost_model(self, rng):
-        block = B.dsconv_block(20, 30, rng=rng)
-        assert _realized_values(block) == cost._dsconv_params(20, 30, 3)
+        layers = B.dsconv_layers(20, 30, 3)
+        block = B.Sequential(B.build(layers, rng))
+        assert _realized_values(block) == _listed_params(layers)
 
 
 class TestResidual:
@@ -355,7 +363,8 @@ class TestResidual:
             def forward(self, x, ctx):
                 return T.mul(x, Tensor(np.asarray(0.0, np.float32)))
 
-        block = B.ResidualBlock(Zero(), 8, 8, rng=rng)
+        assert B.projection_layers(8, 8, 1) == []
+        block = B.ResidualBlock(Zero())
         x = Tensor(rng.normal(size=(2, 8, 5, 5)).astype(np.float32))
         out = block.forward(x, ForwardContext())
         np.testing.assert_array_equal(out.data, x.data)
@@ -369,18 +378,18 @@ class TestResidual:
             def forward(self, x, ctx):
                 return T.max_pool2d(x, 2, 2)
 
-        block = B.ResidualBlock(Shrink(), 8, 8, skip_stride=1, rng=rng)
+        block = B.ResidualBlock(Shrink())
         x = Tensor(rng.normal(size=(1, 8, 6, 6)).astype(np.float32))
         with pytest.raises(ValueError, match="spatial mismatch"):
             block.forward(x, ForwardContext())
 
     def test_projection_used_when_channels_differ(self, rng):
-        inner = B.ParConvBlock(ParConvSpec(8, 12, omega=0.5), rng=rng)
-        block = B.ResidualBlock(inner, 8, 12, rng=rng)
+        inner = parconv_block(ParConvSpec(8, 12, omega=0.5), rng)
+        block = B.ResidualBlock(inner, B.build(B.projection_layers(8, 12, 1), rng))
         x = Tensor(rng.normal(size=(1, 8, 5, 5)).astype(np.float32))
         out = block.forward(x, ForwardContext(training=True))
         assert out.shape == (1, 12, 5, 5)
-        assert block.projection is not None
+        assert block.projection
 
 
 def _batch_norms(layer):
@@ -456,12 +465,21 @@ class TestBatchNormReusesOnlyPrivateInputs:
 
 
 class TestBottleneckHead:
+    @staticmethod
+    def _head(feature_dim, bottleneck_dim, output_dim):
+        from parcnn.arch import ArchSpec
+        return ArchSpec(feature_dim, 1, 1, [
+            {"type": "flatten"},
+            {"type": "bottleneck_head", "name": "head", "bottleneck_dim": bottleneck_dim,
+             "out_features": output_dim}])
+
     def test_zero_bottleneck_rejected(self):
-        with pytest.raises(ValueError):
-            BottleneckHeadSpec(700, 0, 22080)
+        with pytest.raises(ArchError, match="bottleneck dimension must be >= 1"):
+            self._head(700, 0, 22080).validate()
 
     def test_forward_shape(self, rng):
-        head = B.bottleneck_head(BottleneckHeadSpec(12, 4, 7), rng=rng)
+        from parcnn.arch import build_model
+        head = dict(build_model(self._head(12, 4, 7), seed=0).root.children)["head"]
         x = Tensor(rng.normal(size=(3, 12)).astype(np.float32))
         assert head.forward(x, ForwardContext()).shape == (3, 7)
 

@@ -2,7 +2,7 @@
 import pytest
 
 from parcnn import cost, transform, zoo
-from parcnn.arch import ArchSpec
+from parcnn.arch import ArchSpec, layers_of
 from parcnn.cost import round_half_away
 from parcnn.errors import ArchError
 
@@ -313,9 +313,17 @@ def count_linear_multiplies(n_in, n_out):
     return n
 
 
+def list_macs(c_in, d, entries):
+    """MACs that the cost rules sum over the last entry's layer list, when
+    ``entries`` follow a c_in x d x d input."""
+    te = ArchSpec(c_in, d, d, entries).validate()[-1]
+    area = te.out_state[2] * te.out_state[3] if te.out_state[0] == "map" else 1
+    return area * cost._layer_sums(layers_of(te))[0]
+
+
 class TestNaiveCountOracle:
     """The closed-form FLOP rules must equal a brute-force multiply count at
-    batch 1, exactly."""
+    batch 1, exactly, and so must the sums over each entry's layer list."""
 
     N_GEOMETRIES = 20
 
@@ -335,6 +343,8 @@ class TestNaiveCountOracle:
             naive = count_depthwise_multiplies(d, d, c_in, 3) \
                 + count_conv_multiplies(d, d, c_in, c_out, 1)
             assert cost.dsconv_flops(d, d, c_in, c_out, 3) == naive
+            entry = {"type": "dsconv", "out_channels": c_out}
+            assert list_macs(c_in, d, [entry]) == naive
 
     def test_parconv(self, rng):
         from parcnn.blocks import parconv_widths
@@ -347,6 +357,9 @@ class TestNaiveCountOracle:
                      + count_conv_multiplies(d, d, e, c_out, 1)
                      + count_conv_multiplies(d, d, b, c_out, 1))
             assert cost.parconv_flops_realized(d, d, c_in, c_out, 3, omega) == naive
+            entry = {"type": "parconv", "out_channels": c_out, "omega": omega,
+                     "shuffle": c_in % 2 == 0}
+            assert list_macs(c_in, d, [entry]) == naive
 
     def test_sparconv(self, rng):
         from parcnn.blocks import parconv_widths
@@ -357,6 +370,8 @@ class TestNaiveCountOracle:
                      + count_conv_multiplies(d, d, a, c_out, 1)
                      + count_conv_multiplies(d, d, b, c_out, 1))
             assert cost.parconv_flops_realized(d, d, c_in, c_out, 3, None, 0.25) == naive
+            entry = {"type": "sparconv", "out_channels": c_out, "shuffle": c_in % 2 == 0}
+            assert list_macs(c_in, d, [entry]) == naive
 
     def test_linear_and_bottleneck(self, rng):
         for _ in range(self.N_GEOMETRIES):
@@ -364,11 +379,18 @@ class TestNaiveCountOracle:
             assert cost.linear_flops(m, o) == count_linear_multiplies(m, o)
             naive = count_linear_multiplies(m, b) + count_linear_multiplies(b, o)
             assert cost.bottleneck_flops(m, b, o) == naive
+            head = {"type": "bottleneck_head", "bottleneck_dim": b, "out_features": o}
+            assert list_macs(m, 1, [{"type": "flatten"}, head]) == naive
 
     def test_residual_projection(self, rng):
         for d, c_in, c_out in self._geometries(rng):
             naive = count_conv_multiplies(d, d, c_in, c_out, 1)
             assert cost.conv_flops(d, d, c_in, c_out, 1) == naive
+            # a residual entry lists its projection, which equal channel
+            # counts at stride 1 do without
+            entry = {"type": "residual",
+                     "body": [{"type": "conv", "out_channels": c_out, "kernel": 1}]}
+            assert list_macs(c_in, d, [entry]) == (naive if c_in != c_out else 0)
 
 
 class TestRounding:

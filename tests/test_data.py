@@ -184,10 +184,10 @@ class TestSynthetic:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the quantising round holds the images and two image-sized
-        # temporaries; the draws add one block and its float64 temporaries
-        # (one draw for all 6000 images peaks above 120 MB)
-        bound = 3 * ds.images.nbytes + 4 * data._SYNTH_BLOCK_BYTES
+        # the images are quantised in place, and the shuffle copies them
+        # once; the draws add one block and its float64 temporaries (one
+        # draw for all 6000 images peaks above 120 MB)
+        bound = 2 * ds.images.nbytes + 4 * data._SYNTH_BLOCK_BYTES
         assert peak <= bound, f"{peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
 
     def test_linear_classifier_separates_well_separated_blobs(self):

@@ -1115,7 +1115,8 @@ _THREAD_PROBE = """
 import hashlib, json
 import numpy as np
 from parcnn import tensor as T
-from parcnn.blocks import Conv2d, ForwardContext, ParConvBlock, ParConvSpec
+from parcnn import blocks as B
+from parcnn.blocks import Conv2d, ForwardContext, ParConvSpec
 from parcnn.tensor import Tensor
 
 rng = np.random.default_rng(0)
@@ -1134,7 +1135,7 @@ y1, p1, s1 = bn(conv, 16)
 x2, k = leaf(64, 8, 14, 14), leaf(8, 3, 3)
 dw = T.depthwise_conv2d(x2, k)                     # (64, 8, 12, 12), channel-last
 y2, p2, s2 = bn(dw, 8)
-block = ParConvBlock(ParConvSpec(32, 32, omega=0.5), rng=rng)
+block = B.ParConvBlock(B.build(B.parconv_layers(ParConvSpec(32, 32, omega=0.5)), rng))
 x3 = Tensor(rng.normal(size=(64, 12, 12, 32)).astype(np.float32).transpose(0, 3, 1, 2),
             requires_grad=True)                    # channel-last, as conv2_2 sees it
 y3 = block.forward(x3, ForwardContext(training=True))
