@@ -156,7 +156,6 @@ def test_every_entry_type_has_a_layer_list(kind):
     assert te.kind == kind
     layers = layers_of(te)
     assert layers and all(type(layer) is tuple for layer in layers)
-    B.build(layers, np.random.default_rng(0))
     build_model(arch, seed=0)
     cost.analyze(arch)
 

@@ -337,6 +337,9 @@ class TestNaiveCountOracle:
             k = int(rng.choice([1, 3]))
             naive = count_conv_multiplies(d, d, c_in, c_out, k)
             assert cost.conv_flops(d, d, c_in, c_out, k) == naive
+            entry = {"type": "conv", "out_channels": c_out, "kernel": k,
+                     "padding": (k - 1) // 2}
+            assert list_macs(c_in, d, [entry]) == naive
 
     def test_dsconv(self, rng):
         for d, c_in, c_out in self._geometries(rng):
