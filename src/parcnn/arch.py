@@ -1,12 +1,20 @@
 """Declarative network descriptions and their realization as runnable models.
 
 An ``ArchSpec`` is an ordered list of layer entries plus one input
-descriptor. Entries are plain dicts (JSON-serializable); ``validate()``
-walks the spatial/channel trace front to back and returns per-entry
-``TraceEntry`` records that both the cost model and the model builder
-consume, raising ``ArchError`` with a ``layers[i].field`` diagnostic on the
-first inconsistency. Each entry's fields are read once, through
+descriptor. Entries are plain dicts (JSON-serializable) until ``validate()``
+passes; it walks the spatial/channel trace front to back and returns
+per-entry ``TraceEntry`` records that both the cost model and the model
+builder consume, raising ``ArchError`` with a ``layers[i].field`` diagnostic
+on the first inconsistency. Each entry's fields are read once, through
 ``_SCHEMA``, into ``TraceEntry.fields``; nothing downstream reads the dict.
+
+The first ``validate()`` that passes seals the spec: its entries become
+read-only copies (a residual's ``body`` a tuple of them) and its trace is
+kept, so every later call returns that trace without walking again. A
+spec that fails stays editable. ``copy()`` gives an editable, unvalidated
+copy, and ``to_obj()`` plain dicts and lists. A validated spec's input
+extents and ``layers`` are not reassigned either; nothing guards them, so
+that construction stays a plain dataclass ``__init__``.
 
 ``_SCHEMA`` lists each entry type's fields and their defaults; a field it
 does not list is rejected when a spec is read from JSON (``from_obj``).
@@ -18,6 +26,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -59,7 +68,7 @@ class TraceEntry:
     in_state: tuple          # ("map", C, H, W) or ("flat", D)
     out_state: tuple
     fields: dict             # every ``_SCHEMA`` field, typed, defaults filled in
-    body: list["TraceEntry"] | None = None
+    body: tuple["TraceEntry", ...] | None = None
     skip_stride: int = 1     # residual only; 1 and equal channels => identity
     parconv: ParConvSpec | None = None   # parconv and sparconv only
 
@@ -72,18 +81,21 @@ class TraceEntry:
 
 @dataclass
 class ArchSpec:
-    """Input descriptor plus ordered layer entries."""
+    """Input descriptor plus ordered layer entries; sealed by the first
+    ``validate()`` that passes."""
 
     in_channels: int
     in_height: int
     in_width: int
     layers: list[dict] = field(default_factory=list)
+    # the trace of the validate() that sealed the spec, else None
+    _trace: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- construction / serialization -----------------------------------
     @classmethod
     def from_obj(cls, obj: dict) -> "ArchSpec":
-        """Validated spec of a parsed JSON object, holding ``obj``'s layer
-        entries (not copies); a field ``_SCHEMA`` does not list is rejected."""
+        """Validated spec of a parsed JSON object, holding copies of ``obj``'s
+        layer entries; a field ``_SCHEMA`` does not list is rejected."""
         try:
             inp = obj["input"]
             layers = obj["layers"]
@@ -97,14 +109,15 @@ class ArchSpec:
             raise ArchError(f"input.{exc.key}: {exc}") from exc
         spec = cls(*extents, layers)
         spec.validate()
-        _reject_unknown_fields(layers, "layers")
+        _reject_unknown_fields(spec.layers, "layers")
         return spec
 
     def to_obj(self) -> dict:
+        """The spec as new plain dicts and lists, which the caller may edit."""
         return {
             "input": {"channels": self.in_channels, "height": self.in_height,
                       "width": self.in_width},
-            "layers": self.layers,
+            "layers": _copy_entries(self.layers),
         }
 
     @classmethod
@@ -137,19 +150,27 @@ class ArchSpec:
         return replace(self, layers=_copy_entries(self.layers))
 
     # -- validation -------------------------------------------------------
-    def validate(self) -> list[TraceEntry]:
+    def validate(self) -> tuple[TraceEntry, ...]:
+        """The spec's trace. The first call that passes walks the spec and
+        seals it; every later call returns that same trace."""
+        if self._trace is None:
+            trace = self._walk()
+            self.layers = _seal(self.layers, trace)
+            self._trace = trace
+        return self._trace
+
+    def _walk(self) -> tuple[TraceEntry, ...]:
+        """Trace the whole spec front to back, or raise ArchError."""
         if min(self.in_channels, self.in_height, self.in_width) < 1:
             raise ArchError("input descriptor extents must be positive")
         if not isinstance(self.layers, list):
             raise ArchError(f"layers: expected a list of layer entries, "
                             f"got {self.layers!r}")
         state = ("map", self.in_channels, self.in_height, self.in_width)
-        names: set[str] = set()
-        trace, _ = self._walk(self.layers, state, "layers", names)
-        return trace
+        return self._walk_entries(self.layers, state, "layers", set())[0]
 
-    def _walk(self, entries: list[dict], state: tuple, prefix: str,
-              names: set[str]) -> tuple[list[TraceEntry], tuple]:
+    def _walk_entries(self, entries: list[dict], state: tuple, prefix: str,
+                      names: set[str]) -> tuple[tuple[TraceEntry, ...], tuple]:
         """Trace ``entries``, the list at path ``prefix``, from ``state``; an
         entry's path (``prefix[i]``) is formatted only for an error."""
         trace: list[TraceEntry] = []
@@ -176,7 +197,7 @@ class ArchSpec:
                 raise ArchError(f"{prefix}[{i}]: {exc}") from exc
             te.out_state = state
             trace.append(te)
-        return trace, state
+        return tuple(trace), state
 
     def _step(self, te: TraceEntry, state: tuple, names: set[str], prefix: str) -> tuple:
         """Check the resolved entry ``te`` of the list at path ``prefix``
@@ -239,8 +260,8 @@ class ArchSpec:
                 raise ValueError("head dimensions must be positive")
             return ("flat", f["out_features"])
         if kind == "residual":
-            te.body, out = self._walk(f["body"], state, f"{prefix}[{te.index}].body",
-                                      names)
+            te.body, out = self._walk_entries(f["body"], state,
+                                              f"{prefix}[{te.index}].body", names)
             if out[0] != "map":
                 raise ValueError("residual body must produce a feature map")
             _, c_in, h, w = state
@@ -379,26 +400,41 @@ def _reject_unknown_fields(entries: list[dict], prefix: str) -> None:
             _reject_unknown_fields(entry["body"], f"{prefix}[{i}].body")
 
 
-def _copy_entries(entries: list) -> list:
-    """``entries`` with each entry dict copied, and each ``body`` list in it."""
+def _copy_entries(entries) -> list:
+    """``entries`` as a new list of new plain dicts, each ``body`` list or
+    tuple in them copied the same way; a sealed spec's entries included."""
     copies = []
     for entry in entries:
-        if isinstance(entry, dict):
+        if isinstance(entry, (dict, MappingProxyType)):
             entry = dict(entry)
-            if isinstance(entry.get("body"), list):
+            if isinstance(entry.get("body"), (list, tuple)):
                 entry["body"] = _copy_entries(entry["body"])
         copies.append(entry)
     return copies
 
 
-def walk_trace(trace: list[TraceEntry], owner: list[dict]):
+def _seal(entries: list[dict], trace: tuple[TraceEntry, ...]) -> tuple:
+    """Read-only copies of ``entries``, whose trace is ``trace``: each a
+    ``MappingProxyType`` of a new dict, each residual's ``body`` a tuple of
+    them, which its trace entry's ``body`` field then holds too."""
+    sealed = []
+    for entry, te in zip(entries, trace):
+        entry = dict(entry)
+        if te.body is not None:
+            entry["body"] = te.fields["body"] = _seal(entry["body"], te.body)
+        sealed.append(MappingProxyType(entry))
+    return tuple(sealed)
+
+
+def walk_trace(trace: tuple[TraceEntry, ...], owner: list[dict]):
     """Every entry of a ``validate()`` trace, each residual's body right after
-    it, as (trace entry, the list that holds its dict: ``owner`` at the top
-    level, the residual's own ``body`` list below it)."""
+    it, as (trace entry, the list that holds its entry: ``owner`` at the top
+    level, ``owner[i]["body"]`` below the residual at ``owner[i]``). ``owner``
+    is the traced spec's ``layers`` or those of a ``copy()`` of it."""
     for te in trace:
         yield te, owner
         if te.body:
-            yield from walk_trace(te.body, te.fields["body"])
+            yield from walk_trace(te.body, owner[te.index]["body"])
 
 
 def _projection_stride(h: int, w: int, ho: int, wo: int) -> int:

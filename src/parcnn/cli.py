@@ -137,13 +137,21 @@ def _write_run_summary(run_dir: Path, config: dict, started: float,
 @contextlib.contextmanager
 def _csv_rows(path: Path, columns: list[str]):
     """Yield a function that appends one row to the CSV file at ``path`` and
-    flushes it, so the rows written before an abort stay in the file."""
+    flushes it, so the rows written before an abort stay in the file. The
+    row's ``columns`` are followed by ``seconds``: the wall time since the
+    previous row, or for the first row since the function was yielded, just
+    before the loop that records the rows starts."""
     with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=columns, lineterminator="\n")
+        writer = csv.DictWriter(f, fieldnames=columns + ["seconds"], lineterminator="\n")
         writer.writeheader()
+        last = time.perf_counter()
 
         def write(row: dict) -> None:
-            writer.writerow({c: row.get(c, "") for c in columns})
+            nonlocal last
+            now = time.perf_counter()
+            writer.writerow({**{c: row.get(c, "") for c in columns},
+                             "seconds": f"{now - last:.6f}"})
+            last = now
             f.flush()
 
         yield write

@@ -223,7 +223,8 @@ def _entry_cost(te: TraceEntry) -> LayerCost | None:
 
 
 def analyze(arch: ArchSpec) -> CostReport:
-    """Per-layer and total FLOPs/storage of ``arch``, which it validates once."""
+    """Per-layer and total FLOPs/storage of ``arch``, from its ``validate()``
+    trace (kept, so walked only if ``arch`` was not validated before)."""
     layers = [LayerCost("input", "input",
                         f"{arch.in_channels}x{arch.in_height}x{arch.in_width}",
                         f"{arch.in_height}x{arch.in_width}", 0, 0, False)]

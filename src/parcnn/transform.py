@@ -16,10 +16,13 @@ names (an unnamed one its ``<type><index>`` name); everything else is
 untouched, so the spatial/channel trace of the result still validates and
 logits keep their shape.
 
-``transform_with_report`` validates three times: the source, whose trace
-gives gamma before and the head entries; the copy once any head change is
-made, whose one trace gives gamma after and the convolutions to replace;
-and the result. ``apply_bottleneck`` validates its source and its result.
+A validated spec keeps its trace (``ArchSpec.validate``), so reading it
+again costs nothing. ``transform_with_report`` edits one copy of its
+source: the bottlenecked copy once the head changes, else a plain one. It
+picks the convolutions to replace from the source's trace, or from the
+bottlenecked copy's, which it walks before the replacements are written
+into it. So it walks the result only when the head is kept, and the
+bottlenecked copy and the result when it changes.
 """
 from __future__ import annotations
 
@@ -83,10 +86,11 @@ def _obstacle(te: TraceEntry, policy: DistillPolicy) -> str | None:
     return None
 
 
-def select_replacements(arch: ArchSpec, trace: list[TraceEntry], policy: DistillPolicy,
-                        ) -> list[tuple[list[dict], TraceEntry]]:
-    """Resolve the policy's selector, over ``arch``'s validate trace, to the
-    convs to replace, as (owning layer list, trace entry) in arch order."""
+def select_replacements(arch: ArchSpec, trace: tuple[TraceEntry, ...],
+                        policy: DistillPolicy) -> list[tuple[list[dict], TraceEntry]]:
+    """Resolve the policy's selector, over ``trace`` (the ``validate()``
+    trace of ``arch`` or of the spec ``arch`` is a copy of), to the convs to
+    replace, as (owning layer list in ``arch``, trace entry) in arch order."""
     convs = [(owner, te, owner is not arch.layers)
              for te, owner in walk_trace(trace, arch.layers) if te.kind == "conv"]
     selector = policy.replace_selector
@@ -140,20 +144,18 @@ def _replace_one(owner: list[dict], conv: TraceEntry, policy: DistillPolicy) -> 
 
 def apply_bottleneck(arch: ArchSpec, bottleneck_dim: int) -> ArchSpec:
     """Insert or resize the pre-output bottleneck; the rest is untouched.
-    Validates ``arch`` and then the result, once each."""
-    new = _bottlenecked(arch, bottleneck_dim)
+    The result is a new, validated spec."""
+    new = _bottlenecked(arch, bottleneck_dim, arch.validate())
     new.validate()
     return new
 
 
 def _bottlenecked(arch: ArchSpec, bottleneck_dim: int,
-                  trace: list[TraceEntry] | None = None) -> ArchSpec:
+                  trace: tuple[TraceEntry, ...]) -> ArchSpec:
     """``apply_bottleneck``'s result, not validated; ``trace`` is ``arch``'s
-    ``validate()`` trace, which is taken here when not given."""
+    ``validate()`` trace."""
     if bottleneck_dim < 1:
         raise ArchError("bottleneck dimension must be >= 1")
-    if trace is None:
-        trace = arch.validate()
     head = [te for te in trace if te.kind in ("linear", "bottleneck_head")]
     if not head:
         raise ArchError("architecture has no linear head to bottleneck")
@@ -189,26 +191,28 @@ def distill_architecture(arch: ArchSpec, policy: DistillPolicy) -> ArchSpec:
 
 
 def transform_with_report(arch: ArchSpec, policy: DistillPolicy) -> TransformResult:
-    """``distill_architecture`` and what it did. Validates three times:
-    ``arch``, the copy it edits (once any head change is made) and the
-    result, reading each trace for everything it answers."""
+    """``distill_architecture`` and what it did. The convolutions to replace
+    are picked from the trace of ``arch``, or, once the head changes, of its
+    bottlenecked copy, and replaced in that one copy, which alone is
+    validated; ``arch`` keeps its trace, so only the copy is walked."""
     trace = arch.validate()
-    gamma_before = cost._gamma(trace)
+    gamma_before = gamma_after = cost._gamma(trace)
     head_changed = gamma_before > policy.threshold
-    new = (_bottlenecked(arch, policy.bottleneck_dim, trace) if head_changed
-           else arch.copy())
-    # the copy's trace: its entries are the ones the replacements edit
-    trace = new.validate()
-    gamma_after = cost._gamma(trace)
-    if head_changed and gamma_after > policy.threshold:
-        log.warning("bottleneck dim %d only reaches gamma=%.4f (> threshold %.4f)",
-                    policy.bottleneck_dim, gamma_after, policy.threshold)
+    if head_changed:
+        new = _bottlenecked(arch, policy.bottleneck_dim, trace)
+        # traced but not sealed: the replacements are written into it
+        trace = new._walk()
+        gamma_after = cost._gamma(trace)
+        if gamma_after > policy.threshold:
+            log.warning("bottleneck dim %d only reaches gamma=%.4f (> threshold %.4f)",
+                        policy.bottleneck_dim, gamma_after, policy.threshold)
+    else:
+        new = arch.copy()
     picked = select_replacements(new, trace, policy)
-    if not picked:
-        # re-running on an already-compact architecture is a no-op, but a
-        # selector that finds nothing on a plain network is a misconfiguration
-        if any(te.kind in VARIANTS for te, _ in walk_trace(trace, new.layers)):
-            return TransformResult(new, gamma_before, gamma_after, head_changed, 0)
+    # re-running on an already-compact architecture is a no-op, but a
+    # selector that finds nothing on a plain network is a misconfiguration
+    if not picked and not any(te.kind in VARIANTS
+                              for te, _ in walk_trace(trace, new.layers)):
         raise ArchError(
             f"selector {policy.replace_selector!r} matched no replaceable "
             f"convolutions")

@@ -378,12 +378,90 @@ def test_integral_float_fields_are_accepted_as_integers():
 
 def test_copy_is_an_independent_unvalidated_copy():
     source = zoo.build_zoo_arch("res18_mini")
+    source.validate()
     text = source.to_json()
     copy = source.copy()
     assert copy.to_json() == text
     residual = next(e for e in copy.layers if e["type"] == "residual")
     residual["body"][0]["out_channels"] += 1
     residual["body"].append({"type": "relu"})
+    copy.in_channels = 3
     assert source.to_json() == text
     # not validated: a caller validates the copy once it has edited it
     ArchSpec(1, 8, 8, [{"type": "no_such_layer"}]).copy()
+
+
+def count_walks(monkeypatch) -> list:
+    """The specs ``ArchSpec._walk`` walks from now on, in call order."""
+    walked = []
+    walk = ArchSpec._walk
+
+    def counted(spec):
+        walked.append(spec)
+        return walk(spec)
+    monkeypatch.setattr(ArchSpec, "_walk", counted)
+    return walked
+
+
+class TestSealing:
+    """The first validate() that passes walks the spec once, keeps the
+    trace and makes the spec read-only; one that fails changes nothing."""
+
+    def test_validate_walks_once_and_returns_the_kept_trace(self, monkeypatch):
+        spec = zoo.build_zoo_arch("res18_mini")
+        walked = count_walks(monkeypatch)
+        first = spec.validate()
+        assert spec.validate() is first
+        assert walked == [spec]
+
+    def test_sealed_entries_cannot_be_written(self):
+        spec = zoo.build_zoo_arch("res18_mini")
+        spec.validate()
+        residual = next(e for e in spec.layers if e["type"] == "residual")
+        with pytest.raises(TypeError):
+            spec.layers[0]["out_channels"] = 8
+        with pytest.raises(TypeError):
+            residual["body"][0]["kernel"] = 5
+        with pytest.raises(AttributeError):
+            residual["body"].append({"type": "relu"})
+        with pytest.raises(AttributeError):
+            spec.layers.append({"type": "relu"})
+        # to_obj() hands out plain dicts and lists that the caller may edit
+        obj = spec.to_obj()
+        obj["layers"][0]["out_channels"] = 8
+        assert spec.layers[0]["out_channels"] == 64
+
+    def test_unvalidated_spec_stays_editable(self):
+        spec = zoo.build_zoo_arch("mnist_small")
+        spec.layers[0]["out_channels"] = 8
+        spec.layers.append({"type": "relu"})
+        spec.in_height = 30
+        assert spec.layers[0]["out_channels"] == 8 and spec.in_height == 30
+
+    def test_failing_validate_raises_again_and_leaves_spec_editable(self, monkeypatch):
+        layers = [{"type": "conv", "out_channels": 4, "kernel": 3},
+                  {"type": "linear", "out_features": 2}]
+        spec = ArchSpec(1, 8, 8, layers)
+        walked = count_walks(monkeypatch)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ArchError) as info:
+                spec.validate()
+            messages.append(str(info.value))
+        assert messages == ["layers[1]: linear requires flat features "
+                            "(insert a flatten)"] * 2
+        assert walked == [spec, spec]
+        assert spec.layers is layers
+        spec.layers.insert(1, {"type": "flatten"})
+        assert spec.validate()[-1].out_state == ("flat", 2)
+
+    def test_from_obj_keeps_its_own_copies(self):
+        obj = json.loads(zoo.build_zoo_arch("res18_mini").to_json())
+        spec = ArchSpec.from_obj(obj)
+        text, flops = spec.to_json(), cost.analyze(spec).total_flops
+        residual = next(e for e in obj["layers"] if e["type"] == "residual")
+        obj["layers"][0]["out_channels"] = 8
+        residual["body"][0]["kernel"] = 5
+        residual["body"].append({"type": "relu"})
+        assert spec.to_json() == text
+        assert cost.analyze(spec).total_flops == flops

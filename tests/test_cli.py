@@ -52,16 +52,25 @@ def diverge_from_call(monkeypatch, module, name: str, call: int) -> None:
     monkeypatch.setattr(module, name, poisoned)
 
 
+def metrics_rows(run_dir) -> list[list[str]]:
+    """metrics.csv of ``run_dir`` without its last column, ``seconds``, the
+    wall time of each row, which alone differs between same-seed runs; each
+    row's seconds are checked to be a non-negative number."""
+    rows = list(csv.reader((run_dir / "metrics.csv").open()))
+    assert rows[0][-1] == "seconds"
+    assert all(float(row[-1]) >= 0 for row in rows[1:])
+    return [row[:-1] for row in rows]
+
+
 def assert_rows_kept_before(run_dir, complete_run_dir, iteration: int) -> None:
     """metrics.csv of an aborted run holds the header and exactly the rows
     of the complete run before ``iteration``."""
-    kept = (run_dir / "metrics.csv").read_text().splitlines()
-    complete = (complete_run_dir / "metrics.csv").read_text().splitlines()
+    kept = metrics_rows(run_dir)
+    complete = metrics_rows(complete_run_dir)
     assert len(complete) > iteration + 1
     assert kept == complete[:iteration + 1]
-    column = complete[0].split(",").index("iteration")
-    assert [row.split(",")[column] for row in kept[1:]] == \
-        [str(i) for i in range(iteration)]
+    column = complete[0].index("iteration")
+    assert [row[column] for row in kept[1:]] == [str(i) for i in range(iteration)]
 
 
 class TestAnalyze:
@@ -188,8 +197,19 @@ class TestTrainCommand:
     def test_metrics_reproducible_across_runs(self, tmp_path):
         assert self._train(tmp_path / "a") == 0
         assert self._train(tmp_path / "b") == 0
-        assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
-            (tmp_path / "b" / "metrics.csv").read_bytes()
+        rows = metrics_rows(tmp_path / "a")
+        assert rows[0] == ["epoch", "iteration", "loss", "lr", "test_error"]
+        # 7 iterations, then the epoch's test-error row
+        assert len(rows) == 1 + 7 + 1
+        assert rows == metrics_rows(tmp_path / "b")
+        # each row's seconds run from the previous row, the first row's from
+        # the start of the loop, so they add up to the loop's time less the
+        # checkpoint saved after the last row
+        seconds = [float(row["seconds"]) for row in
+                   csv.DictReader((tmp_path / "a" / "metrics.csv").open())]
+        train_s = json.loads((tmp_path / "a" / "run.json").read_text())["summary"][
+            "train_s"]
+        assert 0.5 * train_s < sum(seconds) <= train_s + 1e-3
         assert (tmp_path / "a" / "model.ckpt").read_bytes() == \
             (tmp_path / "b" / "model.ckpt").read_bytes()
 
@@ -229,8 +249,7 @@ class TestTrainCommand:
     def test_different_seed_changes_metrics(self, tmp_path):
         self._train(tmp_path / "a", seed="7")
         self._train(tmp_path / "c", seed="8")
-        assert (tmp_path / "a" / "metrics.csv").read_bytes() != \
-            (tmp_path / "c" / "metrics.csv").read_bytes()
+        assert metrics_rows(tmp_path / "a") != metrics_rows(tmp_path / "c")
 
     def test_missing_data_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("MNIST_DIR", raising=False)
@@ -312,11 +331,10 @@ class TestDistillCommand:
             assert rc == 0
         once("a")
         once("b")
-        rows = list(csv.reader((tmp_path / "a" / "metrics.csv").open()))
+        rows = metrics_rows(tmp_path / "a")
         assert rows[0] == ["iteration", "kl", "ce", "sp", "total", "lr"]
         assert len(rows) > 1
-        assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
-            (tmp_path / "b" / "metrics.csv").read_bytes()
+        assert rows == metrics_rows(tmp_path / "b")
         assert (tmp_path / "a" / "student.ckpt").exists()
 
     def test_one_student_checkpoint_file_saved_each_epoch(self, tmp_path, teacher_ckpt):

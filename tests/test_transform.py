@@ -7,6 +7,8 @@ from parcnn.arch import ArchSpec, build_model
 from parcnn.errors import ArchError
 from parcnn.transform import DistillPolicy, apply_bottleneck, distill_architecture
 
+from test_arch import count_walks
+
 
 def _layer_types(arch: ArchSpec) -> list[str]:
     return [e["type"] for e in arch.layers]
@@ -211,33 +213,26 @@ class TestDistillArchitecture:
 
 
 class TestValidateCount:
-    """A transform validates its source, the copy it edits and the result
-    once each; a static cost analysis validates once."""
+    """A validated spec keeps its trace: a transform of one walks only the
+    specs it makes, and a static cost analysis of one walks none."""
 
-    @staticmethod
-    def _count_validates(monkeypatch) -> list:
-        calls = []
-        validate = ArchSpec.validate
-
-        def counted(spec):
-            calls.append(spec)
-            return validate(spec)
-        monkeypatch.setattr(ArchSpec, "validate", counted)
-        return calls
-
-    @pytest.mark.parametrize("name,selector,head_changed", [
-        ("dcnn_table2", "interior", True), ("res18_mini", "residual_body", False)])
-    def test_transform_validates_at_most_three_times(self, monkeypatch, name, selector,
-                                                     head_changed):
+    @pytest.mark.parametrize("name,selector,head_changed,walks", [
+        ("dcnn_table2", "interior", True, 2), ("res18_mini", "residual_body", False, 1)])
+    def test_transform_walks_only_the_specs_it_makes(self, monkeypatch, name, selector,
+                                                     head_changed, walks):
         arch = zoo.build_zoo_arch(name)
-        calls = self._count_validates(monkeypatch)
+        arch.validate()
+        walked = count_walks(monkeypatch)
         result = transform.transform_with_report(
             arch, DistillPolicy(replace_selector=selector))
         assert result.head_changed == head_changed and result.replaced > 0
-        assert len(calls) <= 3
+        # the bottlenecked spec, when the head changes, and the result
+        assert len(walked) == walks and walked[-1] is result.arch
+        assert all(spec is not arch for spec in walked)
 
-    def test_analyze_validates_once(self, monkeypatch):
+    def test_analyze_after_validate_walks_nothing(self, monkeypatch):
         arch = zoo.build_zoo_arch("dcnn_table2")
-        calls = self._count_validates(monkeypatch)
+        walked = count_walks(monkeypatch)
+        arch.validate()
         cost.analyze(arch)
-        assert calls == [arch]
+        assert walked == [arch]
