@@ -11,10 +11,10 @@ on the first inconsistency. Each entry's fields are read once, through
 The first ``validate()`` that passes seals the spec: its entries become
 read-only copies (a residual's ``body`` a tuple of them) and its trace is
 kept, so every later call returns that trace without walking again. A
-spec that fails stays editable. ``copy()`` gives an editable, unvalidated
-copy, and ``to_obj()`` plain dicts and lists. A validated spec's input
-extents and ``layers`` are not reassigned either; nothing guards them, so
-that construction stays a plain dataclass ``__init__``.
+spec that fails stays editable. ``to_obj()`` gives plain dicts and lists,
+which the caller may edit. A validated spec's input extents and ``layers``
+are not reassigned either; nothing guards them, so that construction stays
+a plain dataclass ``__init__``.
 
 ``_SCHEMA`` lists each entry type's fields and their defaults; a field it
 does not list is rejected when a spec is read from JSON (``from_obj``).
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 
@@ -141,13 +141,6 @@ class ArchSpec:
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json() + "\n")
-
-    def copy(self) -> "ArchSpec":
-        """A copy whose layer entries can be edited without touching this
-        spec's: every entry dict and every residual's ``body`` list is new,
-        and field values are shared. The copy is not validated, so a caller
-        validates it after editing it."""
-        return replace(self, layers=_copy_entries(self.layers))
 
     # -- validation -------------------------------------------------------
     def validate(self) -> tuple[TraceEntry, ...]:
@@ -274,7 +267,7 @@ class ArchSpec:
     def tap_shapes(self) -> dict[str, tuple]:
         """Tap name -> (C, H, W) at that point, in arch order."""
         return {te.name: te.out_state[1:]
-                for te, _ in walk_trace(self.validate(), self.layers) if te.kind == "tap"}
+                for te, _ in walk_trace(self.validate()) if te.kind == "tap"}
 
     def default_tap_pairs(self) -> list[tuple[str, str]]:
         """Pair consecutive taps of equal spatial size: one pair per stage."""
@@ -426,15 +419,14 @@ def _seal(entries: list[dict], trace: tuple[TraceEntry, ...]) -> tuple:
     return tuple(sealed)
 
 
-def walk_trace(trace: tuple[TraceEntry, ...], owner: list[dict]):
+def walk_trace(trace: tuple[TraceEntry, ...]):
     """Every entry of a ``validate()`` trace, each residual's body right after
-    it, as (trace entry, the list that holds its entry: ``owner`` at the top
-    level, ``owner[i]["body"]`` below the residual at ``owner[i]``). ``owner``
-    is the traced spec's ``layers`` or those of a ``copy()`` of it."""
+    it, as (trace entry, whether it lies inside a residual body)."""
     for te in trace:
-        yield te, owner
+        yield te, False
         if te.body:
-            yield from walk_trace(te.body, owner[te.index]["body"])
+            for sub, _ in walk_trace(te.body):
+                yield sub, True
 
 
 def _projection_stride(h: int, w: int, ho: int, wo: int) -> int:

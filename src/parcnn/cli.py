@@ -24,6 +24,7 @@ import contextlib
 import csv
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -55,8 +56,8 @@ from .tensor import _write_then_replace  # noqa: E402
 
 def _nonneg_float(text: str) -> float:
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
     return value
 
 

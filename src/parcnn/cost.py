@@ -237,19 +237,19 @@ def analyze(arch: ArchSpec) -> CostReport:
 
 def gamma(arch: ArchSpec) -> float:
     """Fully-connected storage share of the whole network."""
-    return _gamma(arch.validate())
+    return _share(*_param_split(arch.validate()))
 
 
-def _gamma(trace: list[TraceEntry]) -> float:
-    """``gamma`` from a ``validate()`` trace's parameter counts alone: how a
-    caller that holds the trace reads it without a whole report."""
+def _param_split(trace: tuple[TraceEntry, ...]) -> tuple[int, int]:
+    """(fully-connected, all) parameters of a ``validate()`` trace: how a
+    caller that holds the trace reads gamma without a whole report."""
     fc = total = 0
     for te in trace:
         params = _sums(te, layers_of(te))[1]
         total += params
         if te.kind in _FC_KINDS:
             fc += params
-    return _share(fc, total)
+    return fc, total
 
 
 def _share(fc: int, total: int) -> float:

@@ -954,7 +954,12 @@ def load_checkpoint(prefix: str | Path) -> dict[str, np.ndarray]:
     manifest's CRC-32. The arrays are views of the one buffer the blob was
     read into, so loading holds the tensor bytes once."""
     manifest, blob = _read_checkpoint(prefix, blob=True)
-    sizes = [math.prod(shape) for _, shape in manifest["tensors"]]
+    listed = manifest.get("tensors")
+    if not (isinstance(listed, list) and all(map(_is_listed_tensor, listed))
+            and type(manifest.get("crc32")) is int):
+        raise DataFormatError(f"checkpoint {prefix} has a malformed manifest: it needs "
+                              f"'tensors' as [name, shape] pairs and an integer 'crc32'")
+    sizes = [math.prod(shape) for _, shape in listed]
     if len(blob) != 4 * sum(sizes):
         raise DataFormatError(f"checkpoint {prefix} holds {len(blob)} tensor bytes; "
                               f"its manifest describes {4 * sum(sizes)}")
@@ -965,7 +970,14 @@ def load_checkpoint(prefix: str | Path) -> dict[str, np.ndarray]:
     flat = np.frombuffer(blob, dtype="<f4").astype(np.float32, copy=False)
     parts = np.split(flat, np.cumsum(sizes)[:-1])
     return {name: part.reshape(shape)
-            for (name, shape), part in zip(manifest["tensors"], parts)}
+            for (name, shape), part in zip(listed, parts)}
+
+
+def _is_listed_tensor(item) -> bool:
+    """Whether a manifest's ``tensors`` item is [name, list of extents >= 0]."""
+    return (isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)
+            and isinstance(item[1], list)
+            and all(type(n) is int and n >= 0 for n in item[1]))
 
 
 # -- gradient checking ----------------------------------------------------------

@@ -8,21 +8,19 @@ The transformation has two independent steps, applied in order:
    (ParConv by default), optionally wrapping each replacement in a
    residual connection.
 
-Both steps choose what to change from the ``validate()`` trace of the
-architecture, reading each layer's resolved fields and input shape rather
-than its raw entry, and write new entries only, into a copy
-(``ArchSpec.copy``, which does not validate). Replaced layers keep their
-names (an unnamed one its ``<type><index>`` name); everything else is
-untouched, so the spatial/channel trace of the result still validates and
-logits keep their shape.
+Both steps choose what to change from the source's ``validate()`` trace,
+reading each layer's resolved fields and input shape rather than its raw
+entry. Each change maps a trace entry's name (unique in a validated spec)
+to the new entries that replace it, and the result is one new spec: the
+source's entries, copied as plain dicts, with those in place. Replaced
+layers keep their names (an unnamed one its ``<type><index>`` name);
+everything else is untouched, so the spatial/channel trace of the result
+still validates and logits keep their shape.
 
-A validated spec keeps its trace (``ArchSpec.validate``), so reading it
-again costs nothing. ``transform_with_report`` edits one copy of its
-source: the bottlenecked copy once the head changes, else a plain one. It
-picks the convolutions to replace from the source's trace, or from the
-bottlenecked copy's, which it walks before the replacements are written
-into it. So it walks the result only when the head is kept, and the
-bottlenecked copy and the result when it changes.
+The source keeps its trace (``ArchSpec.validate``), so the result is the
+only spec a transform walks. Its convolutions are picked from the source's
+trace even when the head changes: the head edit touches only ``linear``
+and ``bottleneck_head`` entries, so no convolution moves.
 """
 from __future__ import annotations
 
@@ -86,29 +84,27 @@ def _obstacle(te: TraceEntry, policy: DistillPolicy) -> str | None:
     return None
 
 
-def select_replacements(arch: ArchSpec, trace: tuple[TraceEntry, ...],
-                        policy: DistillPolicy) -> list[tuple[list[dict], TraceEntry]]:
-    """Resolve the policy's selector, over ``trace`` (the ``validate()``
-    trace of ``arch`` or of the spec ``arch`` is a copy of), to the convs to
-    replace, as (owning layer list in ``arch``, trace entry) in arch order."""
-    convs = [(owner, te, owner is not arch.layers)
-             for te, owner in walk_trace(trace, arch.layers) if te.kind == "conv"]
+def select_replacements(trace: tuple[TraceEntry, ...],
+                        policy: DistillPolicy) -> list[TraceEntry]:
+    """Resolve the policy's selector, over a ``validate()`` trace, to the
+    trace entries of the convs to replace, in arch order."""
+    convs = [(te, inside) for te, inside in walk_trace(trace) if te.kind == "conv"]
     selector = policy.replace_selector
     if selector in SELECTORS:
         if selector == "interior":
             convs = convs[1:-1]
         elif selector == "residual_body":
-            convs = [(owner, te, inside) for owner, te, inside in convs if inside]
-        return [(owner, te) for owner, te, _ in convs if _obstacle(te, policy) is None]
+            convs = [(te, inside) for te, inside in convs if inside]
+        return [te for te, _ in convs if _obstacle(te, policy) is None]
     wanted = {name.strip() for name in selector.split(",") if name.strip()}
     picked = []
-    for owner, te, _ in convs:
+    for te, _ in convs:
         if te.name in wanted:
             obstacle = _obstacle(te, policy)
             if obstacle is not None:
                 raise ArchError(f"layer {te.name!r} {obstacle}")
-            picked.append((owner, te))
-    missing = wanted - {te.name for _, te in picked}
+            picked.append(te)
+    missing = wanted - {te.name for te in picked}
     if missing:
         raise ArchError(f"selector names not found: {sorted(missing)}")
     return picked
@@ -123,7 +119,8 @@ def _compact_entry(conv: TraceEntry, policy: DistillPolicy) -> dict:
     return block
 
 
-def _replace_one(owner: list[dict], conv: TraceEntry, policy: DistillPolicy) -> None:
+def _replacement(conv: TraceEntry, policy: DistillPolicy) -> list[dict]:
+    """The entries that stand in for ``conv``."""
     block = _compact_entry(conv, policy)
     if policy.residual:
         inner = dict(block)
@@ -139,39 +136,48 @@ def _replace_one(owner: list[dict], conv: TraceEntry, policy: DistillPolicy) -> 
             block["body"].insert(0, pool)
         else:
             replacement = [pool, block]
-    owner[conv.index:conv.index + 1] = replacement
+    return replacement
 
 
 def apply_bottleneck(arch: ArchSpec, bottleneck_dim: int) -> ArchSpec:
     """Insert or resize the pre-output bottleneck; the rest is untouched.
     The result is a new, validated spec."""
-    new = _bottlenecked(arch, bottleneck_dim, arch.validate())
-    new.validate()
-    return new
+    return _rewrite(arch, _head_edits(arch, bottleneck_dim))
 
 
-def _bottlenecked(arch: ArchSpec, bottleneck_dim: int,
-                  trace: tuple[TraceEntry, ...]) -> ArchSpec:
-    """``apply_bottleneck``'s result, not validated; ``trace`` is ``arch``'s
-    ``validate()`` trace."""
+def _head_edits(arch: ArchSpec, bottleneck_dim: int) -> dict[str, list[dict]]:
+    """The edit that inserts or resizes ``arch``'s pre-output bottleneck."""
     if bottleneck_dim < 1:
         raise ArchError("bottleneck dimension must be >= 1")
-    head = [te for te in trace if te.kind in ("linear", "bottleneck_head")]
+    head = [te for te in arch.validate() if te.kind in ("linear", "bottleneck_head")]
     if not head:
         raise ArchError("architecture has no linear head to bottleneck")
-    new = arch.copy()
     last = head[-1]
     if last.kind == "bottleneck_head":
-        new.layers[last.index]["bottleneck_dim"] = bottleneck_dim
+        te, key = last, "bottleneck_dim"
     elif len(head) >= 2 and head[-2].kind == "linear":
-        new.layers[head[-2].index]["out_features"] = bottleneck_dim
+        te, key = head[-2], "out_features"
     else:
-        new.layers[last.index] = {
-            "type": "bottleneck_head",
-            "name": last.name,
-            "bottleneck_dim": bottleneck_dim,
-            "out_features": last.fields["out_features"],
-        }
+        return {last.name: [{"type": "bottleneck_head", "name": last.name,
+                             "bottleneck_dim": bottleneck_dim,
+                             "out_features": last.fields["out_features"]}]}
+    return {te.name: [{**arch.layers[te.index], key: bottleneck_dim}]}
+
+
+def _rewrite(arch: ArchSpec, edits: dict[str, list[dict]]) -> ArchSpec:
+    """A new, validated spec: ``arch``'s entries as plain dicts, each entry
+    whose trace name ``edits`` holds replaced by the entries it maps to."""
+    def edited(entries, trace: tuple[TraceEntry, ...]):
+        for entry, te in zip(entries, trace):
+            if te.name in edits:
+                yield from edits[te.name]
+            elif te.body is None:
+                yield dict(entry)
+            else:
+                yield {**entry, "body": list(edited(entry["body"], te.body))}
+    new = ArchSpec(arch.in_channels, arch.in_height, arch.in_width,
+                   list(edited(arch.layers, arch.validate())))
+    new.validate()
     return new
 
 
@@ -191,35 +197,31 @@ def distill_architecture(arch: ArchSpec, policy: DistillPolicy) -> ArchSpec:
 
 
 def transform_with_report(arch: ArchSpec, policy: DistillPolicy) -> TransformResult:
-    """``distill_architecture`` and what it did. The convolutions to replace
-    are picked from the trace of ``arch``, or, once the head changes, of its
-    bottlenecked copy, and replaced in that one copy, which alone is
-    validated; ``arch`` keeps its trace, so only the copy is walked."""
+    """``distill_architecture`` and what it did. The head edit and the
+    convolutions to replace come from the kept trace of ``arch``, and the
+    one spec they make is the only one walked."""
     trace = arch.validate()
-    gamma_before = gamma_after = cost._gamma(trace)
+    fc_before, total_before = cost._param_split(trace)
+    gamma_before = gamma_after = cost._share(fc_before, total_before)
     head_changed = gamma_before > policy.threshold
-    if head_changed:
-        new = _bottlenecked(arch, policy.bottleneck_dim, trace)
-        # traced but not sealed: the replacements are written into it
-        trace = new._walk()
-        gamma_after = cost._gamma(trace)
-        if gamma_after > policy.threshold:
-            log.warning("bottleneck dim %d only reaches gamma=%.4f (> threshold %.4f)",
-                        policy.bottleneck_dim, gamma_after, policy.threshold)
-    else:
-        new = arch.copy()
-    picked = select_replacements(new, trace, policy)
+    edits = _head_edits(arch, policy.bottleneck_dim) if head_changed else {}
+    picked = select_replacements(trace, policy)
     # re-running on an already-compact architecture is a no-op, but a
     # selector that finds nothing on a plain network is a misconfiguration
-    if not picked and not any(te.kind in VARIANTS
-                              for te, _ in walk_trace(trace, new.layers)):
+    if not picked and not any(te.kind in VARIANTS for te, _ in walk_trace(trace)):
         raise ArchError(
             f"selector {policy.replace_selector!r} matched no replaceable "
             f"convolutions")
-    # replace back to front so stride-2 expansions don't shift later indices
-    for owner, conv in reversed(picked):
-        _replace_one(owner, conv, policy)
-    new.validate()
+    edits.update((conv.name, _replacement(conv, policy)) for conv in picked)
+    new = _rewrite(arch, edits)
+    if head_changed:
+        # exactly gamma of the bottlenecked source: the head edit moves only
+        # fully-connected parameters, the replacements only the others
+        fc_after = cost._param_split(new.validate())[0]
+        gamma_after = cost._share(fc_after, fc_after + total_before - fc_before)
+        if gamma_after > policy.threshold:
+            log.warning("bottleneck dim %d only reaches gamma=%.4f (> threshold %.4f)",
+                        policy.bottleneck_dim, gamma_after, policy.threshold)
     return TransformResult(new, gamma_before, gamma_after, head_changed, len(picked))
 
 

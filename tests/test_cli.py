@@ -523,6 +523,23 @@ class TestRejectedFlagValues:
             "error: subset count must be non-negative, got -5\n"
         assert not run_dir.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--model", "zoo:mnist_small", "--synthetic", "--per-class", "2",
+         "--lr", "nan"],
+        ["train", "--model", "zoo:mnist_small", "--synthetic", "--per-class", "2",
+         "--lr", "inf"],
+        ["transform", "zoo:mnist_small", "--omega", "inf"],
+        ["distill", "--teacher", "t", "--synthetic", "--mu", "nan"],
+    ], ids=["lr-nan", "lr-inf", "omega-inf", "mu-nan"])
+    def test_non_finite_float_exits_2(self, argv, tmp_path, capsys):
+        run_dir = tmp_path / "r"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--run-dir", str(run_dir))
+        assert exc.value.code == 2
+        assert f"must be finite and non-negative, got {argv[-1]}" in \
+            capsys.readouterr().err
+        assert not run_dir.exists()
+
 
 class TestLogLevel:
     def _transform(self, run_dir, *before):
@@ -554,6 +571,18 @@ class TestReportCommand:
         lines = (tmp_path / "r" / "weights_histogram.csv").read_text().splitlines()
         assert lines[0] == "bin_left,bin_right,count"
         assert len(lines) == 22
+
+    def test_manifest_without_tensors_exits_3(self, tmp_path, capsys):
+        arch = json.dumps(build_zoo_arch("mnist_small").to_obj(), separators=(",", ":"))
+        (tmp_path / "bad.ckpt").write_text(
+            '{"format":"parcnn-checkpoint-v2","arch":' + arch + '}\n')
+        run_dir = tmp_path / "r"
+        assert run_cli("report", "--ckpt", str(tmp_path / "bad"),
+                       "--run-dir", str(run_dir)) == 3
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {tmp_path / 'bad'} has a malformed manifest: it needs "
+            f"'tensors' as [name, shape] pairs and an integer 'crc32'\n")
+        assert not run_dir.exists()
 
 
 class TestConsoleEntry:

@@ -1408,6 +1408,23 @@ class TestCheckpoint:
                                                   "manifest describes 40"):
             load_checkpoint(tmp_path / "c")
 
+    @pytest.mark.parametrize("fields", [
+        {"tensors": None}, {"crc32": None}, {"tensors": [["x"]]},
+        {"tensors": [["a", [2, 3]], [4, [4]]]}, {"tensors": [["a", [2, -3]], ["b", [4]]]},
+        {"tensors": [["a", [2, 3.0]], ["b", [4]]]}, {"tensors": {"a": [2, 3]}},
+        {"crc32": "0"}, {"crc32": True},
+    ], ids=["no-tensors", "no-crc32", "short-item", "name-not-str", "negative-extent",
+            "float-extent", "tensors-object", "crc32-str", "crc32-bool"])
+    def test_malformed_manifest_rejected(self, tmp_path, fields):
+        import json
+        from parcnn.errors import DataFormatError
+        path, line, blob = self._two_tensors(tmp_path)
+        manifest = {**json.loads(line), **fields}
+        manifest = {key: value for key, value in manifest.items() if value is not None}
+        path.write_bytes(json.dumps(manifest).encode() + b"\n" + blob)
+        with pytest.raises(DataFormatError, match="malformed manifest"):
+            load_checkpoint(tmp_path / "c")
+
     def test_flipped_tensor_byte_fails_the_crc32(self, tmp_path):
         from parcnn.errors import DataFormatError
         path, line, blob = self._two_tensors(tmp_path)
