@@ -22,6 +22,7 @@ Every entry may carry a ``name``; unnamed entries get ``<type><index>``.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -71,6 +72,8 @@ class TraceEntry:
     body: tuple["TraceEntry", ...] | None = None
     skip_stride: int = 1     # residual only; 1 and equal channels => identity
     parconv: ParConvSpec | None = None   # parconv and sparconv only
+    # (FLOPs, parameters), body included: kept by ``cost`` on first use
+    cost_sums: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
     @property
     def spatial(self) -> str:
@@ -439,6 +442,11 @@ def _projection_stride(h: int, w: int, ho: int, wo: int) -> int:
         f"pointwise projection")
 
 
+# one frozen spec per block geometry, shared by every trace entry and
+# transform that asks for it (a geometry ParConvSpec rejects is not kept)
+_shared_parconv_spec = functools.lru_cache(maxsize=1024)(ParConvSpec)
+
+
 def _parconv_spec(kind: str, fields: dict, in_channels: int) -> ParConvSpec:
     """Block spec of resolved ``parconv`` or ``sparconv`` fields; a sparconv
     entry is a ParConv with no expanding conv whose ``split`` is the branch-A
@@ -447,8 +455,8 @@ def _parconv_spec(kind: str, fields: dict, in_channels: int) -> ParConvSpec:
         omega, alpha = None, fields["split"]
     else:
         omega, alpha = fields["omega"], fields["alpha"]
-    spec = ParConvSpec(in_channels, fields["out_channels"], omega, alpha,
-                       fields["kernel"], fields["shuffle"])
+    spec = _shared_parconv_spec(in_channels, fields["out_channels"], omega, alpha,
+                                fields["kernel"], fields["shuffle"])
     if spec.include_shuffle and in_channels % 2:
         raise ValueError(
             f"channel shuffle needs an even channel count, have {in_channels}")

@@ -23,6 +23,7 @@ activation or a skip path that is read again.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,19 +229,24 @@ def parconv_widths(in_channels: int, alpha: float,
 
     branch_a = floor(alpha * C_in); expanded = round-half-up(omega * alpha *
     C_in), minimum 1, or branch_a when omega is None (no expanding conv);
-    branch_b gets the remaining channels.
+    branch_b gets the remaining channels. Raises ValueError when the
+    expanded width is not finite (a huge omega).
     """
-    a = int(np.floor(alpha * in_channels))
+    a = math.floor(alpha * in_channels)
     b = in_channels - a
     if omega is None:
         return a, a, b
-    e = max(1, int(np.floor(omega * alpha * in_channels + 0.5)))
-    return a, e, b
+    expanded = omega * alpha * in_channels
+    if not math.isfinite(expanded):
+        raise ValueError(f"omega {omega!r} is too large: the expanded width "
+                         f"omega * alpha * C_in is not finite")
+    return a, max(1, math.floor(expanded + 0.5)), b
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParConvSpec:
-    """Declarative description of one ParConv block."""
+    """Declarative description of one ParConv block; frozen, so that trace
+    entries and models may share one."""
 
     in_channels: int
     out_channels: int

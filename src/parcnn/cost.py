@@ -15,6 +15,11 @@ them for the model builder too; a residual entry adds its body's entries.
 * ``gamma`` is the fully-connected share of storage:
   fc_params / (fc_params + conv_params).
 
+Each sum is worked out once: a trace entry keeps its (FLOPs, parameters)
+on first use (``TraceEntry.cost_sums``), since a validated spec is sealed
+and its trace never changes; later reports and gammas of the spec only add
+up the kept sums.
+
 The paper's closed forms of the compact blocks' FLOPs stay, as oracles.
 """
 from __future__ import annotations
@@ -200,18 +205,21 @@ def _config(te: TraceEntry, layers: list[tuple]) -> str:
     return "residual[" + ",".join(kinds) + "]" + ("+proj" if layers else "")
 
 
-def _sums(te: TraceEntry, layers: list[tuple]) -> tuple[int, int]:
-    """(FLOPs, parameters) of trace entry ``te`` whose layer list is
-    ``layers``, its residual body's included."""
-    macs, params = _layer_sums(layers)
-    # the output's spatial size
-    ho, wo = te.out_state[2:] if te.out_state[0] == "map" else (1, 1)
-    flops = ho * wo * macs
-    for sub in te.body or ():
-        sub_flops, sub_params = _sums(sub, layers_of(sub))
-        flops += sub_flops
-        params += sub_params
-    return flops, params
+def _entry_sums(te: TraceEntry, layers: list[tuple] | None = None) -> tuple[int, int]:
+    """(FLOPs, parameters) of trace entry ``te``, its residual body's
+    included; ``layers``, if given, is ``layers_of(te)``. Worked out on
+    first use and kept on ``te``, which a sealed spec never changes."""
+    if te.cost_sums is None:
+        macs, params = _layer_sums(layers_of(te) if layers is None else layers)
+        # the output's spatial size
+        ho, wo = te.out_state[2:] if te.out_state[0] == "map" else (1, 1)
+        flops = ho * wo * macs
+        for sub in te.body or ():
+            sub_flops, sub_params = _entry_sums(sub)
+            flops += sub_flops
+            params += sub_params
+        te.cost_sums = flops, params
+    return te.cost_sums
 
 
 def _entry_cost(te: TraceEntry) -> LayerCost | None:
@@ -219,7 +227,7 @@ def _entry_cost(te: TraceEntry) -> LayerCost | None:
         return None
     layers = layers_of(te)
     return LayerCost(te.name, te.kind, _config(te, layers), te.spatial,
-                     *_sums(te, layers), te.kind in _FC_KINDS)
+                     *_entry_sums(te, layers), te.kind in _FC_KINDS)
 
 
 def analyze(arch: ArchSpec) -> CostReport:
@@ -245,7 +253,7 @@ def _param_split(trace: tuple[TraceEntry, ...]) -> tuple[int, int]:
     caller that holds the trace reads gamma without a whole report."""
     fc = total = 0
     for te in trace:
-        params = _sums(te, layers_of(te))[1]
+        params = _entry_sums(te)[1]
         total += params
         if te.kind in _FC_KINDS:
             fc += params

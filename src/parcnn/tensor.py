@@ -950,15 +950,21 @@ def load_manifest(prefix: str | Path) -> dict:
 
 def load_checkpoint(prefix: str | Path) -> dict[str, np.ndarray]:
     """The tensors of ``prefix``.ckpt as writable float32 arrays, once the
-    blob holds exactly the bytes of the listed shapes and matches the
-    manifest's CRC-32. The arrays are views of the one buffer the blob was
-    read into, so loading holds the tensor bytes once."""
+    manifest names each tensor once and the blob holds exactly the bytes of
+    the listed shapes and matches the manifest's CRC-32. The arrays are
+    views of the one buffer the blob was read into, so loading holds the
+    tensor bytes once."""
     manifest, blob = _read_checkpoint(prefix, blob=True)
     listed = manifest.get("tensors")
     if not (isinstance(listed, list) and all(map(_is_listed_tensor, listed))
             and type(manifest.get("crc32")) is int):
         raise DataFormatError(f"checkpoint {prefix} has a malformed manifest: it needs "
                               f"'tensors' as [name, shape] pairs and an integer 'crc32'")
+    names = [name for name, _ in listed]
+    if len(set(names)) != len(names):
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        raise DataFormatError(f"checkpoint {prefix} has a malformed manifest: it lists "
+                              f"the tensor names {repeated} more than once")
     sizes = [math.prod(shape) for _, shape in listed]
     if len(blob) != 4 * sum(sizes):
         raise DataFormatError(f"checkpoint {prefix} holds {len(blob)} tensor bytes; "

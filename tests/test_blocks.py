@@ -278,6 +278,10 @@ class TestParConvBlock:
             ParConvSpec(in_channels=100, out_channels=100, omega=0.5, alpha=1.0)
         with pytest.raises(ValueError):
             ParConvSpec(in_channels=1, out_channels=4, omega=0.5)
+        # omega * alpha * C_in overflows to inf: a ValueError, not an
+        # OverflowError from flooring it
+        with pytest.raises(ValueError, match="expanded width .* is not finite"):
+            ParConvSpec(in_channels=16, out_channels=16, omega=1e308)
 
     def test_gradient_matches_finite_differences(self):
         # 1x8x6x6 input, loss = sum of outputs, central differences step 1e-3.

@@ -158,6 +158,15 @@ class TestAnalyze:
         assert capsys.readouterr().err == \
             "error: layers[0]: window/stride must be >= 1\n"
 
+    def test_huge_omega_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "arch.json"
+        bad.write_text('{"input": {"channels": 4, "height": 6, "width": 6}, "layers":'
+                       ' [{"type": "parconv", "out_channels": 16, "omega": 1e308}]}')
+        assert run_cli("analyze", str(bad), "--run-dir", str(tmp_path / "r")) == 3
+        assert capsys.readouterr().err == (
+            "error: layers[0]: omega 1e+308 is too large: the expanded width "
+            "omega * alpha * C_in is not finite\n")
+
 
 class TestTransform:
     def test_default_transform_shows_flops_drop(self, tmp_path, capsys):
@@ -181,6 +190,13 @@ class TestTransform:
         out = capsys.readouterr().out
         flops = int(out.split("FLOPs")[1].split()[1])
         assert flops == pytest.approx(1.84e8, rel=0.02)
+
+    def test_huge_omega_exits_3(self, tmp_path, capsys):
+        # no conv can take the block, so the selector finds nothing
+        assert run_cli("transform", "zoo:mnist_small", "--omega", "1e308",
+                       "--run-dir", str(tmp_path / "r")) == 3
+        assert capsys.readouterr().err == \
+            "error: selector 'interior' matched no replaceable convolutions\n"
 
     def test_bad_variant_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -582,6 +598,22 @@ class TestReportCommand:
         assert capsys.readouterr().err == (
             f"error: checkpoint {tmp_path / 'bad'} has a malformed manifest: it needs "
             f"'tensors' as [name, shape] pairs and an integer 'crc32'\n")
+        assert not run_dir.exists()
+
+
+    def test_manifest_repeating_a_tensor_name_exits_3(self, tmp_path, capsys):
+        build_model(build_zoo_arch("mnist_small")).save(tmp_path / "m")
+        path = tmp_path / "m.ckpt"
+        line, blob = path.read_bytes().split(b"\n", 1)
+        # the two tensors have one shape, so the blob still matches
+        line = line.replace(b'"conv1.bn.scale"', b'"conv1.conv.bias"')
+        path.write_bytes(line + b"\n" + blob)
+        run_dir = tmp_path / "r"
+        assert run_cli("report", "--ckpt", str(tmp_path / "m"),
+                       "--run-dir", str(run_dir)) == 3
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {tmp_path / 'm'} has a malformed manifest: it lists "
+            f"the tensor names ['conv1.conv.bias'] more than once\n")
         assert not run_dir.exists()
 
 

@@ -1412,9 +1412,10 @@ class TestCheckpoint:
         {"tensors": None}, {"crc32": None}, {"tensors": [["x"]]},
         {"tensors": [["a", [2, 3]], [4, [4]]]}, {"tensors": [["a", [2, -3]], ["b", [4]]]},
         {"tensors": [["a", [2, 3.0]], ["b", [4]]]}, {"tensors": {"a": [2, 3]}},
-        {"crc32": "0"}, {"crc32": True},
+        {"crc32": "0"}, {"crc32": True}, {"tensors": [["a", [2, 3]], ["a", [4]]]},
     ], ids=["no-tensors", "no-crc32", "short-item", "name-not-str", "negative-extent",
-            "float-extent", "tensors-object", "crc32-str", "crc32-bool"])
+            "float-extent", "tensors-object", "crc32-str", "crc32-bool",
+            "repeated-name"])
     def test_malformed_manifest_rejected(self, tmp_path, fields):
         import json
         from parcnn.errors import DataFormatError

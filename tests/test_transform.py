@@ -1,9 +1,13 @@
 """Architecture transformation: bottleneck step, conv replacement, selectors."""
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 from parcnn import cost, transform, zoo
 from parcnn.arch import ArchSpec, build_model
+from parcnn.blocks import ParConvSpec
 from parcnn.errors import ArchError
 from parcnn.transform import DistillPolicy, apply_bottleneck, distill_architecture
 
@@ -244,3 +248,66 @@ class TestValidateCount:
         arch.validate()
         cost.analyze(arch)
         assert walked == [arch]
+
+
+# the selectors the static-cost benchmark grid runs on each architecture
+STATIC_COST_SELECTORS = {"dcnn_table2": ("interior", "all"),
+                         "mnist_small": ("interior", "all"),
+                         "res18_mini": ("interior", "residual_body")}
+
+
+class TestComputedOnce:
+    """A sealed spec's trace entries keep their cost sums, and blocks of one
+    geometry share one frozen ParConvSpec."""
+
+    @pytest.mark.parametrize("name,variant,residual,selector", [
+        (name, variant, residual, selector)
+        for name, selectors in STATIC_COST_SELECTORS.items()
+        for variant, residual, selector in itertools.product(
+            transform.VARIANTS, (False, True), selectors)])
+    def test_kept_sums_equal_fresh_ones(self, name, variant, residual, selector):
+        result = transform.transform_with_report(
+            zoo.build_zoo_arch(name),
+            DistillPolicy(variant=variant, residual=residual, replace_selector=selector))
+        kept = cost.analyze(result.arch)
+        # the same entries read into a new spec, whose trace keeps no sums yet
+        fresh_arch = ArchSpec.from_obj(result.arch.to_obj())
+        fresh = cost.analyze(fresh_arch)
+        assert kept.layers == fresh.layers
+        assert cost.render_text(kept) == cost.render_text(fresh)
+        assert cost.render_csv(kept) == cost.render_csv(fresh)
+        assert cost.gamma(result.arch) == cost.gamma(fresh_arch)
+
+    def test_second_analyze_and_gamma_sum_no_layers(self, monkeypatch):
+        # residual bodies of ParConv blocks: sums kept for nested entries too
+        arch = transform.transform_with_report(
+            zoo.build_zoo_arch("res18_mini"),
+            DistillPolicy(residual=True, replace_selector="residual_body")).arch
+        cost._param_split(arch.validate())
+        calls = []
+        layer_sums = cost._layer_sums
+        monkeypatch.setattr(cost, "_layer_sums",
+                            lambda layers: calls.append(None) or layer_sums(layers))
+        for _ in range(2):
+            cost.analyze(arch)
+            cost.gamma(arch)
+        assert calls == []
+
+    def test_second_identical_transform_constructs_no_spec(self, monkeypatch):
+        transform.transform_with_report(zoo.build_zoo_arch("dcnn_table2"),
+                                        DistillPolicy())
+        made = []
+        init = ParConvSpec.__init__
+
+        def counted(spec, *args, **kwargs):
+            made.append(None)
+            init(spec, *args, **kwargs)
+        monkeypatch.setattr(ParConvSpec, "__init__", counted)
+        result = transform.transform_with_report(zoo.build_zoo_arch("dcnn_table2"),
+                                                 DistillPolicy())
+        assert result.replaced == 12 and made == []
+
+    def test_spec_fields_cannot_be_assigned(self):
+        spec = ParConvSpec(8, 8, omega=0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.omega = 1.0
