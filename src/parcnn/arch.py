@@ -559,42 +559,44 @@ class Model:
     def save(self, prefix: str | Path) -> None:
         T.save_checkpoint(prefix, self.state(), extra={"arch": self.arch.to_obj()})
 
-    def load(self, prefix: str | Path) -> None:
-        self.load_state(T.load_checkpoint(prefix))
-
     def zero_grad(self) -> None:
         for _, p in self.params():
             p.zero_grad()
 
 
 def build_model(arch: ArchSpec, seed: int = 0) -> Model:
-    """Instantiate an ArchSpec with seed-controlled initialization."""
-    trace = arch.validate()
-    rng = np.random.default_rng(seed)
-    root = B.Sequential(_build_entries(trace, rng))
-    return Model(arch, root)
-
-
-def load_model(prefix: str | Path) -> Model:
-    """Rebuild a model from a self-describing checkpoint."""
-    manifest = T.load_manifest(prefix)
-    if "arch" not in manifest:
-        raise ArchError(f"checkpoint {prefix} carries no architecture description")
-    model = build_model(ArchSpec.from_obj(manifest["arch"]))
-    model.load(prefix)
+    """Instantiate an ArchSpec with seed-controlled initialization: its
+    weights are drawn from ``default_rng(seed)`` in state order."""
+    model = _zero_model(arch)
+    B.init_weights(model.params(), np.random.default_rng(seed))
     return model
 
 
-def _build_entries(trace: list[TraceEntry], rng) -> list[tuple[str, Layer]]:
-    return [(te.name, _build_one(te, rng)) for te in trace]
+def load_model(prefix: str | Path) -> Model:
+    """Rebuild a model from a self-describing checkpoint, read once; no
+    weight is drawn."""
+    manifest, arrays = T.load_checkpoint(prefix)
+    if "arch" not in manifest:
+        raise ArchError(f"checkpoint {prefix} carries no architecture description")
+    model = _zero_model(ArchSpec.from_obj(manifest["arch"]))
+    model.load_state(arrays)
+    return model
 
 
-def _build_one(te: TraceEntry, rng) -> Layer:
+def _zero_model(arch: ArchSpec) -> Model:
+    """``arch``'s model, its layers made with zero weights."""
+    return Model(arch, B.Sequential(_build_entries(arch.validate())))
+
+
+def _build_entries(trace: list[TraceEntry]) -> list[tuple[str, Layer]]:
+    return [(te.name, _build_one(te)) for te in trace]
+
+
+def _build_one(te: TraceEntry) -> Layer:
     if te.kind == "residual":
-        # the body draws from ``rng`` before the projection
-        body = B.Sequential(_build_entries(te.body, rng))
-        return B.ResidualBlock(body, B.build(layers_of(te), rng), te.fields["post_relu"])
-    children = B.build(layers_of(te), rng)
+        body = B.Sequential(_build_entries(te.body))
+        return B.ResidualBlock(body, B.build(layers_of(te)), te.fields["post_relu"])
+    children = B.build(layers_of(te))
     if te.kind in ("parconv", "sparconv"):
         return B.ParConvBlock(children)
     return B.Sequential(children) if len(children) > 1 else children[0][1]

@@ -13,6 +13,10 @@ is followed by a fused BN+ReLU layer, one ``BatchNorm2d(relu=True)`` run as
 one op; a ParConv block's branch sum is followed by one (``post_bn``). All
 compact blocks preserve spatial size (stride 1, padding (K-1)/2).
 
+Who sets the weights: a layer is made with zero weights and biases;
+``arch.build_model`` draws every weight of a new model with ``init_weights``,
+and ``arch.load_model`` draws none and writes the checkpoint's values.
+
 Who may reuse a buffer: a ``BatchNorm2d(reuse_input=True)`` normalises in
 place of its input (``tensor.batch_norm2d``), so it is built that way only
 where its input is the private output of the conv or depthwise conv just
@@ -38,27 +42,6 @@ class ForwardContext:
     taps: dict[str, Tensor] | None = None
 
 
-def _init_conv(rng: np.random.Generator, c_out: int, c_in: int, k: int) -> np.ndarray:
-    """A (C_out, C_in, K, K) weight stored tap-major, as (C_out, K, K, C_in)
-    in memory: the order ``tensor.conv2d``'s GEMMs read it in, so that they
-    copy no weight. The float32 cast writes that layout in the same pass."""
-    std = 1.0 / np.sqrt(c_in * k * k)
-    w = rng.normal(0.0, std, size=(c_out, c_in, k, k))
-    out = np.empty((c_out, k, k, c_in), np.float32)
-    np.copyto(out, w.transpose(0, 2, 3, 1), casting="same_kind")
-    return out.transpose(0, 3, 1, 2)
-
-
-def _init_depthwise(rng: np.random.Generator, c: int, k: int) -> np.ndarray:
-    std = 1.0 / np.sqrt(k * k)
-    return rng.normal(0.0, std, size=(c, k, k)).astype(np.float32)
-
-
-def _init_linear(rng: np.random.Generator, n_out: int, n_in: int) -> np.ndarray:
-    std = 1.0 / np.sqrt(n_in)
-    return rng.normal(0.0, std, size=(n_out, n_in)).astype(np.float32)
-
-
 class Layer:
     """Base class. A layer's state is its sublayers' state, in order, each
     name prefixed by the sublayer's name; leaves override ``params`` and
@@ -80,7 +63,19 @@ class Layer:
 
 
 class _WeightBias(Layer):
-    """A leaf holding a ``weight`` and an optional ``bias``."""
+    """A leaf holding a zero ``weight`` and an optional zero ``bias``. With
+    ``tap_major`` a (C_out, C_in, K, K) weight is stored as (C_out, K, K,
+    C_in): the order ``tensor.conv2d``'s GEMMs read it in, so they copy none."""
+
+    def __init__(self, shape: tuple[int, ...], bias: bool, tap_major: bool = False):
+        if tap_major:
+            c_out, c_in, k, _ = shape
+            weight = np.zeros((c_out, k, k, c_in), np.float32).transpose(0, 3, 1, 2)
+        else:
+            weight = np.zeros(shape, np.float32)
+        self.weight = Tensor(weight, requires_grad=True)
+        self.bias = Tensor(np.zeros(shape[0], np.float32), requires_grad=True) \
+            if bias else None
 
     def params(self):
         out = [("weight", self.weight)]
@@ -92,20 +87,17 @@ class _WeightBias(Layer):
 class Conv2d(_WeightBias):
     """A standard convolution. Its weight has the logical shape (C_out, C_in,
     K, K) in state names, checkpoints and ``load_state``, and is stored
-    tap-major (``_init_conv``); the SGD update and ``load_state`` write it
-    in place, so it stays so."""
+    tap-major (``_WeightBias``); ``init_weights``, the SGD update and
+    ``load_state`` write it in place, so it stays so."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
-                 stride: int = 1, padding: int = 0, bias: bool = True, *,
-                 rng: np.random.Generator):
+                 stride: int = 1, padding: int = 0, bias: bool = True):
         if min(in_channels, out_channels, kernel, stride) < 1 or padding < 0:
             raise ValueError("invalid convolution geometry")
+        super().__init__((out_channels, in_channels, kernel, kernel), bias,
+                         tap_major=True)
         self.stride = stride
         self.padding = padding
-        self.weight = Tensor(_init_conv(rng, out_channels, in_channels, kernel),
-                             requires_grad=True)
-        self.bias = Tensor(np.zeros(out_channels, np.float32), requires_grad=True) \
-            if bias else None
 
     def forward(self, x, ctx):
         return T.conv2d(x, self.weight, self.bias, self.stride, self.padding)
@@ -113,14 +105,12 @@ class Conv2d(_WeightBias):
 
 class DepthwiseConv2d(_WeightBias):
     def __init__(self, channels: int, kernel: int, stride: int = 1,
-                 padding: int = 0, bias: bool = True, *, rng: np.random.Generator):
+                 padding: int = 0, bias: bool = True):
         if min(channels, kernel, stride) < 1 or padding < 0:
             raise ValueError("invalid convolution geometry")
+        super().__init__((channels, kernel, kernel), bias)
         self.stride = stride
         self.padding = padding
-        self.weight = Tensor(_init_depthwise(rng, channels, kernel), requires_grad=True)
-        self.bias = Tensor(np.zeros(channels, np.float32), requires_grad=True) \
-            if bias else None
 
     def forward(self, x, ctx):
         return T.depthwise_conv2d(x, self.weight, self.bias, self.stride, self.padding)
@@ -176,12 +166,8 @@ class Flatten(Layer):
 
 
 class Linear(_WeightBias):
-    def __init__(self, in_features: int, out_features: int, bias: bool = True, *,
-                 rng: np.random.Generator):
-        self.weight = Tensor(_init_linear(rng, out_features, in_features),
-                             requires_grad=True)
-        self.bias = Tensor(np.zeros(out_features, np.float32), requires_grad=True) \
-            if bias else None
+    def __init__(self, in_features: int, out_features: int, bias: bool = True):
+        super().__init__((out_features, in_features), bias)
 
     def forward(self, x, ctx):
         return T.linear(x, self.weight, self.bias)
@@ -322,21 +308,21 @@ def projection_layers(in_channels: int, out_channels: int, stride: int) -> list[
             ("bn", "projection.bn", out_channels, False, True)]
 
 
-def build(layers: list[tuple], rng: np.random.Generator) -> list[tuple[str, Layer]]:
-    """The named layers of a layer list, made in its order, which is the
-    order they draw from ``rng``."""
-    return [(layer[1], _layer(layer, rng)) for layer in layers]
+def build(layers: list[tuple]) -> list[tuple[str, Layer]]:
+    """The named layers of a layer list, made in its order, with zero
+    weights."""
+    return [(layer[1], _layer(layer)) for layer in layers]
 
 
-def _layer(layer: tuple, rng: np.random.Generator) -> Layer:
+def _layer(layer: tuple) -> Layer:
     kind, name, *geometry = layer
     if kind == "conv":
-        return Conv2d(*geometry, rng=rng)
+        return Conv2d(*geometry)
     if kind == "depthwise":
         c, k, padding = geometry
-        return DepthwiseConv2d(c, k, padding=padding, rng=rng)
+        return DepthwiseConv2d(c, k, padding=padding)
     if kind == "linear":
-        return Linear(*geometry, rng=rng)
+        return Linear(*geometry)
     if kind == "bn":
         return BatchNorm2d(*geometry)
     if kind == "maxpool":
@@ -346,6 +332,16 @@ def _layer(layer: tuple, rng: np.random.Generator) -> Layer:
     if kind == "tap":
         return Tap(name)
     return {"relu": ReLU, "flatten": Flatten}[kind]()
+
+
+def init_weights(params: list[tuple[str, Tensor]], rng: np.random.Generator) -> None:
+    """Draw each ``weight`` of ``params``, in order, from N(0, 1/fan_in) into
+    its own storage; fan_in is its size over its first axis: C_in*K*K for a
+    conv, K*K for a depthwise conv, in_features for a linear layer."""
+    for name, t in params:
+        if name.rpartition(".")[2] == "weight":
+            std = 1.0 / np.sqrt(t.size // t.shape[0])
+            np.copyto(t.data, rng.normal(0.0, std, size=t.shape), casting="same_kind")
 
 
 class ChannelGather(Layer):

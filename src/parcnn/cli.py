@@ -233,17 +233,17 @@ def cmd_train(args) -> int:
     run_config = _write_run_config(run_dir, args, "train")
     with _csv_rows(run_dir / "metrics.csv", _TRAIN_COLUMNS) as write_row:
         loop_start = time.perf_counter()
-        train.train_classifier(
+        metrics = train.train_classifier(
             model, train_set, epochs=args.epochs, batch_size=args.batch,
             schedule=schedule, momentum=args.momentum,
             weight_decay=args.weight_decay, seed=args.seed, eval_data=test_set,
             checkpoint_prefix=run_dir / "model", on_row=write_row)
         train_s = time.perf_counter() - loop_start
-    result = train.evaluate(model, test_set, args.batch)
     _write_run_summary(run_dir, run_config, started, args.epochs * len(train_set),
                        train_s)
-    print(f"[train] test error {100 * result.cer:.2f}% "
-          f"({result.substitutions}/{result.total}); "
+    test_error = metrics[-1]["test_error"]
+    print(f"[train] test error {100 * test_error:.2f}% "
+          f"({round(test_error * len(test_set))}/{len(test_set)}); "
           f"checkpoint {run_dir}/model, metrics {run_dir}/metrics.csv")
     return 0
 

@@ -22,6 +22,7 @@ only its per-batch loss differs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -160,6 +161,9 @@ class DistillConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("mu", "beta", "lam", "lr", "momentum", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mu < 0 or self.beta < 0 or self.lam < 0:
             raise ValueError("loss weights must be non-negative")
         if self.mu + self.beta <= 0:

@@ -917,13 +917,17 @@ def _write_then_replace(path: Path, *chunks) -> None:
         os.close(directory)
 
 
-def _read_checkpoint(prefix: str | Path, blob: bool) -> tuple[dict, bytearray]:
-    """``prefix``.ckpt's manifest and, if ``blob``, the bytes after it, read
-    into one buffer sized from the file."""
-    prefix = Path(prefix)
-    path = prefix.with_name(prefix.name + ".ckpt")
+def load_checkpoint(prefix: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The manifest of ``prefix``.ckpt and its tensors as writable float32
+    arrays, from one open and read of the file, once the manifest names each
+    tensor once and the blob holds exactly the bytes of the listed shapes
+    and matches the manifest's CRC-32. The arrays are views of the one
+    buffer, sized from the file, that the blob was read into, so loading
+    holds the tensor bytes once."""
+    stem = Path(prefix)
+    path = stem.with_name(stem.name + ".ckpt")
     if not path.exists():
-        old = prefix.with_name(prefix.name + ".json")
+        old = stem.with_name(stem.name + ".json")
         if old.exists():
             raise DataFormatError(f"{old} is a two-file checkpoint from before "
                                   f"format v2, which is not read")
@@ -935,26 +939,9 @@ def _read_checkpoint(prefix: str | Path, blob: bool) -> tuple[dict, bytearray]:
             manifest = None
         if not isinstance(manifest, dict) or manifest.get("format") != _CKPT_MAGIC:
             raise DataFormatError(f"unrecognized checkpoint: {path}")
-        if not blob:
-            return manifest, bytearray()
-        data = bytearray(os.fstat(f.fileno()).st_size - f.tell())
+        blob = bytearray(os.fstat(f.fileno()).st_size - f.tell())
         # a file cut short after the size was taken reads short
-        del data[f.readinto(data):]
-        return manifest, data
-
-
-def load_manifest(prefix: str | Path) -> dict:
-    """The manifest of ``prefix``.ckpt, read from its first line alone."""
-    return _read_checkpoint(prefix, blob=False)[0]
-
-
-def load_checkpoint(prefix: str | Path) -> dict[str, np.ndarray]:
-    """The tensors of ``prefix``.ckpt as writable float32 arrays, once the
-    manifest names each tensor once and the blob holds exactly the bytes of
-    the listed shapes and matches the manifest's CRC-32. The arrays are
-    views of the one buffer the blob was read into, so loading holds the
-    tensor bytes once."""
-    manifest, blob = _read_checkpoint(prefix, blob=True)
+        del blob[f.readinto(blob):]
     listed = manifest.get("tensors")
     if not (isinstance(listed, list) and all(map(_is_listed_tensor, listed))
             and type(manifest.get("crc32")) is int):
@@ -975,8 +962,8 @@ def load_checkpoint(prefix: str | Path) -> dict[str, np.ndarray]:
     # a view on little-endian hosts, a native copy elsewhere
     flat = np.frombuffer(blob, dtype="<f4").astype(np.float32, copy=False)
     parts = np.split(flat, np.cumsum(sizes)[:-1])
-    return {name: part.reshape(shape)
-            for (name, shape), part in zip(listed, parts)}
+    return manifest, {name: part.reshape(shape)
+                      for (name, shape), part in zip(listed, parts)}
 
 
 def _is_listed_tensor(item) -> bool:

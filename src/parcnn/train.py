@@ -26,8 +26,8 @@ class SGDMomentum:
 
     def __init__(self, params: list[tuple[str, Tensor]], momentum: float = 0.9,
                  weight_decay: float = 0.0):
-        if momentum < 0 or weight_decay < 0:
-            raise ValueError("momentum and weight decay must be non-negative")
+        if not (0 <= momentum < math.inf and 0 <= weight_decay < math.inf):
+            raise ValueError("momentum and weight decay must be finite and non-negative")
         self.params = params
         self.momentum = momentum
         self.weight_decay = weight_decay
@@ -50,6 +50,8 @@ class SGDMomentum:
 
 
 def constant_schedule(lr: float) -> Callable[[int], float]:
+    if not math.isfinite(lr):
+        raise ValueError(f"learning rate must be finite, got {lr}")
     if lr <= 0:
         raise ValueError("learning rate must be positive")
 
@@ -64,7 +66,8 @@ def constant_schedule(lr: float) -> Callable[[int], float]:
 def step_decay_schedule(lr0: float, factor: float = 0.92, every: int = 4000,
                         floor: float | None = None) -> Callable[[int], float]:
     """lr0 * factor ** (step // every), optionally clamped to a floor."""
-    if lr0 <= 0 or not 0 < factor <= 1 or every < 1:
+    if not (0 < lr0 < math.inf and 0 < factor <= 1 and 1 <= every < math.inf
+            and (floor is None or math.isfinite(floor))):
         raise ValueError("invalid schedule parameters")
 
     def schedule(step: int) -> float:

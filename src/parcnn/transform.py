@@ -25,6 +25,7 @@ and ``bottleneck_head`` entries, so no convolution moves.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 from . import cost
@@ -64,6 +65,8 @@ class DistillPolicy:
             raise ValueError("threshold must lie in (0, 1)")
         if self.bottleneck_dim < 1:
             raise ValueError("bottleneck_dim must be >= 1")
+        if not math.isfinite(self.omega):
+            raise ValueError(f"omega must be finite, got {self.omega}")
         if self.omega <= 0:
             raise ValueError("omega must be positive")
         if self.variant not in VARIANTS:
@@ -87,7 +90,8 @@ def _obstacle(te: TraceEntry, policy: DistillPolicy) -> str | None:
 def select_replacements(trace: tuple[TraceEntry, ...],
                         policy: DistillPolicy) -> list[TraceEntry]:
     """Resolve the policy's selector, over a ``validate()`` trace, to the
-    trace entries of the convs to replace, in arch order."""
+    trace entries of the convs to replace, in arch order. Finding none on a
+    plain network is an ArchError that names a rule's first conv's obstacle."""
     convs = [(te, inside) for te, inside in walk_trace(trace) if te.kind == "conv"]
     selector = policy.replace_selector
     if selector in SELECTORS:
@@ -95,18 +99,26 @@ def select_replacements(trace: tuple[TraceEntry, ...],
             convs = convs[1:-1]
         elif selector == "residual_body":
             convs = [(te, inside) for te, inside in convs if inside]
-        return [te for te, _ in convs if _obstacle(te, policy) is None]
-    wanted = {name.strip() for name in selector.split(",") if name.strip()}
-    picked = []
-    for te, _ in convs:
-        if te.name in wanted:
-            obstacle = _obstacle(te, policy)
-            if obstacle is not None:
-                raise ArchError(f"layer {te.name!r} {obstacle}")
-            picked.append(te)
-    missing = wanted - {te.name for te in picked}
-    if missing:
-        raise ArchError(f"selector names not found: {sorted(missing)}")
+        picked = [te for te, _ in convs if _obstacle(te, policy) is None]
+    else:
+        wanted = {name.strip() for name in selector.split(",") if name.strip()}
+        picked = []
+        for te, _ in convs:
+            if te.name in wanted:
+                obstacle = _obstacle(te, policy)
+                if obstacle is not None:
+                    raise ArchError(f"layer {te.name!r} {obstacle}")
+                picked.append(te)
+        missing = wanted - {te.name for te in picked}
+        if missing:
+            raise ArchError(f"selector names not found: {sorted(missing)}")
+    # re-running on an already-compact architecture is a no-op, but a
+    # selector that finds nothing on a plain network is a misconfiguration
+    if not picked and not any(te.kind in VARIANTS for te, _ in walk_trace(trace)):
+        first = convs[0][0] if convs and selector in SELECTORS else None
+        why = f"; {first.name} {_obstacle(first, policy)}" if first else ""
+        raise ArchError(f"selector {selector!r} matched no replaceable "
+                        f"convolutions{why}")
     return picked
 
 
@@ -206,12 +218,6 @@ def transform_with_report(arch: ArchSpec, policy: DistillPolicy) -> TransformRes
     head_changed = gamma_before > policy.threshold
     edits = _head_edits(arch, policy.bottleneck_dim) if head_changed else {}
     picked = select_replacements(trace, policy)
-    # re-running on an already-compact architecture is a no-op, but a
-    # selector that finds nothing on a plain network is a misconfiguration
-    if not picked and not any(te.kind in VARIANTS for te, _ in walk_trace(trace)):
-        raise ArchError(
-            f"selector {policy.replace_selector!r} matched no replaceable "
-            f"convolutions")
     edits.update((conv.name, _replacement(conv, policy)) for conv in picked)
     new = _rewrite(arch, edits)
     if head_changed:

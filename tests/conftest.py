@@ -65,8 +65,10 @@ def assert_channel_last(array, what=""):
 
 def parconv_block(spec: B.ParConvSpec, rng: np.random.Generator) -> B.ParConvBlock:
     """The block of ``spec``, made from its layer list as the model builder
-    makes it, drawing its weights from ``rng``."""
-    return B.ParConvBlock(B.build(B.parconv_layers(spec), rng))
+    makes it, with its weights drawn from ``rng``."""
+    block = B.ParConvBlock(B.build(B.parconv_layers(spec)))
+    B.init_weights(block.params(), rng)
+    return block
 
 
 @pytest.fixture

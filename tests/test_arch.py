@@ -10,6 +10,7 @@ import pytest
 from parcnn import arch as A
 from parcnn import blocks as B
 from parcnn import cost, transform, zoo
+from parcnn import tensor as T
 from parcnn.arch import ArchSpec, Model, build_model, layers_of, load_model
 from parcnn.errors import ArchError
 
@@ -83,8 +84,8 @@ def test_checkpoint_round_trip_is_byte_exact(name, variant, residual, tmp_path):
     arch = _arch(name, variant, residual)
     model = build_model(arch, seed=0)
     rng = np.random.default_rng(7)
-    # distinct values away from the seed-0 initialization that load_model
-    # starts from; scales and running variances stay positive
+    # distinct values away from the seed-0 initialization; scales and
+    # running variances stay positive
     for _, t in model.params() + model.buffers():
         u = rng.random(t.shape, dtype=np.float32)
         t.data[...] = t.data * (0.5 + u) + 0.01 * (u - 0.5)
@@ -99,6 +100,45 @@ def test_checkpoint_round_trip_is_byte_exact(name, variant, residual, tmp_path):
     for (n, g), (_, w) in zip(got, want):
         assert g.data.tobytes() == w.data.tobytes(), n
     assert loaded.forward(x).data.tobytes() == logits.tobytes()
+
+
+@pytest.mark.parametrize("arch_id", ["res18_mini", "mnist_small-parconv-plain"])
+def test_load_model_draws_no_weight(arch_id, tmp_path, monkeypatch):
+    model = build_model(_arch(*ARCHS[ARCH_IDS.index(arch_id)]), seed=1)
+    model.save(tmp_path / "model")
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("load_model drew initial weights")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    loaded = load_model(tmp_path / "model")
+    want = model.params() + model.buffers()
+    got = loaded.params() + loaded.buffers()
+    assert [n for n, _ in got] == [n for n, _ in want]
+    for (n, g), (_, w) in zip(got, want):
+        assert g.data.tobytes() == w.data.tobytes(), n
+
+
+def test_load_model_opens_the_checkpoint_once(tmp_path, monkeypatch):
+    import builtins
+    build_model(zoo.build_zoo_arch("mnist_small"), seed=1).save(tmp_path / "model")
+    real, opened = builtins.open, []
+
+    def counting(file, *args, **kwargs):
+        if str(file).endswith(".ckpt"):
+            opened.append(file)
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting)
+    load_model(tmp_path / "model")
+    assert opened == [tmp_path / "model.ckpt"]
+
+
+def test_load_model_rejects_a_checkpoint_without_an_architecture(tmp_path):
+    model = build_model(zoo.build_zoo_arch("mnist_small"), seed=1)
+    T.save_checkpoint(tmp_path / "bare", model.state())
+    with pytest.raises(ArchError, match="carries no architecture description"):
+        load_model(tmp_path / "bare")
 
 
 @pytest.mark.parametrize("name,variant,residual", ARCHS, ids=ARCH_IDS)
@@ -163,8 +203,7 @@ def test_every_entry_type_has_a_layer_list(kind):
 def test_unknown_entry_type_has_no_layer_list():
     te = ArchSpec(4, 6, 6, [{"type": "relu"}]).validate()[0]
     te.kind = "no_such_layer"
-    rng = np.random.default_rng(0)
-    for read in (layers_of, cost._entry_cost, lambda te: A._build_one(te, rng)):
+    for read in (layers_of, cost._entry_cost, A._build_one):
         with pytest.raises(ArchError, match=r"^no layer list for layer type "
                                             r"'no_such_layer'$"):
             read(te)

@@ -153,12 +153,31 @@ def _is_tap_major(weight: np.ndarray) -> bool:
 
 class TestConvWeightLayout:
     def test_weight_is_tap_major_with_the_seeded_values(self):
-        conv = B.Conv2d(3, 5, 3, rng=np.random.default_rng(0))
+        conv = B.Conv2d(3, 5, 3)
+        B.init_weights(conv.params(), np.random.default_rng(0))
         std = 1.0 / np.sqrt(3 * 3 * 3)
         expected = np.random.default_rng(0).normal(0.0, std, size=(5, 3, 3, 3))
         assert conv.weight.dtype == np.float32
         assert _is_tap_major(conv.weight.data) and not conv.weight.data.flags.c_contiguous
         assert conv.weight.data.tobytes() == expected.astype(np.float32).tobytes()
+
+    def test_layers_are_made_zero_and_drawn_by_init_weights(self):
+        layers = [B.Conv2d(3, 5, 3), B.DepthwiseConv2d(4, 3), B.Linear(6, 2)]
+        params = [(f"{i}.{name}", t) for i, layer in enumerate(layers)
+                  for name, t in layer.params()]
+        assert [name for name, _ in params] == [
+            "0.weight", "0.bias", "1.weight", "1.bias", "2.weight", "2.bias"]
+        for name, t in params:
+            assert t.dtype == np.float32 and not t.data.any(), name
+        assert _is_tap_major(layers[0].weight.data)
+        B.init_weights(params, np.random.default_rng(0))
+        # one stream, drawn weight by weight in params order, each from
+        # N(0, 1/fan_in); the conv's are the bytes the test above pins
+        rng = np.random.default_rng(0)
+        for layer, fan_in in zip(layers, [3 * 3 * 3, 3 * 3, 6]):
+            expected = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=layer.weight.shape)
+            assert layer.weight.data.tobytes() == expected.astype(np.float32).tobytes()
+            assert not layer.bias.data.any()
 
     @staticmethod
     def _conv_weights(model):
@@ -186,8 +205,9 @@ class TestConvWeightLayout:
                 assert _is_tap_major(t.data), name
 
     def test_load_holds_the_state_once(self, tmp_path):
-        """``Model.load`` writes each checkpoint array straight into its
-        tensor, with the bytes and strides of a write through a cast copy."""
+        """Loading a checkpoint into a model writes each array straight into
+        its tensor, with the bytes and strides of a write through a cast
+        copy."""
         import tracemalloc
         from parcnn.arch import build_model
         from parcnn.zoo import build_zoo_arch
@@ -197,12 +217,12 @@ class TestConvWeightLayout:
         state_bytes = sum(t.data.nbytes for t in model.state().values())
         tracemalloc.start()
         try:
-            model.load(tmp_path / "m")
+            model.load_state(T.load_checkpoint(tmp_path / "m")[1])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1.05 * state_bytes, f"{peak} > 1.05 x {state_bytes}"
-        saved, want = T.load_checkpoint(tmp_path / "m"), reference.state()
+        saved, want = T.load_checkpoint(tmp_path / "m")[1], reference.state()
         for name, t in want.items():
             t.data[...] = saved[name].astype(t.dtype)
         for name, t in model.state().items():
@@ -229,12 +249,12 @@ class TestConvGeometry:
     @pytest.mark.parametrize("channels,kernel,stride,padding", [
         (0, 3, 1, 1), (4, 0, 1, 0), (4, 3, 0, 1), (4, 3, 1, -1), (-2, 3, 1, 1)])
     def test_invalid_geometry_rejected(self, layer, channels, kernel, stride,
-                                       padding, rng):
+                                       padding):
         with pytest.raises(ValueError, match="invalid convolution geometry"):
             if layer == "conv":
-                B.Conv2d(channels, 4, kernel, stride, padding, rng=rng)
+                B.Conv2d(channels, 4, kernel, stride, padding)
             else:
-                B.DepthwiseConv2d(channels, kernel, stride, padding, rng=rng)
+                B.DepthwiseConv2d(channels, kernel, stride, padding)
 
 
 class TestParConvWidths:
@@ -339,7 +359,7 @@ class TestDSConv:
             pytest.approx(1 / 300 + 1 / 9, rel=1e-12)
 
     def test_identity_weights_reproduce_input(self, rng):
-        block = B.Sequential(B.build(B.dsconv_layers(3, 3, 3), rng))
+        block = B.Sequential(B.build(B.dsconv_layers(3, 3, 3)))
         # identity depthwise kernels and identity pointwise weights
         dw = dict(block.params())["dw.weight"]
         dw.data[...] = 0.0
@@ -355,9 +375,9 @@ class TestDSConv:
         out = block.forward(x, ForwardContext(training=False))  # BN uses (0, 1)
         np.testing.assert_allclose(out.data, x.data, rtol=1e-4)
 
-    def test_realized_parameter_count_matches_cost_model(self, rng):
+    def test_realized_parameter_count_matches_cost_model(self):
         layers = B.dsconv_layers(20, 30, 3)
-        block = B.Sequential(B.build(layers, rng))
+        block = B.Sequential(B.build(layers))
         assert _realized_values(block) == _listed_params(layers)
 
 
@@ -389,7 +409,7 @@ class TestResidual:
 
     def test_projection_used_when_channels_differ(self, rng):
         inner = parconv_block(ParConvSpec(8, 12, omega=0.5), rng)
-        block = B.ResidualBlock(inner, B.build(B.projection_layers(8, 12, 1), rng))
+        block = B.ResidualBlock(inner, B.build(B.projection_layers(8, 12, 1)))
         x = Tensor(rng.normal(size=(1, 8, 5, 5)).astype(np.float32))
         out = block.forward(x, ForwardContext(training=True))
         assert out.shape == (1, 12, 5, 5)

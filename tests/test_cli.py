@@ -192,11 +192,14 @@ class TestTransform:
         assert flops == pytest.approx(1.84e8, rel=0.02)
 
     def test_huge_omega_exits_3(self, tmp_path, capsys):
-        # no conv can take the block, so the selector finds nothing
+        # no conv can take the block, so the selector finds nothing and
+        # says why the first conv it considered was skipped
         assert run_cli("transform", "zoo:mnist_small", "--omega", "1e308",
                        "--run-dir", str(tmp_path / "r")) == 3
-        assert capsys.readouterr().err == \
-            "error: selector 'interior' matched no replaceable convolutions\n"
+        assert capsys.readouterr().err == (
+            "error: selector 'interior' matched no replaceable convolutions; "
+            "conv2_1 cannot be replaced by a parconv block: omega 1e+308 is too "
+            "large: the expanded width omega * alpha * C_in is not finite\n")
 
     def test_bad_variant_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -259,8 +262,26 @@ class TestTrainCommand:
         assert run_cli("train", "--model", "zoo:mnist_small", "--synthetic",
                        "--per-class", "4", "--batch", "20", "--epochs", "2",
                        "--run-dir", str(tmp_path / "r")) == 0
-        # one test-error row per epoch, then the final evaluation
-        assert batch_sizes == [20, 20, 20]
+        # one test-error row per epoch, the last of which is printed
+        assert batch_sizes == [20, 20]
+
+    def test_evaluates_once_per_epoch_and_prints_the_last(self, tmp_path, monkeypatch,
+                                                          capsys):
+        real, results = train.evaluate, []
+
+        def recording(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(train, "evaluate", recording)
+        assert run_cli("train", "--model", "zoo:mnist_small", "--synthetic",
+                       "--per-class", "20", "--epochs", "2",
+                       "--run-dir", str(tmp_path / "r")) == 0
+        assert len(results) == 2
+        last = results[-1]
+        assert last.total == 40
+        assert f"[train] test error {100 * last.cer:.2f}% " \
+               f"({last.substitutions}/{last.total}); " in capsys.readouterr().out
 
     def test_different_seed_changes_metrics(self, tmp_path):
         self._train(tmp_path / "a", seed="7")

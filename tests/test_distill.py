@@ -283,6 +283,16 @@ class TestSelfDistillationDegenerate:
         assert sp.item() == 0.0
 
 
+class TestDistillConfig:
+    @pytest.mark.parametrize("name,value", [
+        ("mu", np.nan), ("mu", np.inf), ("beta", np.nan), ("lam", np.inf),
+        ("lr", np.nan), ("lr", np.inf), ("momentum", np.nan),
+        ("weight_decay", np.nan), ("weight_decay", np.inf)])
+    def test_non_finite_value_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            DistillConfig(**{name: value})
+
+
 class TestDistillTrain:
     def _setup(self, seed=0):
         teacher_arch = _toy_arch()

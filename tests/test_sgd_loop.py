@@ -168,7 +168,7 @@ def test_distill_leaves_one_checkpoint_file_of_the_last_epoch(tmp_path):
     distill_train(teacher, student, data, config,
                   checkpoint_prefix=tmp_path / "student")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["student.ckpt"]
-    saved = T.load_checkpoint(tmp_path / "student")
+    _, saved = T.load_checkpoint(tmp_path / "student")
     for name, tensor in student.state().items():
         assert saved[name].tobytes() == tensor.data.tobytes(), name
 

@@ -1135,11 +1135,13 @@ y1, p1, s1 = bn(conv, 16)
 x2, k = leaf(64, 8, 14, 14), leaf(8, 3, 3)
 dw = T.depthwise_conv2d(x2, k)                     # (64, 8, 12, 12), channel-last
 y2, p2, s2 = bn(dw, 8)
-block = B.ParConvBlock(B.build(B.parconv_layers(ParConvSpec(32, 32, omega=0.5)), rng))
+block = B.ParConvBlock(B.build(B.parconv_layers(ParConvSpec(32, 32, omega=0.5))))
+B.init_weights(block.params(), rng)
 x3 = Tensor(rng.normal(size=(64, 12, 12, 32)).astype(np.float32).transpose(0, 3, 1, 2),
             requires_grad=True)                    # channel-last, as conv2_2 sees it
 y3 = block.forward(x3, ForwardContext(training=True))
-kxk = Conv2d(32, 32, 3, padding=1, rng=rng)
+kxk = Conv2d(32, 32, 3, padding=1)
+B.init_weights(kxk.params(), rng)
 kxk.bias.data[...] = rng.normal(size=32)
 x4 = Tensor(rng.normal(size=(64, 12, 12, 32)).astype(np.float32).transpose(0, 3, 1, 2),
             requires_grad=True)
@@ -1332,7 +1334,7 @@ class TestCheckpoint:
             "scalarish": Tensor(rng.normal(size=(1,)).astype(np.float32)),
         }
         save_checkpoint(tmp_path / "ckpt", tensors)
-        loaded = load_checkpoint(tmp_path / "ckpt")
+        loaded = load_checkpoint(tmp_path / "ckpt")[1]
         assert set(loaded) == set(tensors)
         for name, t in tensors.items():
             assert loaded[name].tobytes() == t.data.tobytes()
@@ -1347,7 +1349,7 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "c", tensors)
         tracemalloc.start()
         try:
-            loaded = load_checkpoint(tmp_path / "c")
+            loaded = load_checkpoint(tmp_path / "c")[1]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1376,13 +1378,11 @@ class TestCheckpoint:
 
     def test_two_file_checkpoint_from_before_v2_is_named_not_read(self, tmp_path):
         from parcnn.errors import DataFormatError
-        from parcnn.tensor import load_manifest
         (tmp_path / "old.json").write_text('{"format": "parcnn-checkpoint-v1"}')
         (tmp_path / "old.bin").write_bytes(b"\0" * 4)
-        for load in (load_checkpoint, load_manifest):
-            with pytest.raises(DataFormatError, match="old.json is a two-file "
-                               "checkpoint from before format v2, which is not read"):
-                load(tmp_path / "old")
+        with pytest.raises(DataFormatError, match="old.json is a two-file "
+                           "checkpoint from before format v2, which is not read"):
+            load_checkpoint(tmp_path / "old")
 
     def test_file_without_the_format_line_rejected(self, tmp_path):
         from parcnn.errors import DataFormatError
@@ -1438,7 +1438,6 @@ class TestCheckpoint:
     def test_crash_at_the_replace_keeps_the_previous_checkpoint(
             self, tmp_path, monkeypatch, rng):
         import os
-        from parcnn.tensor import load_manifest
         first = {"w": rng.normal(size=(3, 4)).astype(np.float32),
                  "b": rng.normal(size=4).astype(np.float32)}
         save_checkpoint(tmp_path / "c", first, extra={"step": 1})
@@ -1452,8 +1451,8 @@ class TestCheckpoint:
                 save_checkpoint(tmp_path / "c",
                                 {"w": np.zeros((5, 4), np.float32)}, extra={"step": 2})
         assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
-        assert load_manifest(tmp_path / "c")["step"] == 1
-        loaded = load_checkpoint(tmp_path / "c")
+        manifest, loaded = load_checkpoint(tmp_path / "c")
+        assert manifest["step"] == 1
         assert list(loaded) == ["w", "b"]
         for name, value in first.items():
             assert loaded[name].tobytes() == value.tobytes()

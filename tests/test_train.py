@@ -1,5 +1,6 @@
 """Optimizer, schedules, evaluation, zoo models, weight statistics."""
 import inspect
+import math
 import tracemalloc
 
 import numpy as np
@@ -57,6 +58,14 @@ class TestSgdStep:
         SGDMomentum([("p", p)], momentum=0.9, weight_decay=1e-4).step(0.0)
         np.testing.assert_array_equal(p.data, before)
 
+    @pytest.mark.parametrize("settings", [
+        {"momentum": math.nan}, {"momentum": math.inf},
+        {"weight_decay": math.nan}, {"weight_decay": math.inf}],
+        ids=["momentum-nan", "momentum-inf", "weight-decay-nan", "weight-decay-inf"])
+    def test_non_finite_settings_rejected(self, settings):
+        with pytest.raises(ValueError, match="^momentum and weight decay must be finite and non-negative$"):
+            SGDMomentum([], **settings)
+
 
 class TestSchedules:
     def test_step_decay_examples(self):
@@ -77,6 +86,19 @@ class TestSchedules:
         for schedule in (constant_schedule(0.1), step_decay_schedule(0.1)):
             with pytest.raises(ValueError):
                 schedule(-1)
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_constant_schedule_rejects_non_finite_rate(self, lr):
+        with pytest.raises(ValueError, match=f"^learning rate must be finite, got {lr}$"):
+            constant_schedule(lr)
+
+    @pytest.mark.parametrize("settings", [
+        {"lr0": math.nan}, {"lr0": math.inf}, {"lr0": 0.1, "floor": math.nan},
+        {"lr0": 0.1, "floor": math.inf}],
+        ids=["lr0-nan", "lr0-inf", "floor-nan", "floor-inf"])
+    def test_step_decay_schedule_rejects_non_finite_values(self, settings):
+        with pytest.raises(ValueError, match="^invalid schedule parameters$"):
+            step_decay_schedule(**settings)
 
 
 class TestEvaluate:

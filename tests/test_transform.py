@@ -208,6 +208,11 @@ class TestDistillArchitecture:
         with pytest.raises(ValueError):
             DistillPolicy(variant="octave")
 
+    @pytest.mark.parametrize("omega", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_omega_rejected(self, omega):
+        with pytest.raises(ValueError, match=f"^omega must be finite, got {omega}$"):
+            DistillPolicy(omega=omega)
+
     @pytest.mark.parametrize("threshold", [0.01, 0.1, 0.5])
     @pytest.mark.parametrize("dim", [1, 25, 50, 100, 500])
     @pytest.mark.parametrize("name", ["dcnn_table2", "mnist_small", "res18_mini"])
