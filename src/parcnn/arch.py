@@ -150,26 +150,29 @@ class ArchSpec:
         """The spec's trace. The first call that passes walks the spec and
         seals it; every later call returns that same trace."""
         if self._trace is None:
-            trace = self._walk()
-            self.layers = _seal(self.layers, trace)
-            self._trace = trace
+            self._trace, self.layers = self._walk()
         return self._trace
 
-    def _walk(self) -> tuple[TraceEntry, ...]:
-        """Trace the whole spec front to back, or raise ArchError."""
+    def _walk(self) -> tuple[tuple[TraceEntry, ...], tuple]:
+        """Trace the whole spec front to back, or raise ArchError; return the
+        trace and the spec's entries sealed."""
         if min(self.in_channels, self.in_height, self.in_width) < 1:
             raise ArchError("input descriptor extents must be positive")
         if not isinstance(self.layers, list):
             raise ArchError(f"layers: expected a list of layer entries, "
                             f"got {self.layers!r}")
         state = ("map", self.in_channels, self.in_height, self.in_width)
-        return self._walk_entries(self.layers, state, "layers", set())[0]
+        return self._walk_entries(self.layers, state, "layers", set())[:2]
 
     def _walk_entries(self, entries: list[dict], state: tuple, prefix: str,
-                      names: set[str]) -> tuple[tuple[TraceEntry, ...], tuple]:
+                      names: set[str]) -> tuple[tuple[TraceEntry, ...], tuple, tuple]:
         """Trace ``entries``, the list at path ``prefix``, from ``state``; an
-        entry's path (``prefix[i]``) is formatted only for an error."""
+        entry's path (``prefix[i]``) is formatted only for an error. Returns
+        the trace, read-only copies of ``entries`` (``MappingProxyType``s of
+        new dicts, a residual's ``body`` a tuple of them, as its trace entry's
+        ``body`` field holds too) and the output state."""
         trace: list[TraceEntry] = []
+        sealed: list[MappingProxyType] = []
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict) or "type" not in entry:
                 raise ArchError(f"{prefix}[{i}]: each layer entry needs a 'type' field")
@@ -193,7 +196,11 @@ class ArchSpec:
                 raise ArchError(f"{prefix}[{i}]: {exc}") from exc
             te.out_state = state
             trace.append(te)
-        return tuple(trace), state
+            entry = dict(entry)
+            if te.body is not None:
+                entry["body"] = te.fields["body"]
+            sealed.append(MappingProxyType(entry))
+        return tuple(trace), tuple(sealed), state
 
     def _step(self, te: TraceEntry, state: tuple, names: set[str], prefix: str) -> tuple:
         """Check the resolved entry ``te`` of the list at path ``prefix``
@@ -256,8 +263,8 @@ class ArchSpec:
                 raise ValueError("head dimensions must be positive")
             return ("flat", f["out_features"])
         if kind == "residual":
-            te.body, out = self._walk_entries(f["body"], state,
-                                              f"{prefix}[{te.index}].body", names)
+            te.body, f["body"], out = self._walk_entries(
+                f["body"], state, f"{prefix}[{te.index}].body", names)
             if out[0] != "map":
                 raise ValueError("residual body must produce a feature map")
             _, c_in, h, w = state
@@ -407,19 +414,6 @@ def _copy_entries(entries) -> list:
                 entry["body"] = _copy_entries(entry["body"])
         copies.append(entry)
     return copies
-
-
-def _seal(entries: list[dict], trace: tuple[TraceEntry, ...]) -> tuple:
-    """Read-only copies of ``entries``, whose trace is ``trace``: each a
-    ``MappingProxyType`` of a new dict, each residual's ``body`` a tuple of
-    them, which its trace entry's ``body`` field then holds too."""
-    sealed = []
-    for entry, te in zip(entries, trace):
-        entry = dict(entry)
-        if te.body is not None:
-            entry["body"] = te.fields["body"] = _seal(entry["body"], te.body)
-        sealed.append(MappingProxyType(entry))
-    return tuple(sealed)
 
 
 def walk_trace(trace: tuple[TraceEntry, ...]):

@@ -104,16 +104,17 @@ class Conv2d(_WeightBias):
 
 
 class DepthwiseConv2d(_WeightBias):
-    def __init__(self, channels: int, kernel: int, stride: int = 1,
-                 padding: int = 0, bias: bool = True):
-        if min(channels, kernel, stride) < 1 or padding < 0:
+    """A depthwise convolution with a bias that keeps its input's spatial
+    size: stride 1, padding (K-1)/2, as every compact block uses it."""
+
+    def __init__(self, channels: int, kernel: int):
+        if min(channels, kernel) < 1:
             raise ValueError("invalid convolution geometry")
-        super().__init__((channels, kernel, kernel), bias)
-        self.stride = stride
-        self.padding = padding
+        super().__init__((channels, kernel, kernel), bias=True)
+        self.padding = (kernel - 1) // 2
 
     def forward(self, x, ctx):
-        return T.depthwise_conv2d(x, self.weight, self.bias, self.stride, self.padding)
+        return T.depthwise_conv2d(x, self.weight, self.bias, self.padding)
 
 
 class BatchNorm2d(Layer):
@@ -200,11 +201,12 @@ class Sequential(Layer):
 
 # -- channel shuffle -------------------------------------------------------
 
-def shuffle_permutation(channels: int, groups: int = 2) -> np.ndarray:
-    """The reshape-(groups, C/groups), transpose, flatten channel permutation."""
-    if channels % groups:
-        raise ValueError(f"{channels} channels not divisible into {groups} groups")
-    return np.arange(channels).reshape(groups, channels // groups).T.reshape(-1)
+def shuffle_permutation(channels: int) -> np.ndarray:
+    """The two-group channel shuffle: the reshape-(2, C/2), transpose,
+    flatten channel permutation."""
+    if channels % 2:
+        raise ValueError(f"{channels} channels not divisible into 2 groups")
+    return np.arange(channels).reshape(2, channels // 2).T.reshape(-1)
 
 
 # -- compact-block width arithmetic -----------------------------------------
@@ -264,7 +266,7 @@ class ParConvSpec:
 # tuples of a kind, a name and the geometry. A name is the layer's path in
 # the entry's state: ``branch_a.dw`` holds ``branch_a.dw.weight``.
 #   ("conv", name, c_in, c_out, k, stride, padding, bias)
-#   ("depthwise", name, c, k, padding), at stride 1 and with a bias
+#   ("depthwise", name, c, k), at stride 1, padding (K-1)/2 and with a bias
 #   ("bn", name, c, relu, reuse_input), ("linear", name, n_in, n_out, bias)
 #   ("maxpool", name, window, stride, padding)
 #   ("gather", name, c, shuffle, start, stop), see ``ChannelGather``
@@ -283,7 +285,7 @@ def parconv_layers(spec: ParConvSpec) -> list[tuple]:
     if spec.omega is not None:
         layers += [("conv", "branch_a.pw_expand", a, e, 1, 1, 0, True),
                    ("bn", "branch_a.bn_expand", e, True, True)]
-    return layers + [("depthwise", "branch_a.dw", e, k, (k - 1) // 2),
+    return layers + [("depthwise", "branch_a.dw", e, k),
                      ("bn", "branch_a.bn", e, True, True),
                      ("conv", "branch_a.pw_project", e, c_out, 1, 1, 0, True),
                      ("conv", "branch_b", b, c_out, 1, 1, 0, True),
@@ -293,7 +295,7 @@ def parconv_layers(spec: ParConvSpec) -> list[tuple]:
 def dsconv_layers(in_channels: int, out_channels: int, kernel: int) -> list[tuple]:
     """A DSConv block's layers: depthwise K x K over all input channels, then
     a pointwise conv, each followed by BN+ReLU."""
-    return [("depthwise", "dw", in_channels, kernel, (kernel - 1) // 2),
+    return [("depthwise", "dw", in_channels, kernel),
             ("bn", "bn_dw", in_channels, True, True),
             ("conv", "pw", in_channels, out_channels, 1, 1, 0, True),
             ("bn", "bn", out_channels, True, True)]
@@ -316,22 +318,9 @@ def build(layers: list[tuple]) -> list[tuple[str, Layer]]:
 
 def _layer(layer: tuple) -> Layer:
     kind, name, *geometry = layer
-    if kind == "conv":
-        return Conv2d(*geometry)
-    if kind == "depthwise":
-        c, k, padding = geometry
-        return DepthwiseConv2d(c, k, padding=padding)
-    if kind == "linear":
-        return Linear(*geometry)
-    if kind == "bn":
-        return BatchNorm2d(*geometry)
-    if kind == "maxpool":
-        return MaxPool2d(*geometry)
-    if kind == "gather":
-        return ChannelGather(*geometry)
     if kind == "tap":
         return Tap(name)
-    return {"relu": ReLU, "flatten": Flatten}[kind]()
+    return _LAYER_CLASSES[kind](*geometry)
 
 
 def init_weights(params: list[tuple[str, Tensor]], rng: np.random.Generator) -> None:
@@ -356,6 +345,12 @@ class ChannelGather(Layer):
         if x.shape[1] != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {x.shape[1]}")
         return T.permute_channels(x, self.index)
+
+
+# the class of each kind of layer, made from the geometry its tuple lists
+_LAYER_CLASSES = {"conv": Conv2d, "depthwise": DepthwiseConv2d, "linear": Linear,
+                  "bn": BatchNorm2d, "maxpool": MaxPool2d, "gather": ChannelGather,
+                  "relu": ReLU, "flatten": Flatten}
 
 
 class ParConvBlock(Layer):

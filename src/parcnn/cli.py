@@ -172,7 +172,7 @@ def _load_split(args, split: str) -> data.Dataset:
         raise DataFormatError(
             "no dataset: pass --synthetic, or point --data-dir/$MNIST_DIR at "
             "the four MNIST IDX files")
-    dataset = data.load_mnist_idx(*found[split], split=split)
+    dataset = data.load_mnist_idx(*found[split])
     return dataset.subset(args.limit) if train and args.limit else dataset
 
 
@@ -376,7 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="baseline cross-entropy training")
     p.add_argument("--model", required=True, help="architecture JSON or zoo:<name>")
-    p.add_argument("--schedule", choices=("constant", "step"), default="constant")
+    p.add_argument("--schedule", choices=("constant", "step"), default="constant",
+                   help=f"constant: --lr throughout; step: x{train.DECAY_FACTOR:g} "
+                        f"every {train.DECAY_EVERY} steps, floored at --lr-floor")
     p.add_argument("--lr-floor", type=_nonneg_float, default=0.0002)
     _add_opt_args(p)
     _add_data_args(p)

@@ -170,7 +170,7 @@ def _layer_sums(layers: list[tuple]) -> tuple[int, int]:
         elif kind == "bn":
             params += BN_VALUES_PER_CHANNEL * layer[2]
         elif kind == "depthwise":
-            _, _, c, k, _ = layer
+            _, _, c, k = layer
             macs += c * k * k
             params += c * k * k + c
         elif kind == "linear":
@@ -180,7 +180,7 @@ def _layer_sums(layers: list[tuple]) -> tuple[int, int]:
     return macs, params
 
 
-def _config(te: TraceEntry, layers: list[tuple]) -> str:
+def _config(te: TraceEntry) -> str:
     f, c_in, c_out = te.fields, te.in_state[1], te.out_state[1]
     if te.kind == "conv":
         k = f["kernel"]
@@ -202,15 +202,15 @@ def _config(te: TraceEntry, layers: list[tuple]) -> str:
         return f"{c_in}x{f['bottleneck_dim']}x{c_out}"
     # a residual entry: its body's reported kinds, and whether it projects
     kinds = [sub.kind for sub in te.body if sub.kind not in _SKIP_REPORT + ("maxpool",)]
-    return "residual[" + ",".join(kinds) + "]" + ("+proj" if layers else "")
+    return "residual[" + ",".join(kinds) + "]" + ("+proj" if layers_of(te) else "")
 
 
-def _entry_sums(te: TraceEntry, layers: list[tuple] | None = None) -> tuple[int, int]:
+def _entry_sums(te: TraceEntry) -> tuple[int, int]:
     """(FLOPs, parameters) of trace entry ``te``, its residual body's
-    included; ``layers``, if given, is ``layers_of(te)``. Worked out on
-    first use and kept on ``te``, which a sealed spec never changes."""
+    included. Worked out on first use and kept on ``te``, which a sealed
+    spec never changes."""
     if te.cost_sums is None:
-        macs, params = _layer_sums(layers_of(te) if layers is None else layers)
+        macs, params = _layer_sums(layers_of(te))
         # the output's spatial size
         ho, wo = te.out_state[2:] if te.out_state[0] == "map" else (1, 1)
         flops = ho * wo * macs
@@ -225,9 +225,10 @@ def _entry_sums(te: TraceEntry, layers: list[tuple] | None = None) -> tuple[int,
 def _entry_cost(te: TraceEntry) -> LayerCost | None:
     if te.kind in _SKIP_REPORT:
         return None
-    layers = layers_of(te)
-    return LayerCost(te.name, te.kind, _config(te, layers), te.spatial,
-                     *_entry_sums(te, layers), te.kind in _FC_KINDS)
+    # the sums first: they raise ArchError for a kind with no layer list
+    flops, params = _entry_sums(te)
+    return LayerCost(te.name, te.kind, _config(te), te.spatial, flops, params,
+                     te.kind in _FC_KINDS)
 
 
 def analyze(arch: ArchSpec) -> CostReport:

@@ -34,7 +34,6 @@ class Dataset:
 
     images: np.ndarray
     labels: np.ndarray
-    split: str = ""
     classes: int = 0
 
     def __post_init__(self):
@@ -58,8 +57,7 @@ class Dataset:
         """The first ``count`` samples (all of them if there are fewer)."""
         if count < 0:
             raise ValueError(f"subset count must be non-negative, got {count}")
-        return Dataset(self.images[:count], self.labels[:count],
-                       split=self.split, classes=self.classes)
+        return Dataset(self.images[:count], self.labels[:count], classes=self.classes)
 
 
 def _open_maybe_gzip(path: Path):
@@ -76,8 +74,7 @@ def _read_exact(f, count: int, path: Path) -> bytes:
     return data
 
 
-def load_mnist_idx(images_path: str | Path, labels_path: str | Path,
-                   split: str = "") -> Dataset:
+def load_mnist_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
     """Load an IDX image/label file pair into a Dataset."""
     images_path, labels_path = Path(images_path), Path(labels_path)
     for p in (images_path, labels_path):
@@ -106,7 +103,7 @@ def load_mnist_idx(images_path: str | Path, labels_path: str | Path,
 
     if count != label_count:
         raise DataFormatError(f"image count {count} != label count {label_count}")
-    return Dataset(pixels.astype(np.float32) / 255.0, labels, split=split)
+    return Dataset(pixels.astype(np.float32) / 255.0, labels)
 
 
 def save_mnist_idx(dataset: Dataset, images_path: str | Path,
@@ -200,7 +197,7 @@ def make_synthetic(classes: int, per_class: int, seed: int,
     np.round(images, out=images)
     images /= 255.0
     order = rng.permutation(n)
-    return Dataset(images[order], labels[order], split="synthetic", classes=classes)
+    return Dataset(images[order], labels[order], classes=classes)
 
 
 def batch_indices(n: int, batch_size: int, shuffle_seed: int | None = None):

@@ -620,16 +620,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
 
 def depthwise_conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
-                     stride: int = 1, padding: int = 0) -> Tensor:
-    """Channelwise convolution: output channel c depends only on input channel c.
+                     padding: int = 0) -> Tensor:
+    """Channelwise convolution at stride 1: output channel c depends only on
+    input channel c.
 
     ``kernel`` is shaped (C_in, K, K). With padding, the channel-last input
     is copied once into a zero-padded buffer. Each of the K*K taps is one
     multiply-add of a (N, Ho, Wo, C) view of it with that tap's kernel
-    values, tiled to a contiguous (Wo, C) block so that at stride 1 the
-    inner loop runs over Wo*C contiguous values. Taps are added in
-    row-major order, then the bias. As in conv2d, the backward does not
-    read the output, so an op that alone consumes it may overwrite it.
+    values, tiled to a contiguous (Wo, C) block so that the inner loop runs
+    over Wo*C contiguous values. Taps are added in row-major order, then the
+    bias. As in conv2d, the backward does not read the output, so an op that
+    alone consumes it may overwrite it.
     """
     if x.ndim != 4 or kernel.ndim != 3:
         raise ValueError("depthwise_conv2d expects 4-D input and 3-D kernel")
@@ -639,8 +640,8 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         raise ValueError("depthwise kernels must be square")
     if kc != c:
         raise ValueError(f"channel mismatch: input has {c}, kernel has {kc}")
-    ho = conv_output_size(h, k, stride, padding)
-    wo = conv_output_size(w, k, stride, padding)
+    ho = conv_output_size(h, k, 1, padding)
+    wo = conv_output_size(w, k, 1, padding)
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     dtype = np.result_type(*(t.data for t in parents))
 
@@ -650,10 +651,10 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     tiled = np.empty((k, k, wo, c), dtype=dtype)
     tiled[...] = kernel.data.transpose(1, 2, 0)[:, :, None, :]
     out = np.empty((n, ho, wo, c), dtype=dtype)
-    np.multiply(_tap(xp, 0, 0, stride, ho, wo), tiled[0, 0], out=out)
+    np.multiply(_tap(xp, 0, 0, 1, ho, wo), tiled[0, 0], out=out)
     scratch = np.empty_like(out)
     for i, j in taps[1:]:
-        out += np.multiply(_tap(xp, i, j, stride, ho, wo), tiled[i, j], out=scratch)
+        out += np.multiply(_tap(xp, i, j, 1, ho, wo), tiled[i, j], out=scratch)
     if bias is not None:
         rows = out.reshape(n * ho, wo * c)
         rows += _tile_row(bias.data, wo)
@@ -664,7 +665,7 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         if kernel.requires_grad:
             gk = np.empty((c, k, k), dtype=prod.dtype)
             for i, j in taps:
-                np.multiply(g, _tap(xp, i, j, stride, ho, wo), out=prod)
+                np.multiply(g, _tap(xp, i, j, 1, ho, wo), out=prod)
                 gk[:, i, j] = _channel_sums(prod.reshape(-1, c))
             kernel._accumulate(gk)
         if bias is not None and bias.requires_grad:
@@ -672,7 +673,7 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         if x.requires_grad:
             gxp = np.zeros(xp.shape, dtype=prod.dtype)
             for i, j in taps:
-                dst = _tap(gxp, i, j, stride, ho, wo)
+                dst = _tap(gxp, i, j, 1, ho, wo)
                 dst += np.multiply(g, tiled[i, j], out=prod)
             x._accumulate(_nchw(_crop(gxp, padding, h, w)))
 
@@ -748,14 +749,18 @@ def _channel_sums(rows: np.ndarray) -> np.ndarray:
     return (np.ones((2, rows.shape[0]), dtype=rows.dtype) @ rows)[0]
 
 
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
+
 def batch_norm2d(x: Tensor, scale: Tensor, shift: Tensor,
                  running_mean: Tensor, running_var: Tensor,
-                 training: bool, momentum: float = 0.1, eps: float = 1e-5,
-                 relu: bool = False, reuse_input: bool = False) -> Tensor:
-    """Per-channel batch normalization over (N, H, W).
+                 training: bool, relu: bool = False, reuse_input: bool = False) -> Tensor:
+    """Per-channel batch normalization over (N, H, W), as (x - mean) /
+    sqrt(var + ``BN_EPS``) * scale + shift.
 
     In training mode the batch statistics are used and the running buffers are
-    updated in place as (1 - momentum) * old + momentum * batch.
+    updated in place as (1 - ``BN_MOMENTUM``) * old + ``BN_MOMENTUM`` * batch.
 
     Every per-channel vector meets the channel-last (N*H, W*C) rows of the
     input as one tiled row (``_tile_row``).
@@ -788,14 +793,14 @@ def batch_norm2d(x: Tensor, scale: Tensor, shift: Tensor,
         # two-pass variance: the sum of squared centred values
         sq = centred * centred
         var = _channel_sums(sq.reshape(m, c)) / m
-        running_mean.data[...] = (1 - momentum) * running_mean.data + momentum * mean
-        running_var.data[...] = (1 - momentum) * running_var.data + momentum * var
+        running_mean.data[...] = (1 - BN_MOMENTUM) * running_mean.data + BN_MOMENTUM * mean
+        running_var.data[...] = (1 - BN_MOMENTUM) * running_var.data + BN_MOMENTUM * var
     else:
         mean = running_mean.data
         var = running_var.data
         centred = _into(lent, np.subtract, rows, _tile_row(mean, w))
         sq = None
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     # xhat overwrites centred, and scale * xhat + shift overwrites sq
     xhat = _into(centred, np.multiply, centred, _tile_row(inv_std, w))
     out = _into(sq, np.multiply, _tile_row(scale.data, w), xhat)
@@ -838,26 +843,28 @@ def batch_norm2d(x: Tensor, scale: Tensor, shift: Tensor,
                  "batch_norm2d", checked=True)
 
 
-def softmax(x: Tensor, axis: int = 1) -> Tensor:
-    z = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the classes of (N, classes) logits."""
+    z = x.data - x.data.max(axis=1, keepdims=True)
     e = np.exp(z)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = e / e.sum(axis=1, keepdims=True)
 
     def backward(g):
         if x.requires_grad:
-            dot = (g * data).sum(axis=axis, keepdims=True)
+            dot = (g * data).sum(axis=1, keepdims=True)
             x._accumulate(data * (g - dot))
 
     return _make(data, (x,), backward, "softmax")
 
 
-def log_softmax(x: Tensor, axis: int = 1) -> Tensor:
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    data = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+def log_softmax(x: Tensor) -> Tensor:
+    """Log-softmax over the classes of (N, classes) logits."""
+    z = x.data - x.data.max(axis=1, keepdims=True)
+    data = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(g - np.exp(data) * g.sum(axis=axis, keepdims=True))
+            x._accumulate(g - np.exp(data) * g.sum(axis=1, keepdims=True))
 
     return _make(data, (x,), backward, "log_softmax")
 

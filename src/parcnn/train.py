@@ -34,8 +34,8 @@ class SGDMomentum:
         self.velocity = [np.zeros_like(p.data) for _, p in params]
 
     def step(self, lr: float) -> None:
-        if lr < 0:
-            raise ValueError("learning rate must be non-negative")
+        if not 0 <= lr < math.inf:
+            raise ValueError(f"learning rate must be finite and non-negative, got {lr}")
         for (name, p), v in zip(self.params, self.velocity):
             if p.grad is None:
                 continue
@@ -63,17 +63,19 @@ def constant_schedule(lr: float) -> Callable[[int], float]:
     return schedule
 
 
-def step_decay_schedule(lr0: float, factor: float = 0.92, every: int = 4000,
-                        floor: float | None = None) -> Callable[[int], float]:
-    """lr0 * factor ** (step // every), optionally clamped to a floor."""
-    if not (0 < lr0 < math.inf and 0 < factor <= 1 and 1 <= every < math.inf
-            and (floor is None or math.isfinite(floor))):
+DECAY_FACTOR = 0.92
+DECAY_EVERY = 4000
+
+
+def step_decay_schedule(lr0: float, floor: float | None = None) -> Callable[[int], float]:
+    """lr0 * DECAY_FACTOR ** (step // DECAY_EVERY), at least ``floor`` if given."""
+    if not (0 < lr0 < math.inf and (floor is None or math.isfinite(floor))):
         raise ValueError("invalid schedule parameters")
 
     def schedule(step: int) -> float:
         if step < 0:
             raise ValueError("step must be non-negative")
-        lr = lr0 * factor ** (step // every)
+        lr = lr0 * DECAY_FACTOR ** (step // DECAY_EVERY)
         if floor is not None:
             lr = max(lr, floor)
         return lr

@@ -328,8 +328,8 @@ class TestCriterion6DeskScaleDistillation:
                     "the identical pipeline")
             pytest.skip("MNIST data not available in this environment")
         start = time.monotonic()
-        train_set = load_mnist_idx(*found["train"], split="train").subset(10_000)
-        test_set = load_mnist_idx(*found["test"], split="test")
+        train_set = load_mnist_idx(*found["train"]).subset(10_000)
+        test_set = load_mnist_idx(*found["test"])
         teacher_err, ce_mean, kd_mean = _distillation_comparison(
             train_set, test_set, teacher_epochs=5, student_epochs=5,
             seeds=(1, 2, 3))

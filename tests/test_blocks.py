@@ -19,10 +19,10 @@ def _channel_tagged(channels: int) -> Tensor:
     return Tensor(np.arange(channels, dtype=np.float32).reshape(1, channels, 1, 1))
 
 
-def channel_shuffle(x: Tensor, groups: int = 2) -> Tensor:
+def channel_shuffle(x: Tensor) -> Tensor:
     """The channel shuffle as ParConvBlock applies it: one gather through
     ``shuffle_permutation``."""
-    return T.permute_channels(x, shuffle_permutation(x.shape[1], groups))
+    return T.permute_channels(x, shuffle_permutation(x.shape[1]))
 
 
 def _realized_values(block) -> int:
@@ -38,11 +38,11 @@ def _listed_params(layers) -> int:
 
 class TestChannelShuffle:
     def test_four_channels_interleave(self):
-        out = channel_shuffle(_channel_tagged(4), groups=2)
+        out = channel_shuffle(_channel_tagged(4))
         assert out.data.reshape(-1).tolist() == [0.0, 2.0, 1.0, 3.0]
 
     def test_two_channels_unchanged(self):
-        out = channel_shuffle(_channel_tagged(2), groups=2)
+        out = channel_shuffle(_channel_tagged(2))
         assert out.data.reshape(-1).tolist() == [0.0, 1.0]
 
     def test_twice_is_identity_on_four_channels(self):
@@ -52,7 +52,7 @@ class TestChannelShuffle:
 
     def test_indivisible_channel_count_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
-            channel_shuffle(_channel_tagged(5), groups=2)
+            channel_shuffle(_channel_tagged(5))
 
     @pytest.mark.parametrize("channels", [4, 6, 8, 10, 16, 30])
     def test_is_permutation_and_has_finite_order(self, channels):
@@ -245,16 +245,16 @@ class TestConvWeightLayout:
 
 
 class TestConvGeometry:
-    @pytest.mark.parametrize("layer", ["conv", "depthwise"])
     @pytest.mark.parametrize("channels,kernel,stride,padding", [
         (0, 3, 1, 1), (4, 0, 1, 0), (4, 3, 0, 1), (4, 3, 1, -1), (-2, 3, 1, 1)])
-    def test_invalid_geometry_rejected(self, layer, channels, kernel, stride,
-                                       padding):
+    def test_invalid_conv_geometry_rejected(self, channels, kernel, stride, padding):
         with pytest.raises(ValueError, match="invalid convolution geometry"):
-            if layer == "conv":
-                B.Conv2d(channels, 4, kernel, stride, padding)
-            else:
-                B.DepthwiseConv2d(channels, kernel, stride, padding)
+            B.Conv2d(channels, 4, kernel, stride, padding)
+
+    @pytest.mark.parametrize("channels,kernel", [(0, 3), (4, 0), (-2, 3)])
+    def test_invalid_depthwise_geometry_rejected(self, channels, kernel):
+        with pytest.raises(ValueError, match="invalid convolution geometry"):
+            B.DepthwiseConv2d(channels, kernel)
 
 
 class TestParConvWidths:

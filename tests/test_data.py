@@ -35,7 +35,7 @@ def ref_make_synthetic(classes, per_class, seed, image_size=28, separation=5.0,
         images[i, 0] = np.clip(img, 0.0, 1.0)
     images = np.round(images * 255.0).astype(np.float32) / 255.0
     order = rng.permutation(n)
-    return Dataset(images[order], labels[order], split="synthetic", classes=classes)
+    return Dataset(images[order], labels[order], classes=classes)
 
 
 def _write_idx_pair(tmp_path, images: np.ndarray, labels: np.ndarray,

@@ -66,10 +66,23 @@ class TestSgdStep:
         with pytest.raises(ValueError, match="^momentum and weight decay must be finite and non-negative$"):
             SGDMomentum([], **settings)
 
+    def test_nan_rate_from_a_schedule_writes_nothing(self, tmp_path):
+        model = build_model(zoo.build_zoo_arch("mnist_small"), seed=0)
+        before = [p.data.copy() for _, p in model.params()]
+        rows = []
+        with pytest.raises(ValueError, match="^learning rate must be finite and "
+                                             "non-negative, got nan$"):
+            train.train_classifier(model, make_synthetic(10, 4, seed=1), epochs=1,
+                                   schedule=lambda step: math.nan, on_row=rows.append,
+                                   checkpoint_prefix=tmp_path / "model")
+        assert rows == [] and list(tmp_path.iterdir()) == []
+        for (name, p), data in zip(model.params(), before):
+            np.testing.assert_array_equal(p.data, data, err_msg=name)
+
 
 class TestSchedules:
     def test_step_decay_examples(self):
-        schedule = step_decay_schedule(0.1, factor=0.92, every=4000)
+        schedule = step_decay_schedule(0.1)
         assert schedule(0) == pytest.approx(0.1)
         assert schedule(3999) == pytest.approx(0.1)
         assert schedule(8000) == pytest.approx(0.1 * 0.92 ** 2)
