@@ -256,6 +256,14 @@ class TestConvGeometry:
         with pytest.raises(ValueError, match="invalid convolution geometry"):
             B.DepthwiseConv2d(channels, kernel)
 
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    def test_depthwise_keeps_spatial_size(self, kernel, rng):
+        # stride 1 and padding (K-1)/2 are fixed, and the bias is always held
+        layer = B.DepthwiseConv2d(4, kernel)
+        assert [name for name, _ in layer.params()] == ["weight", "bias"]
+        x = Tensor(rng.normal(size=(2, 4, 7, 6)).astype(np.float32))
+        assert layer.forward(x, ForwardContext(training=True)).shape == (2, 4, 7, 6)
+
 
 class TestParConvWidths:
     def test_even_split(self):
