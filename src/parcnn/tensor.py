@@ -56,8 +56,21 @@ risk.
 
 conv2d keeps no im2col matrix from its forward to its backward: the
 backward builds the columns again from ``x.data``, as it reads
-``weight.data`` again, and frees them before the input gradient's columns
-exist. So a conv's input, like its weight, must not be written in place
+``weight.data`` again. When the input needs a gradient and its columns are
+not a view of it, the backward's two halves run at once, one window row
+(the K*C_in columns of taps (i, 0..K-1)) at a time: the weight gradient on
+a worker thread, each row's columns copied into one reused buffer, and the
+input gradient on the calling thread, each row's block of input-gradient
+columns added into the padded gradient before the next GEMM overwrites it.
+So at most two row blocks are alive rather than one whole im2col matrix,
+and each GEMM is a column block of the whole-matrix one, with its bytes.
+The calling thread allocates every image-sized array the worker fills (the
+padded input, the row buffer and the weight-gradient blocks): glibc gives
+each thread its own malloc arena, so arrays made in the worker would grow
+a second heap and the process's peak resident size with it. There is one
+worker thread per process, made
+on first use and made again in a forked child, which does not inherit the
+parent's. A conv's input, like its weight, must not be written in place
 between its forward and its backward. Nothing in the toolkit does:
 ``load_state`` and the optimizer step write parameters only, outside a
 step's graph. The other way round, neither conv2d's nor
@@ -78,6 +91,7 @@ import json
 import math
 import os
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -510,6 +524,14 @@ def _padded(a: np.ndarray, padding: int, fill: float) -> np.ndarray:
     return ap
 
 
+def _windows(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """(N, Ho, Wo, K, K, C) view of the K x K windows of padded (N,Hp,Wp,C)
+    ``xp`` at ``stride``; ``[:, :, :, i]`` is window row i, the columns of
+    taps (i, 0..K-1)."""
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+    return windows[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
+
+
 def _im2col(x: np.ndarray, k: int, stride: int, padding: int,
             ho: int, wo: int) -> np.ndarray:
     """(N,H,W,C) -> (N*Ho*Wo, K*K*C) matrix of zero-padded windows, rows in
@@ -521,8 +543,7 @@ def _im2col(x: np.ndarray, k: int, stride: int, padding: int,
     xp = _padded(x, padding, 0.0)
     if k == 1 and stride == 1:
         return xp.reshape(n * ho * wo, c)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
+    windows = _windows(xp, k, stride)
     cols = np.empty((n, ho, wo, k, k, c), dtype=x.dtype)
     if c == 1:
         # a window is only K*K values: copy tap by tap, which numpy runs
@@ -552,6 +573,71 @@ def _tap_major(weight: np.ndarray) -> np.ndarray:
     return weight.transpose(0, 2, 3, 1).reshape(weight.shape[0], -1)
 
 
+_WORKER: tuple[int, ThreadPoolExecutor] | None = None
+
+
+def _worker() -> ThreadPoolExecutor:
+    """This process's one worker thread, made on first use. A forked child
+    inherits the parent's executor but not its thread, so a new one is made
+    when the process id changes."""
+    global _WORKER
+    if _WORKER is None or _WORKER[0] != os.getpid():
+        _WORKER = (os.getpid(), ThreadPoolExecutor(1, "conv2d-backward"))
+    return _WORKER[1]
+
+
+def _weight_rows(g2t: np.ndarray, windows: np.ndarray, cols: np.ndarray,
+                 gw: np.ndarray) -> None:
+    """For each window row i, copy its columns from ``windows`` into the
+    (N, Ho, Wo, K, C_in) buffer ``cols`` and write ``g2t @ cols`` into
+    ``gw[i]``. Runs on the worker thread, and allocates no image-sized
+    array."""
+    flat = cols.reshape(-1, gw.shape[2])
+    for i in range(len(gw)):
+        cols[...] = windows[:, :, :, i]
+        np.matmul(g2t, flat, out=gw[i])
+
+
+def _window_row_gradients(g2: np.ndarray, x: np.ndarray, weight: np.ndarray,
+                          want_weight: bool, stride: int, padding: int,
+                          ho: int, wo: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """The weight and input gradients of a conv, from its (N*Ho*Wo, C_out)
+    output gradient ``g2``, its (N,H,W,C_in) input and its weight, one
+    window row of K*C_in columns at a time: the weight half on the worker
+    thread, the input half on this one. Each GEMM is a column block of the
+    whole-matrix GEMM, and the input half adds its taps in row-major order.
+    Returns the weight gradient as (C_out, K, K, C_in), or None without
+    ``want_weight``, and the (N,H,W,C_in) input gradient."""
+    n, h, w, c = x.shape
+    k = weight.shape[2]
+    kc = k * c
+    xp = _padded(x, padding, 0.0)
+    wt = _tap_major(weight)
+    gw = done = None
+    if want_weight:
+        # the worker's GEMM operands share its result's dtype, so that
+        # np.matmul casts nothing there
+        dtype = np.result_type(g2, x)
+        cols = np.empty((n, ho, wo, k, c), dtype=dtype)
+        gw = np.empty((k, wt.shape[0], kc), dtype=dtype)
+        done = _worker().submit(_weight_rows, g2.astype(dtype, copy=False).T,
+                                _windows(xp, k, stride), cols, gw)
+    gxp = np.zeros(xp.shape, dtype=np.result_type(g2, wt))
+    rows = np.empty((n, ho, wo, k, c), dtype=gxp.dtype)
+    try:
+        for i in range(k):
+            np.matmul(g2, wt[:, i * kc:(i + 1) * kc], out=rows.reshape(-1, kc))
+            for j in range(k):
+                dst = _tap(gxp, i, j, stride, ho, wo)
+                dst += rows[:, :, :, j]
+    finally:
+        if done is not None:
+            done.result()
+    if gw is not None:
+        gw = gw.reshape(k, -1, k, c).transpose(1, 0, 2, 3)
+    return gw, _crop(gxp, padding, h, w)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of (N,C_in,H,W) with (C_out,C_in,K,K) filters.
@@ -562,9 +648,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     The im2col columns are not kept for the backward, which builds them
     again from ``x.data``: neither ``x`` nor ``weight`` may be written in
-    place between this call and the graph's ``backward()``. The backward
-    does not read the output, so an op that alone consumes it may
-    overwrite it (``batch_norm2d(..., reuse_input=True)``).
+    place between this call and the graph's ``backward()``. When ``x``
+    needs a gradient and the conv is not a 1x1, stride-1, unpadded one
+    (whose columns are ``x`` itself), the backward runs its weight half on
+    a worker thread beside its input half, one window row at a time (see
+    the module docstring). The backward does not read the output, so an op that alone
+    consumes it may overwrite it (``batch_norm2d(..., reuse_input=True)``).
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ValueError("conv2d expects 4-D input and weight")
@@ -588,32 +677,27 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     def backward(g):
         g2 = _nhwc(g).reshape(n * ho * wo, c_out)
-        if weight.requires_grad:
-            # built again rather than kept from the forward, and freed with
-            # the GEMM, so no two im2col-sized matrices are alive at once
-            gw = g2.T @ _im2col(_nhwc(x.data), k, stride, padding, ho, wo)
-            weight._accumulate(gw.reshape(c_out, k, k, c_in).transpose(0, 3, 1, 2))
+        if x.requires_grad and not (k == 1 and stride == 1 and padding == 0):
+            gw, gx = _window_row_gradients(g2, _nhwc(x.data), weight.data,
+                                           weight.requires_grad, stride, padding, ho, wo)
+        else:
+            gw = gx = None
+            if weight.requires_grad:
+                # built again rather than kept from the forward, and freed
+                # with the GEMM
+                gw = g2.T @ _im2col(_nhwc(x.data), k, stride, padding, ho, wo)
+                gw = gw.reshape(c_out, k, k, c_in)
+            if x.requires_grad:
+                # one tap covering every position: the channel-last product
+                # is the gradient (``_accumulate`` adds it to +0.0, as
+                # col2im would)
+                gx = (g2 @ _tap_major(weight.data)).reshape(n, h, w, c_in)
+        if gw is not None:
+            weight._accumulate(gw.transpose(0, 3, 1, 2))
         if bias is not None and bias.requires_grad:
             bias._accumulate(_channel_sums(g2))
-        if not x.requires_grad:
-            return
-        # taken again rather than kept from the forward, so that no copy of
-        # a weight not stored tap-major stays alive across the graph
-        gcols = g2 @ _tap_major(weight.data)
-        if k == 1 and stride == 1 and padding == 0:
-            # one tap covering every position: the channel-last product is
-            # the gradient (``_accumulate`` adds it to +0.0, as col2im did)
-            x._accumulate(_nchw(gcols.reshape(n, h, w, c_in)))
-            return
-        # col2im into a channel-last buffer, so each tap adds rows of
-        # contiguous channels; taps are added in row-major order
-        gcols = gcols.reshape(n, ho, wo, k, k, c_in)
-        gxp = np.zeros((n, h + 2 * padding, w + 2 * padding, c_in), dtype=gcols.dtype)
-        for i in range(k):
-            for j in range(k):
-                dst = _tap(gxp, i, j, stride, ho, wo)
-                dst += gcols[:, :, :, i, j]
-        x._accumulate(_nchw(_crop(gxp, padding, h, w)))
+        if gx is not None:
+            x._accumulate(_nchw(gx))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(data, parents, backward, "conv2d")

@@ -1,5 +1,6 @@
 """Tensor engine: forward semantics, gradients, checkpoints, determinism."""
 import contextlib
+import os
 import weakref
 
 import numpy as np
@@ -797,6 +798,98 @@ class TestConvRebuildsColumns:
                 _assert_same_bytes(np.ascontiguousarray(xt.grad),
                                    np.ascontiguousarray(gx + 0.0),
                                    f"input gradient at {c, k, s, p}")
+
+
+def _conv_gradient_digests(x, w):
+    """sha256 of the input and weight gradients of a 3x3, pad-1 conv of
+    channel-last ``x``, whose backward runs on two threads."""
+    import hashlib
+    xt = Tensor(x, requires_grad=True)
+    wt = Tensor(w, requires_grad=True)
+    T.tsum(T.conv2d(xt, wt, padding=1)).backward()
+    return [hashlib.sha256(np.ascontiguousarray(t.grad).tobytes()).hexdigest()
+            for t in (xt, wt)]
+
+
+class TestConvBackwardByWindowRows:
+    """A conv whose input needs a gradient runs its backward's weight half
+    on a worker thread and its input half on the calling thread, one window
+    row of K*C_in columns at a time."""
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
+    def test_forked_child_runs_the_threaded_backward(self, rng):
+        """The parent's backward has made its worker thread, which a forked
+        child does not inherit: the child must make its own rather than wait
+        on the parent's forever. A child alive at the timeout is killed."""
+        import multiprocessing
+        x = _layout(rng.normal(size=(2, 8, 9, 9)).astype(np.float32), True)
+        w = rng.normal(size=(4, 8, 3, 3)).astype(np.float32)
+        expected = _conv_gradient_digests(x, w)
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=lambda: send.send(_conv_gradient_digests(x, w)))
+        child.start()
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("the forked child's conv backward did not finish in 30 s")
+        assert child.exitcode == 0
+        assert recv.poll(0) and recv.recv() == expected
+
+    def test_concurrent_callers_share_the_worker_with_the_same_bytes(self, rng):
+        """More calling threads than cores queue their weight halves on the
+        one worker; each gets the bytes of a backward run alone."""
+        import sys
+        import threading
+        x = _layout(rng.normal(size=(2, 8, 9, 9)).astype(np.float32), True)
+        w = rng.normal(size=(4, 8, 3, 3)).astype(np.float32)
+        expected = _conv_gradient_digests(x, w)
+        got = []
+
+        def run():
+            for _ in range(5):
+                got.append(_conv_gradient_digests(x, w))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [expected] * 20
+
+    def test_backward_holds_less_than_one_im2col_matrix(self, rng):
+        """The whole-matrix backward held the output gradient, the padded
+        input and the 6.9 MiB im2col matrix at once, then the im2col-sized
+        input-gradient columns beside both input-gradient buffers (9.4 MiB
+        in all here). By window rows the peak is the output gradient, the
+        padded input, both padded buffers and two reused row blocks of a
+        third of the matrix each (7.3 MiB); a row block not freed before
+        the next GEMM adds a third."""
+        import tracemalloc
+        n, c, h, w = 8, 32, 28, 28
+        x = Tensor(_layout(rng.normal(size=(n, c, h, w)).astype(np.float32), True),
+                   requires_grad=True)
+        weight = Tensor(rng.normal(size=(c, c, 3, 3)).astype(np.float32),
+                        requires_grad=True)
+        cols_bytes = n * h * w * 9 * c * 4
+        padded_bytes = n * (h + 2) * (w + 2) * c * 4
+        out_grad_bytes = n * h * w * c * 4
+        loss = T.tsum(T.conv2d(x, weight, padding=1))
+        tracemalloc.start()
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cols_bytes + padded_bytes + out_grad_bytes
 
 
 # the batch-norm inputs of the mnist_small student (and its teacher's conv1)
