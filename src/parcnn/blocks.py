@@ -23,7 +23,14 @@ where its input is the private output of the conv or depthwise conv just
 before it: every ``bn`` in a compact block's or projection's layer list,
 and the batch norm of an architecture's ``conv`` entry. A standalone
 ``batchnorm`` entry never sets it, since its input may be a tapped
-activation or a skip path that is read again.
+activation or a skip path that is read again. A ``ResidualBlock`` runs its
+sum and ReLU as one op (``tensor.add(..., relu=True)``) and writes the sum
+into its body's output only when the body ends in a batch norm without
+ReLU (res18's ``_b`` convs): that output is fresh, only the tail reads it,
+and its backward does not. A body that ends in BN+ReLU (every ParConv
+block, so ``parres18_mini`` and the ``residual=True`` transforms), whose
+backward reads ``out > 0``, or in a max pool, a tap or nothing, gets a
+fresh sum.
 """
 from __future__ import annotations
 
@@ -388,13 +395,17 @@ class ParConvBlock(Layer):
 
 class ResidualBlock(Layer):
     """Adds a skip path around ``body``: the identity, or the ``projection``
-    layers that ``projection_layers`` lists."""
+    layers that ``projection_layers`` lists. The sum and the ReLU after it
+    (``post_relu``) run as one op, ``tensor.add(..., relu=True)``, which
+    writes into the body's output when ``_body_output_is_private`` says it
+    may."""
 
     def __init__(self, body: Layer, projection: list[tuple[str, Layer]] = (),
                  post_relu: bool = False):
         self.body = body
         self.projection = list(projection)
         self.post_relu = post_relu
+        self.reuse_body_output = _body_output_is_private(body)
 
     def sublayers(self):
         return [("body", self.body)] + self.projection
@@ -407,5 +418,16 @@ class ResidualBlock(Layer):
         if y.shape[2:] != skip.shape[2:]:
             raise ValueError(
                 f"residual spatial mismatch: body {y.shape[2:]} vs skip {skip.shape[2:]}")
-        out = T.add(y, skip)
-        return T.relu(out) if self.post_relu else out
+        return T.add(y, skip, relu=self.post_relu, reuse_input=self.reuse_body_output)
+
+
+def _body_output_is_private(body: Layer) -> bool:
+    """Whether a residual body's output is a buffer that only the block's
+    sum reads, and whose maker's backward does not: true only when the
+    body's last layer is a batch norm without ReLU, whose output is always
+    a fresh array. A ReLU inside the batch norm reads its output in the
+    backward (``out > 0``), as does a max pool; a tap hands the output to a
+    loss, and an empty body passes on its input, which the skip reads."""
+    while isinstance(body, Sequential) and body.children:
+        body = body.children[-1][1]
+    return isinstance(body, BatchNorm2d) and not body.relu

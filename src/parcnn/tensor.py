@@ -48,7 +48,8 @@ kernel gradient through the same GEMMs. Other BLAS builds may split the
 summed axis across threads; a tier-1 test compares 1 against 2 threads.
 ``batch_norm2d(..., relu=True)`` is batch norm followed by ``relu`` as one
 graph node, with the bytes of the two ops; the networks' BN+ReLU pairs run
-that way.
+that way. So is ``add(..., relu=True)``, add followed by ``relu``: a
+residual block's tail.
 
 Forward ops verify their outputs are finite and raise NumericalError
 otherwise; disable with ``finite_checks(False)`` in hot loops at your own
@@ -61,23 +62,39 @@ not a view of it, the backward's two halves run at once, one window row
 (the K*C_in columns of taps (i, 0..K-1)) at a time: the weight gradient on
 a worker thread, each row's columns copied into one reused buffer, and the
 input gradient on the calling thread, each row's block of input-gradient
-columns added into the padded gradient before the next GEMM overwrites it.
-So at most two row blocks are alive rather than one whole im2col matrix,
-and each GEMM is a column block of the whole-matrix one, with its bytes.
-The calling thread allocates every image-sized array the worker fills (the
+columns added into the gradient before the next GEMM overwrites it. So at
+most two row blocks are alive rather than one whole im2col matrix, and
+each GEMM is a column block of the whole-matrix one, with its bytes. The
+calling thread allocates every image-sized array the worker fills (the
 padded input, the row buffer and the weight-gradient blocks): glibc gives
 each thread its own malloc arena, so arrays made in the worker would grow
 a second heap and the process's peak resident size with it. There is one
-worker thread per process, made
-on first use and made again in a forked child, which does not inherit the
-parent's. A conv's input, like its weight, must not be written in place
-between its forward and its backward. Nothing in the toolkit does:
-``load_state`` and the optimizer step write parameters only, outside a
-step's graph. The other way round, neither conv2d's nor
-depthwise_conv2d's backward reads its own output (``Tensor._accumulate``
-takes only its shape, dtype and strides), so a batch norm that alone
-consumes that output may overwrite it (``batch_norm2d(...,
-reuse_input=True)``).
+worker thread per process, made on first use and made again in a forked
+child, which does not inherit the parent's. A conv's input, like its
+weight, must not be written in place between its forward and its
+backward. Nothing in the toolkit does: ``load_state`` and the optimizer
+step write parameters only, outside a step's graph. With one input channel
+the im2col columns are one contiguous row per tap, which the GEMMs read
+transposed.
+
+The input gradients of conv2d's window rows, of depthwise_conv2d and of
+max_pool2d are summed into an unpadded (N, H, W, C) zero buffer: each tap
+adds only the outputs that read inside the image, in the same (i, j) order
+as before, so every element gets the adds it got in a padded buffer, and a
+tap that reads only padding is skipped (max pooling still compares every
+tap of its padded input). The input keeps that buffer as its first
+gradient without a copy (``Tensor._keep_or_accumulate``): a sum that
+started at +0.0 never holds -0.0, so the +0.0 + g of ``_accumulate`` would
+be g itself.
+
+Who may write over an activation: neither conv2d's nor depthwise_conv2d's
+backward reads its own output (``Tensor._accumulate`` takes only its
+shape, dtype and strides), so a batch norm that alone consumes that output
+may overwrite it (``batch_norm2d(..., reuse_input=True)``). Batch norm's
+backward does not read its own output either unless it runs a ReLU (``out
+> 0``), so a residual tail that alone consumes the output of a batch norm
+without one may write its sum there (``add(..., reuse_input=True)``);
+``blocks`` says which layers set either flag.
 
 Inside ``with no_grad():`` ops wire no graph: their outputs have
 ``requires_grad`` False and no parents, so nothing holds the inputs and
@@ -184,6 +201,17 @@ class Tensor:
         else:
             self.grad += g
 
+    def _keep_or_accumulate(self, g: np.ndarray) -> None:
+        """``_accumulate`` of a buffer that an op filled by adding into
+        +0.0 and hands to this tensor alone: as a first gradient with
+        ``data``'s dtype and strides it is kept, not copied. Such a sum
+        never holds -0.0, so +0.0 + g would be g itself."""
+        if self.grad is None and g.dtype == self.data.dtype \
+                and g.strides == self.data.strides:
+            self.grad = g
+        else:
+            self._accumulate(g)
+
     # -- autodiff ----------------------------------------------------------
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar. Leaf gradients accumulate into
@@ -268,16 +296,38 @@ def _nchw(a: np.ndarray) -> np.ndarray:
 
 # -- elementwise arithmetic ------------------------------------------------
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
+def add(a: Tensor, b: Tensor, relu: bool = False, reuse_input: bool = False) -> Tensor:
+    """a + b, broadcast. With ``relu`` the op is ``add`` followed by
+    ``relu``, as one graph node with the bytes of the two ops: the sum is
+    checked for finite values, ReLU is applied to it in place, and the
+    backward masks the gradient and adds +0.0 to it, as ``relu``'s backward
+    and ``Tensor._accumulate`` do, before passing it to both inputs.
+
+    With ``reuse_input`` the sum is written into ``a.data``'s own buffer
+    when it has the sum's dtype (the same float ops, so the same bytes).
+    Set it only when nothing reads ``a`` afterwards, neither a later
+    forward nor a backward: ``blocks.ResidualBlock`` says which residual
+    bodies' outputs qualify. The backward reads neither input."""
+    data = _into(a.data if reuse_input else None, np.add, a.data, b.data)
+    if relu:
+        _check_finite(data, "add")
+        # as ``relu``: fmax, then +0.0 to turn a kept -0.0 into +0.0 (in
+        # place unless the sum of 0-d inputs is a numpy scalar)
+        data = np.fmax(data, 0, out=data if data.ndim else None)
+        data += 0.0
 
     def backward(g):
+        if relu:
+            # ``relu``'s mask (the output is > 0 exactly where the sum
+            # was), then the +0.0 of its gradient's first write
+            g = g * (data > 0)
+            g += 0.0
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.shape))
 
-    return _make(data, (a, b), backward, "add")
+    return _make(data, (a, b), backward, "add", checked=relu)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -508,9 +558,24 @@ def _tap(a: np.ndarray, i: int, j: int, stride: int, ho: int, wo: int) -> np.nda
     return a[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
 
 
-def _crop(gxp: np.ndarray, padding: int, h: int, w: int) -> np.ndarray:
-    """Drop the padding from a (N,Hp,Wp,C) gradient."""
-    return gxp[:, padding:padding + h, padding:padding + w] if padding else gxp
+def _tap_inside(a: np.ndarray, i: int, j: int, stride: int, padding: int,
+                ho: int, wo: int):
+    """Window tap (i, j) of a conv or pool with (Ho, Wo) outputs, over the
+    unpadded (N,H,W,C) array ``a``: the view of ``a`` at the input positions
+    the tap reads inside the image, then the slices of the output rows and
+    columns that read them; None when every output of the tap reads
+    padding."""
+    spans = []
+    for t, size, out in ((i, a.shape[1], ho), (j, a.shape[2], wo)):
+        # outputs o with 0 <= o * stride + t - padding < size
+        lo = max(0, -((t - padding) // stride))
+        hi = min(out, (size - 1 + padding - t) // stride + 1)
+        if lo >= hi:
+            return None
+        start = lo * stride + t - padding
+        spans.append((slice(lo, hi), slice(start, start + stride * (hi - lo - 1) + 1, stride)))
+    (rows, h_in), (cols, w_in) = spans
+    return a[:, h_in, w_in], rows, cols
 
 
 def _padded(a: np.ndarray, padding: int, fill: float) -> np.ndarray:
@@ -520,7 +585,7 @@ def _padded(a: np.ndarray, padding: int, fill: float) -> np.ndarray:
         return a
     n, h, w, c = a.shape
     ap = np.full((n, h + 2 * padding, w + 2 * padding, c), fill, dtype=a.dtype)
-    _crop(ap, padding, h, w)[...] = a
+    ap[:, padding:padding + h, padding:padding + w] = a
     return ap
 
 
@@ -538,21 +603,23 @@ def _im2col(x: np.ndarray, k: int, stride: int, padding: int,
     (n, oh, ow) order and columns in (i, j, c) order, copied from one
     (N, Ho, Wo, K, K, C) window view of the padded input. With one tap
     (K = 1) and stride 1 the columns are the channels, and without padding
-    the matrix is a view of ``x``."""
+    the matrix is a view of ``x``. With one channel it is the transpose of
+    a C-order (K*K, N*Ho*Wo) array, one row per tap."""
     n, h, w, c = x.shape
     xp = _padded(x, padding, 0.0)
     if k == 1 and stride == 1:
         return xp.reshape(n * ho * wo, c)
-    windows = _windows(xp, k, stride)
-    cols = np.empty((n, ho, wo, k, k, c), dtype=x.dtype)
     if c == 1:
-        # a window is only K*K values: copy tap by tap, which numpy runs
-        # along Wo instead, about 2x faster at 28x28
+        # a window is only K*K values: fill one contiguous row per tap, a
+        # copy that runs along Wo, and hand the GEMMs its transpose, which
+        # they read as such
+        cols_t = np.empty((k, k, n, ho, wo), dtype=x.dtype)
         for i in range(k):
             for j in range(k):
-                cols[:, :, :, i, j] = windows[:, :, :, i, j]
-    else:
-        cols[...] = windows
+                cols_t[i, j] = _tap(xp, i, j, stride, ho, wo)[..., 0]
+        return cols_t.reshape(k * k, -1).T
+    cols = np.empty((n, ho, wo, k, k, c), dtype=x.dtype)
+    cols[...] = _windows(xp, k, stride)
     return cols.reshape(n * ho * wo, -1)
 
 
@@ -606,8 +673,10 @@ def _window_row_gradients(g2: np.ndarray, x: np.ndarray, weight: np.ndarray,
     window row of K*C_in columns at a time: the weight half on the worker
     thread, the input half on this one. Each GEMM is a column block of the
     whole-matrix GEMM, and the input half adds its taps in row-major order.
-    Returns the weight gradient as (C_out, K, K, C_in), or None without
-    ``want_weight``, and the (N,H,W,C_in) input gradient."""
+    The input gradient is summed into an unpadded zero buffer, each tap
+    adding only the outputs that read inside the image. Returns the weight
+    gradient as (C_out, K, K, C_in), or None without ``want_weight``, and
+    the (N,H,W,C_in) input gradient."""
     n, h, w, c = x.shape
     k = weight.shape[2]
     kc = k * c
@@ -622,20 +691,22 @@ def _window_row_gradients(g2: np.ndarray, x: np.ndarray, weight: np.ndarray,
         gw = np.empty((k, wt.shape[0], kc), dtype=dtype)
         done = _worker().submit(_weight_rows, g2.astype(dtype, copy=False).T,
                                 _windows(xp, k, stride), cols, gw)
-    gxp = np.zeros(xp.shape, dtype=np.result_type(g2, wt))
-    rows = np.empty((n, ho, wo, k, c), dtype=gxp.dtype)
+    gx = np.zeros((n, h, w, c), dtype=np.result_type(g2, wt))
+    rows = np.empty((n, ho, wo, k, c), dtype=gx.dtype)
     try:
         for i in range(k):
             np.matmul(g2, wt[:, i * kc:(i + 1) * kc], out=rows.reshape(-1, kc))
             for j in range(k):
-                dst = _tap(gxp, i, j, stride, ho, wo)
-                dst += rows[:, :, :, j]
+                inside = _tap_inside(gx, i, j, stride, padding, ho, wo)
+                if inside is not None:
+                    dst, oh, ow = inside
+                    dst += rows[:, oh, ow, j]
     finally:
         if done is not None:
             done.result()
     if gw is not None:
         gw = gw.reshape(k, -1, k, c).transpose(1, 0, 2, 3)
-    return gw, _crop(gxp, padding, h, w)
+    return gw, gx
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -677,27 +748,25 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     def backward(g):
         g2 = _nhwc(g).reshape(n * ho * wo, c_out)
+        gw = gx = None
         if x.requires_grad and not (k == 1 and stride == 1 and padding == 0):
             gw, gx = _window_row_gradients(g2, _nhwc(x.data), weight.data,
                                            weight.requires_grad, stride, padding, ho, wo)
-        else:
-            gw = gx = None
-            if weight.requires_grad:
-                # built again rather than kept from the forward, and freed
-                # with the GEMM
-                gw = g2.T @ _im2col(_nhwc(x.data), k, stride, padding, ho, wo)
-                gw = gw.reshape(c_out, k, k, c_in)
-            if x.requires_grad:
-                # one tap covering every position: the channel-last product
-                # is the gradient (``_accumulate`` adds it to +0.0, as
-                # col2im would)
-                gx = (g2 @ _tap_major(weight.data)).reshape(n, h, w, c_in)
+        elif weight.requires_grad:
+            # built again rather than kept from the forward, and freed with
+            # the GEMM
+            gw = g2.T @ _im2col(_nhwc(x.data), k, stride, padding, ho, wo)
+            gw = gw.reshape(c_out, k, k, c_in)
         if gw is not None:
             weight._accumulate(gw.transpose(0, 3, 1, 2))
         if bias is not None and bias.requires_grad:
             bias._accumulate(_channel_sums(g2))
         if gx is not None:
-            x._accumulate(_nchw(gx))
+            x._keep_or_accumulate(_nchw(gx))
+        elif x.requires_grad:
+            # one tap covering every position: the channel-last product is
+            # the gradient (``_accumulate`` adds it to +0.0, as col2im would)
+            x._accumulate(_nchw((g2 @ _tap_major(weight.data)).reshape(n, h, w, c_in)))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(data, parents, backward, "conv2d")
@@ -755,11 +824,13 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         if bias is not None and bias.requires_grad:
             bias._accumulate(_channel_sums(g.reshape(-1, c)))
         if x.requires_grad:
-            gxp = np.zeros(xp.shape, dtype=prod.dtype)
+            gx = np.zeros((n, h, w, c), dtype=prod.dtype)
             for i, j in taps:
-                dst = _tap(gxp, i, j, 1, ho, wo)
-                dst += np.multiply(g, tiled[i, j], out=prod)
-            x._accumulate(_nchw(_crop(gxp, padding, h, w)))
+                inside = _tap_inside(gx, i, j, 1, padding, ho, wo)
+                if inside is not None:
+                    dst, oh, ow = inside
+                    dst += np.multiply(g[:, oh, ow], tiled[i, j][ow], out=prod[:, oh, ow])
+            x._keep_or_accumulate(_nchw(gx))
 
     return _make(_nchw(out), parents, backward, "depthwise_conv2d")
 
@@ -793,20 +864,23 @@ def max_pool2d(x: Tensor, window: int = 3, stride: int = 2, padding: int = 0) ->
         # routed through per-tap buffers that are reused rather than
         # allocated per tap
         g = _nhwc(g)
-        gxp = np.zeros_like(xp, dtype=g.dtype)
+        gx = np.zeros((n, h, w, c), dtype=g.dtype)
         free = np.ones_like(data, dtype=bool)   # outputs not yet routed
         first = np.empty_like(free)
         routed = np.empty_like(data, dtype=g.dtype)
         for i, j in taps:
+            # every tap's mask reads the padded input: a -inf input may tie
+            # with the padding, and the first maximum wins
             np.equal(_tap(xp, i, j, stride, ho, wo), data, out=first)
             first &= free
             free ^= first
-            # g * False is +-0.0, which leaves a sum that started at +0.0
-            # unchanged: a buffer started at +0.0 never holds -0.0
-            np.multiply(g, first, out=routed)
-            dst = _tap(gxp, i, j, stride, ho, wo)
-            dst += routed
-        x._accumulate(_nchw(_crop(gxp, padding, h, w)))
+            inside = _tap_inside(gx, i, j, stride, padding, ho, wo)
+            if inside is not None:
+                # g * False is +-0.0, which leaves a sum that started at
+                # +0.0 unchanged: a buffer started at +0.0 never holds -0.0
+                dst, oh, ow = inside
+                dst += np.multiply(g[:, oh, ow], first[:, oh, ow], out=routed[:, oh, ow])
+        x._keep_or_accumulate(_nchw(gx))
 
     return _make(_nchw(data), (x,), backward, "max_pool2d")
 

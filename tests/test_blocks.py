@@ -424,6 +424,71 @@ class TestResidual:
         assert block.projection
 
 
+def _residual_blocks(layer):
+    """Every ResidualBlock under ``layer``, depth first."""
+    own = [layer] if isinstance(layer, B.ResidualBlock) else []
+    return own + [r for _, child in layer.sublayers() for r in _residual_blocks(child)]
+
+
+class TestResidualTailReusesOnlyPrivateOutputs:
+    """A residual tail writes its sum into the body's output only when that
+    output is a batch norm's without ReLU: fresh, read by the tail alone,
+    and not read by its maker's backward."""
+
+    @pytest.mark.parametrize("name,reused", [("res18_mini", True),
+                                             ("parres18_mini", False)])
+    def test_zoo_backbones(self, name, reused):
+        from parcnn.arch import build_model
+        from parcnn.zoo import build_zoo_arch
+        blocks = _residual_blocks(build_model(build_zoo_arch(name), seed=0).root)
+        assert len(blocks) == 8
+        assert all(block.reuse_body_output == reused for block in blocks)
+
+    @pytest.mark.parametrize("last,reused", [
+        (B.BatchNorm2d(4), True), (B.BatchNorm2d(4, reuse_input=True), True),
+        (B.BatchNorm2d(4, relu=True), False), (B.MaxPool2d(3, 1, 1), False),
+        (B.Tap("t"), False), (B.ReLU(), False), (None, False)])
+    def test_body_whose_last_layer_is(self, last, reused):
+        """``None``: the body ends in its conv. The body may nest its last
+        layer in a sequence, as a ``conv`` entry does; an empty body passes
+        on the input that the skip reads."""
+        children = [("conv", B.Conv2d(4, 4, 3, padding=1))]
+        if last is not None:
+            children.append(("last", last))
+        for body in (B.Sequential(children),
+                     B.Sequential([("inner", B.Sequential(children))])):
+            assert B.ResidualBlock(body).reuse_body_output == reused
+        assert B.ResidualBlock(B.Sequential([])).reuse_body_output is False
+
+    def test_res18_step_same_bytes_and_holds_no_tail_buffer(self):
+        """Written in place, the 8 tails of a res18_mini step at batch 8
+        hold none of their own buffers (5.9 MiB) after the forward."""
+        import tracemalloc
+        from parcnn.arch import build_model
+        from parcnn.zoo import build_zoo_arch
+        x = np.random.default_rng(5).normal(size=(8, 1, 28, 28)).astype(np.float32)
+        runs = []
+        for reuse in (True, False):
+            model = build_model(build_zoo_arch("res18_mini"), seed=3)
+            for block in _residual_blocks(model.root):
+                block.reuse_body_output = reuse
+            tracemalloc.start()
+            try:
+                loss = T.tsum(T.square(model.forward(x, training=True)))
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            loss.backward()
+            runs.append((held, [loss.data] + [t.grad for _, t in model.params()]
+                         + [t.data for _, t in model.buffers()]))
+        (held, values), (held_off, values_off) = runs
+        for a, b in zip(values, values_off):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        tail_bytes = sum(2 * 8 * c * h * h * 4
+                         for c, h in [(64, 28), (128, 14), (256, 7), (512, 4)])
+        assert held_off - held >= 0.99 * tail_bytes
+
+
 def _batch_norms(layer):
     """Every BatchNorm2d under ``layer``, depth first."""
     if isinstance(layer, B.BatchNorm2d):

@@ -242,6 +242,27 @@ class TestBackward:
             leaves = [x]
         assert gradcheck(fn, leaves, step=1e-5) < 1e-3
 
+    @pytest.mark.parametrize("op,stride", [("conv", 1), ("conv", 2), ("depthwise", 1),
+                                           ("maxpool", 1), ("maxpool", 2)])
+    def test_gradcheck_clipped_taps(self, op, stride, rng):
+        """K = 5 and padding 2 over a 2x2 channel-last input, whose input
+        gradient is kept without a copy: whole taps read only padding."""
+        x = f64(_layout(rng.normal(size=(2, 3, 2, 2)), True))
+        if op == "conv":
+            w = f64(rng.normal(size=(4, 3, 5, 5)))
+            b = f64(rng.normal(size=(4,)))
+            fn = lambda: T.tsum(T.square(T.conv2d(x, w, b, stride=stride, padding=2)))
+            leaves = [x, w, b]
+        elif op == "depthwise":
+            k = f64(rng.normal(size=(3, 5, 5)))
+            b = f64(rng.normal(size=(3,)))
+            fn = lambda: T.tsum(T.square(T.depthwise_conv2d(x, k, b, padding=2)))
+            leaves = [x, k, b]
+        else:
+            fn = lambda: T.tsum(T.square(T.max_pool2d(x, 5, stride, padding=2)))
+            leaves = [x]
+        assert gradcheck(fn, leaves, step=1e-5) < 1e-3
+
 
 # -- reference ops ------------------------------------------------------------
 # max_pool2d, relu and Tensor._accumulate as they were before their data
@@ -594,6 +615,25 @@ class TestWindowOpsMatchReference:
                     inputs = [x, draw((4, c, k, k)), draw((4,))]
                     _check_conv2d(inputs, rounded, rng, stride=s, padding=p)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channel_last", [False, True])
+    def test_clipped_taps(self, dtype, channel_last, rng):
+        """A 2x2 input under windows of 3 and 5: whole taps read only
+        padding, and the input gradients add only the taps that read inside
+        the image."""
+        draw = _sampler(rng, dtype, True)
+        layout = "channel_last" if channel_last else "c_order"
+        for k, s, p in [(5, 1, 2), (5, 2, 2), (5, 1, 4), (5, 3, 3), (3, 2, 2)]:
+            x = _layout(draw((2, 3, 2, 2)), channel_last)
+            _check_conv2d([x, draw((4, 3, k, k)), draw((4,))], True, rng,
+                          stride=s, padding=p)
+            _check_against_reference(T.max_pool2d, ref_max_pool2d, [x], rng,
+                                     layout=layout, window=k, stride=s, padding=p)
+            if s == 1:
+                _check_against_float64_reference(
+                    T.depthwise_conv2d, ref_depthwise_conv2d,
+                    [x, draw((3, k, k)), draw((3,))], rng, padding=p)
+
 
 class TestReluAndAccumulateMatchReference:
     @_ORACLE_CASES
@@ -640,6 +680,27 @@ class TestReluAndAccumulateMatchReference:
             t._accumulate(g)
             ref_accumulate(t_ref, g)
         _assert_same_bytes(t.grad, t_ref.grad, "first gradient")
+
+    @pytest.mark.parametrize("layout,dtype,kept", [
+        ("channel_last", np.float32, True), ("c_order", np.float32, False),
+        ("channel_last", np.float64, False)])
+    def test_handed_over_gradient_is_kept_only_in_the_layout_of_data(
+            self, layout, dtype, kept, rng):
+        """A first gradient an op hands over is kept when it has ``data``'s
+        dtype and strides, and written as ``_accumulate`` writes it
+        otherwise; a second one is added into the gradient either way."""
+        data = _layout(rng.normal(size=(2, 3, 4, 5)).astype(np.float32),
+                       layout == "channel_last")
+        g = _layout(rng.normal(size=data.shape).astype(dtype), True)
+        g2 = rng.normal(size=data.shape).astype(np.float32)
+        t, t_ref = Tensor(data), Tensor(data)
+        t._keep_or_accumulate(g)
+        ref_accumulate(t_ref, g)
+        assert (t.grad is g) == kept
+        _assert_same_bytes(t.grad, t_ref.grad, "first gradient")
+        t._keep_or_accumulate(g2)
+        ref_accumulate(t_ref, g2)
+        _assert_same_bytes(t.grad, t_ref.grad, "second gradient")
 
 
 def _weight_order(weight):
@@ -708,7 +769,9 @@ class TestIm2col:
     @pytest.mark.parametrize("c", [1, 2, 5, 16])
     def test_same_bytes_as_tap_by_tap_reference(self, dtype, c, rng):
         """Every kernel, stride and padding, on inputs with H != W, stored
-        channel-last (a C-order NHWC array) and channel-major (its view)."""
+        channel-last (a C-order NHWC array) and channel-major (its view).
+        One channel's columns that are not a view of the input are the
+        transpose of a C-order array with one row per tap."""
         for k in (1, 2, 3, 5):
             for s in (1, 2, 3):
                 for p in range(k):
@@ -718,9 +781,13 @@ class TestIm2col:
                         wo = T.conv_output_size(h + 1, k, s, p)
                         for channel_last in (False, True):
                             xh = T._nhwc(_layout(x, channel_last))
-                            _assert_same_bytes(T._im2col(xh, k, s, p, ho, wo),
-                                               _ref_im2col(xh, k, s, p, ho, wo),
-                                               f"columns at {k, s, p, h, channel_last}")
+                            ref = _ref_im2col(xh, k, s, p, ho, wo)
+                            tap_rows = c == 1 and not (k == 1 and s == 1)
+                            strides = (ref.itemsize, ref.shape[0] * ref.itemsize) \
+                                if tap_rows else None
+                            _assert_same_bytes(T._im2col(xh, k, s, p, ho, wo), ref,
+                                               f"columns at {k, s, p, h, channel_last}",
+                                               strides)
 
     @pytest.mark.parametrize("c,k,s,p", [(16, 3, 1, 1), (16, 3, 2, 0), (1, 3, 1, 1),
                                          (1, 5, 2, 2), (16, 1, 1, 0), (16, 1, 2, 0)])
@@ -870,9 +937,9 @@ class TestConvBackwardByWindowRows:
         input and the 6.9 MiB im2col matrix at once, then the im2col-sized
         input-gradient columns beside both input-gradient buffers (9.4 MiB
         in all here). By window rows the peak is the output gradient, the
-        padded input, both padded buffers and two reused row blocks of a
-        third of the matrix each (7.3 MiB); a row block not freed before
-        the next GEMM adds a third."""
+        padded input, the unpadded input gradient and two reused row blocks
+        of a third of the matrix each (7.2 MiB); a row block not freed
+        before the next GEMM adds a third."""
         import tracemalloc
         n, c, h, w = 8, 32, 28, 28
         x = Tensor(_layout(rng.normal(size=(n, c, h, w)).astype(np.float32), True),
@@ -997,6 +1064,61 @@ class TestFusedBatchNormRelu:
         assert gradcheck(fn, [x, scale, shift], step=1e-5) < 1e-3
 
 
+class TestFusedAddRelu:
+    """``add(a, b, relu=True)``, a residual tail, against the engine's
+    ``add`` followed by ``relu``: one graph node with the same bytes, with
+    the sum written into ``a``'s buffer under ``reuse_input``."""
+
+    @pytest.mark.parametrize("dtype,b_dtype", [
+        (np.float32, np.float32), (np.float64, np.float64),
+        (np.float32, np.float64), (np.float64, np.float32)])
+    @pytest.mark.parametrize("layout", _BN_LAYOUTS)
+    @pytest.mark.parametrize("reuse_input", [False, True])
+    def test_same_bytes_as_add_then_relu(self, dtype, b_dtype, layout, reuse_input,
+                                         rng):
+        shape = (4, 6, 7, 7)
+        a = _bn_layout(_rounded(rng, shape, dtype), layout)
+        b = _layout(_rounded(rng, shape, b_dtype), True)
+        upstream = _rounded(rng, shape, np.result_type(dtype, b_dtype))
+        runs = []
+        for fused in (False, True):
+            leaves = [Tensor(v.copy(order="K"), requires_grad=True) for v in (a, b)]
+            if fused:
+                y = T.add(*leaves, relu=True, reuse_input=reuse_input)
+            else:
+                y = T.relu(T.add(*leaves))
+            T.tsum(T.mul(y, Tensor(upstream))).backward()
+            runs.append((y, leaves))
+        (y_ref, leaves_ref), (y, leaves) = runs
+        # the sum goes into a's buffer unless it is wider than a's dtype
+        lent = reuse_input and np.result_type(dtype, b_dtype) == dtype
+        assert np.shares_memory(y.data, leaves[0].data) == lent
+        _assert_same_bytes(y.data, y_ref.data, "output",
+                           leaves[0].data.strides if lent else None)
+        for k, (t, t_ref) in enumerate(zip(leaves, leaves_ref)):
+            _assert_same_bytes(t.grad, t_ref.grad, f"gradient of input {k}")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sum_raises(self, bad, rng):
+        a = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
+        a[1, 2, 0, 3] = bad
+        with pytest.raises(NumericalError, match="add"):
+            T.add(Tensor(a), Tensor(np.ones_like(a)), relu=True)
+
+    @pytest.mark.parametrize("reuse_input", [False, True])
+    def test_gradcheck(self, reuse_input, rng):
+        """``a`` enters doubled, so that a buffer the op may write into is
+        made afresh by each finite-difference call."""
+        a = f64(_layout(rng.normal(size=(2, 3, 4, 4)), True))
+        # every sum 2a + b stays off the kink by more than the FD step
+        sums = np.where(rng.random(a.shape) < 0.5, -1.0, 1.0) * (0.2 + rng.random(a.shape))
+        b = f64(_layout(sums - 2.0 * a.data, True))
+        two = Tensor(np.float64(2.0))
+        fn = lambda: T.tsum(T.square(T.add(T.mul(a, two), b, relu=True,
+                                           reuse_input=reuse_input)))
+        assert gradcheck(fn, [a, b], step=1e-5) < 1e-3
+
+
 class TestBatchNormReusesItsInput:
     """``batch_norm2d(..., reuse_input=True)`` writes its centred values and
     xhat into the input's buffer: the same float ops, so the same bytes."""
@@ -1083,9 +1205,11 @@ class TestTrainingStepMatchesReference:
     the single-op oracles do not reach. Convolution, depthwise convolution
     and batch norm run the engine's body on both sides, since their
     tap-major GEMMs, tap multiply-adds and GEMM reductions have no
-    byte-equal reference. The models run each ReLU inside a batch norm
-    (``relu=True``), so on the reference side such a call runs the
-    engine's batch norm without it, followed by ``ref_relu``."""
+    byte-equal reference. The models run each ReLU inside a batch norm or a
+    residual tail's add (``relu=True``), so on the reference side such a
+    call runs the engine's op without it, followed by ``ref_relu``, and
+    writes into no input. ``ref_accumulate`` stands in for the first
+    gradient an op hands over, kept or copied."""
 
     @staticmethod
     def _step(arch):
@@ -1098,6 +1222,33 @@ class TestTrainingStepMatchesReference:
         assert len(rows) == 1
         return rows[0]["loss"], model.params() + model.buffers()
 
+    @classmethod
+    def _check_step(cls, arch, monkeypatch):
+        loss, state = cls._step(arch)
+        engine_batch_norm2d, engine_add = T.batch_norm2d, T.add
+
+        def batch_norm2d_then_ref_relu(*args, relu=False, **kwargs):
+            y = engine_batch_norm2d(*args, **kwargs)
+            return ref_relu(y) if relu else y
+
+        def add_then_ref_relu(a, b, relu=False, reuse_input=False):
+            y = engine_add(a, b)
+            return ref_relu(y) if relu else y
+
+        with monkeypatch.context() as patch:
+            for name, ref in [("max_pool2d", ref_max_pool2d),
+                              ("relu", ref_relu),
+                              ("batch_norm2d", batch_norm2d_then_ref_relu),
+                              ("add", add_then_ref_relu)]:
+                patch.setattr(T, name, ref)
+            for name in ("_accumulate", "_keep_or_accumulate"):
+                patch.setattr(Tensor, name, ref_accumulate)
+            loss_ref, state_ref = cls._step(arch)
+        assert np.float64(loss).tobytes() == np.float64(loss_ref).tobytes()
+        assert [name for name, _ in state] == [name for name, _ in state_ref]
+        for (name, t), (_, t_ref) in zip(state, state_ref):
+            _assert_same_bytes(t.data, t_ref.data, name)
+
     @pytest.mark.parametrize("student", [False, True])
     def test_one_step(self, student, monkeypatch):
         from parcnn.transform import DistillPolicy, distill_architecture
@@ -1105,36 +1256,48 @@ class TestTrainingStepMatchesReference:
         arch = build_zoo_arch("mnist_small")
         if student:
             arch = distill_architecture(arch, DistillPolicy())
-        loss, state = self._step(arch)
-        engine_batch_norm2d = T.batch_norm2d
+        self._check_step(arch, monkeypatch)
 
-        def batch_norm2d_then_ref_relu(*args, relu=False, **kwargs):
-            y = engine_batch_norm2d(*args, **kwargs)
-            return ref_relu(y) if relu else y
+    def test_one_step_of_residual_blocks(self, monkeypatch):
+        """Three kinds of residual block, each with its tail's ReLU: a
+        res18-style body that ends in a batch norm without ReLU (its sum
+        written in place) with an identity skip, a stride-2 body with a
+        projection, and a parres18-style body that ends in ParConv's
+        BN+ReLU, whose backward reads that output, so its sum must not
+        be written there."""
+        from parcnn.arch import ArchSpec
 
-        with monkeypatch.context() as patch:
-            for name, ref in [("max_pool2d", ref_max_pool2d),
-                              ("relu", ref_relu),
-                              ("batch_norm2d", batch_norm2d_then_ref_relu)]:
-                patch.setattr(T, name, ref)
-            patch.setattr(Tensor, "_accumulate", ref_accumulate)
-            loss_ref, state_ref = self._step(arch)
-        assert np.float64(loss).tobytes() == np.float64(loss_ref).tobytes()
-        assert [name for name, _ in state] == [name for name, _ in state_ref]
-        for (name, t), (_, t_ref) in zip(state, state_ref):
-            _assert_same_bytes(t.data, t_ref.data, name)
+        def conv(name, channels, stride=1, relu=True):
+            return {"type": "conv", "name": name, "out_channels": channels,
+                    "kernel": 3, "stride": stride, "padding": 1, "bias": True,
+                    "bn": True, "relu": relu}
 
-    @pytest.mark.parametrize("name,relu_calls,fused,unfused", [
+        arch = ArchSpec(1, 28, 28, [
+            conv("stem", 8),
+            {"type": "residual", "name": "identity", "post_relu": True,
+             "body": [conv("identity_a", 8), conv("identity_b", 8, relu=False)]},
+            {"type": "residual", "name": "down", "post_relu": True,
+             "body": [conv("down_a", 16, stride=2), conv("down_b", 16, relu=False)]},
+            {"type": "residual", "name": "par", "post_relu": True,
+             "body": [{"type": "parconv", "name": "par_a", "out_channels": 16,
+                       "omega": 0.5}]},
+            {"type": "maxpool", "name": "pool", "window": 3, "stride": 2, "padding": 0},
+            {"type": "flatten"},
+            {"type": "linear", "name": "fc", "out_features": 10}])
+        self._check_step(arch, monkeypatch)
+
+    @pytest.mark.parametrize("name,tail_relus,fused,unfused", [
         ("mnist_small", 0, 6, 0),
         ("student", 0, 14, 0),
-        # 8 residual post_relu; the stem and 8 `_a` convs fuse, the 8 `_b`
-        # convs (relu false) and 3 projections do not
+        # 8 residual post_relu, each inside its block's add; the stem and 8
+        # `_a` convs fuse, the 8 `_b` convs (relu false) and 3 projections
+        # do not
         ("res18_mini", 8, 9, 11)])
-    def test_relu_runs_inside_batch_norm(self, name, relu_calls, fused, unfused,
+    def test_relu_runs_inside_batch_norm(self, name, tail_relus, fused, unfused,
                                          monkeypatch, rng):
-        """Every ReLU that follows a batch norm runs inside it, so the
-        reference side above reaches it; a ReLU with no batch norm before
-        it stays a ``relu`` node."""
+        """Every ReLU that follows a batch norm runs inside it, and every
+        residual tail's ReLU inside the tail's add, so the reference side
+        above reaches them; no network here runs a ``relu`` node."""
         from parcnn.arch import build_model
         from parcnn.transform import DistillPolicy, distill_architecture
         from parcnn.zoo import build_zoo_arch
@@ -1143,7 +1306,7 @@ class TestTrainingStepMatchesReference:
             arch = distill_architecture(arch, DistillPolicy())
         model = build_model(arch, seed=3)
         calls = []
-        engine_relu, engine_batch_norm2d = T.relu, T.batch_norm2d
+        engine_relu, engine_batch_norm2d, engine_add = T.relu, T.batch_norm2d, T.add
 
         def relu(x):
             calls.append("relu")
@@ -1153,11 +1316,17 @@ class TestTrainingStepMatchesReference:
             calls.append(("batch_norm2d", relu))
             return engine_batch_norm2d(*args, relu=relu, **kwargs)
 
+        def add(a, b, relu=False, **kwargs):
+            calls.append(("add", relu))
+            return engine_add(a, b, relu=relu, **kwargs)
+
         monkeypatch.setattr(T, "relu", relu)
         monkeypatch.setattr(T, "batch_norm2d", batch_norm2d)
+        monkeypatch.setattr(T, "add", add)
         x = rng.normal(size=(2, 1, 28, 28)).astype(np.float32)
         model.forward(x, training=True)
-        assert calls.count("relu") == relu_calls
+        assert calls.count("relu") == 0
+        assert calls.count(("add", True)) == tail_relus
         assert calls.count(("batch_norm2d", True)) == fused
         assert calls.count(("batch_norm2d", False)) == unfused
 
