@@ -346,11 +346,10 @@ class ChannelGather(Layer):
 
     def __init__(self, channels: int, shuffle: bool, start: int, stop: int):
         order = shuffle_permutation(channels) if shuffle else np.arange(channels)
-        self.channels, self.index = channels, order[start:stop]
+        # checked, and its scatter runs found, once
+        self.index = T.ChannelIndex(order[start:stop], channels)
 
     def forward(self, x, ctx):
-        if x.shape[1] != self.channels:
-            raise ValueError(f"expected {self.channels} channels, got {x.shape[1]}")
         return T.permute_channels(x, self.index)
 
 

@@ -481,26 +481,72 @@ def narrow_channels(a: Tensor, start: int, length: int) -> Tensor:
     return _make(_nchw(data), (a,), backward, "narrow_channels")
 
 
+class ChannelIndex:
+    """A channel gather index, checked once: ``index`` lists distinct
+    channels of ``channels`` in any order. ``runs`` writes the gather's
+    gradient scatter as plain slice copies when the index is one run of
+    consecutive channels, or its even and odd positions are one run each
+    (one branch of the two-group shuffle split): (out, src) pairs of
+    slices that take output channels ``out`` to input channels ``src``.
+    It is None for any other index, which the scatter writes by fancy
+    indexing."""
+
+    __slots__ = ("index", "channels", "runs")
+
+    def __init__(self, index, channels: int):
+        index = np.asarray(index, dtype=np.int64)
+        if index.ndim != 1 or len(np.unique(index)) != len(index) \
+                or (len(index) and not 0 <= index.min() <= index.max() < channels):
+            raise ValueError(f"channel index must list distinct channels of {channels}")
+        self.index, self.channels, self.runs = index, channels, _unit_runs(index)
+
+
+def _unit_runs(index: np.ndarray) -> tuple[tuple[slice, slice], ...] | None:
+    """``index`` as runs of consecutive channels taken at every step-th
+    output position, for a step of 1 or 2; None when neither fits."""
+    n = len(index)
+    for step in (1, 2):
+        runs = []
+        for start in range(min(step, n)):
+            part = index[start::step]
+            if np.any(np.diff(part) != 1):
+                break
+            runs.append((slice(start, n, step), slice(int(part[0]), int(part[0]) + len(part))))
+        else:
+            if runs:
+                return tuple(runs)
+    return None
+
+
 def permute_channels(a: Tensor, index) -> Tensor:
     """Gather channels: output channel i is input channel ``index[i]``.
 
     ``index`` lists distinct channels of ``a`` in any order: a permutation
     of range(C), or a part of one, such as one branch of a shuffled split.
-    The gather takes along the contiguous channel axis of the channel-last
-    input, and the backward scatters the gradient into a channel-last zero
-    buffer.
+    A ``ChannelIndex`` is used as it is, once its channel count is
+    ``a``'s; any other index is checked on each call. The gather takes along the
+    contiguous channel axis of the channel-last input, and the backward
+    scatters the gradient into a channel-last zero buffer, through the
+    index's slice runs when it has them (the same copies, so the same
+    bytes).
     """
-    index = np.asarray(index, dtype=np.int64)
     c = a.shape[1]
-    if index.ndim != 1 or len(np.unique(index)) != len(index) \
-            or (len(index) and not 0 <= index.min() <= index.max() < c):
-        raise ValueError(f"channel index must list distinct channels of {c}")
-    data = np.take(_nhwc(a.data), index, axis=3)
+    if not isinstance(index, ChannelIndex):
+        index = ChannelIndex(index, c)
+    elif index.channels != c:
+        raise ValueError(f"expected {index.channels} channels, got {c}")
+    idx, runs = index.index, index.runs
+    data = np.take(_nhwc(a.data), idx, axis=3)
 
     def backward(g):
         if a.requires_grad:
+            g = _nhwc(g)
             full = np.zeros(data.shape[:3] + (c,), dtype=g.dtype)
-            full[..., index] = _nhwc(g)
+            if runs is None:
+                full[..., idx] = g
+            else:
+                for out, src in runs:
+                    full[..., src] = g[..., out]
             a._accumulate(_nchw(full))
 
     return _make(_nchw(data), (a,), backward, "permute_channels")

@@ -145,6 +145,42 @@ class TestShuffleSplitGather:
         with pytest.raises(ValueError, match="distinct channels"):
             T.permute_channels(_channel_tagged(4), index)
 
+    def test_gather_rejects_an_index_for_another_channel_count(self):
+        with pytest.raises(ValueError, match="expected 6 channels, got 4"):
+            T.permute_channels(_channel_tagged(4), T.ChannelIndex([0, 1], 6))
+
+
+class TestGatherScatterRuns:
+    """A ParConv branch's gather scatters its gradient through slice runs:
+    the bytes of the fancy-index scatter, for odd and even splits."""
+
+    @pytest.mark.parametrize("shuffle", [True, False])
+    @pytest.mark.parametrize("channels,split", [(12, 6), (10, 5), (12, 3), (6, 1)])
+    def test_runs_give_the_fancy_scatter_bytes(self, shuffle, channels, split, rng):
+        from test_tensor import _rounded
+        x = _layout(_rounded(rng, (3, channels, 4, 5), np.float32), True)
+        for start, stop in ((0, split), (split, channels)):
+            index = B.ChannelGather(channels, shuffle, start, stop).index
+            want_runs = 2 if shuffle and stop - start > 1 else 1
+            assert index.runs is not None and len(index.runs) == want_runs
+            fancy = T.ChannelIndex(index.index, channels)
+            fancy.runs = None
+            upstream = _rounded(rng, (3, stop - start, 4, 5), np.float32)
+            runs = []
+            for idx in (index, fancy):
+                leaf = Tensor(x.copy(order="K"), requires_grad=True)
+                out = T.permute_channels(leaf, idx)
+                T.tsum(T.mul(out, Tensor(upstream))).backward()
+                runs.append((out.data, leaf.grad))
+            (out, grad), (out_ref, grad_ref) = runs
+            assert out.tobytes() == out_ref.tobytes()
+            assert grad.strides == grad_ref.strides
+            assert grad.tobytes() == grad_ref.tobytes()
+
+    @pytest.mark.parametrize("index", [[4, 0, 2], [0, 2, 4], [3, 1, 0, 2]])
+    def test_other_indices_have_no_runs(self, index):
+        assert T.ChannelIndex(index, 5).runs is None
+
 
 def _is_tap_major(weight: np.ndarray) -> bool:
     """Stored as (C_out, K, K, C_in) in memory."""
