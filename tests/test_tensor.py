@@ -1165,6 +1165,19 @@ class TestBatchNormReusesItsInput:
         assert x_kept.data.strides == x.strides
 
 
+class TestChannelSumsOnes:
+    def test_one_read_only_ones_matrix_per_rows_and_dtype(self, rng):
+        rows = rng.normal(size=(50, 3))
+        ones = T._ones(50, rows.dtype)
+        assert T._ones(50, np.dtype(np.float64)) is ones
+        assert T._ones(50, np.dtype(np.float32)) is not ones
+        assert T._ones(51, np.dtype(np.float64)) is not ones
+        assert not ones.flags.writeable
+        assert ones.shape == (2, 50) and np.all(ones == 1)
+        sums = T._channel_sums(rows)
+        assert sums.tobytes() == (np.ones((2, 50)) @ rows)[0].tobytes()
+
+
 class TestTiledBiasAdd:
     """conv2d and depthwise_conv2d add their bias as one tiled row over a
     channel-last output: the same bytes as broadcasting it along axis 1."""
