@@ -593,4 +593,6 @@ def _build_one(te: TraceEntry) -> Layer:
     children = B.build(layers_of(te))
     if te.kind in ("parconv", "sparconv"):
         return B.ParConvBlock(children)
+    if te.kind == "conv" and te.fields["bn"] and te.in_state[1] == 1:
+        return B.ConvBatchNorm(children)
     return B.Sequential(children) if len(children) > 1 else children[0][1]

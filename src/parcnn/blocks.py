@@ -13,6 +13,12 @@ is followed by a fused BN+ReLU layer, one ``BatchNorm2d(relu=True)`` run as
 one op; a ParConv block's branch sum is followed by one (``post_bn``). All
 compact blocks preserve spatial size (stride 1, padding (K-1)/2).
 
+An architecture's ``conv`` entry with a batch norm over a one-channel
+input, its stem, is built as one ``ConvBatchNorm`` layer, which runs the
+conv, the batch norm and its ReLU as one op (``tensor.conv2d(..., bn=)``)
+and holds the ``conv`` and ``bn`` layers the entry lists, so its state is
+theirs.
+
 Who sets the weights: a layer is made with zero weights and biases;
 ``arch.build_model`` draws every weight of a new model with ``init_weights``,
 and ``arch.load_model`` draws none and writes the checkpoint's values.
@@ -21,7 +27,8 @@ Who may reuse a buffer: a ``BatchNorm2d(reuse_input=True)`` normalises in
 place of its input (``tensor.batch_norm2d``), so it is built that way only
 where its input is the private output of the conv or depthwise conv just
 before it: every ``bn`` in a compact block's or projection's layer list,
-and the batch norm of an architecture's ``conv`` entry. A standalone
+and the batch norm of an architecture's ``conv`` entry, unless it is a
+stem's, which runs inside its conv's op. A standalone
 ``batchnorm`` entry never sets it, since its input may be a tapped
 activation or a skip path that is read again. A ``ResidualBlock`` runs its
 sum and ReLU as one op (``tensor.add(..., relu=True)``) and writes the sum
@@ -151,6 +158,26 @@ class BatchNorm2d(Layer):
 
     def buffers(self):
         return [("running_mean", self.running_mean), ("running_var", self.running_var)]
+
+
+class ConvBatchNorm(Layer):
+    """A conv over a one-channel input, the batch norm after it and that
+    batch norm's ReLU, run as one op (``tensor.conv2d(..., bn=)``): an
+    architecture's stem. Its children are the ``conv`` and ``bn`` layers
+    the entry lists, so its state names are theirs."""
+
+    def __init__(self, children: list[tuple[str, Layer]]):
+        self.children = children
+        (_, self.conv), (_, self.bn) = children
+
+    def sublayers(self):
+        return self.children
+
+    def forward(self, x, ctx):
+        conv, bn = self.conv, self.bn
+        return T.conv2d(x, conv.weight, conv.bias, conv.stride, conv.padding,
+                        bn=T.BatchNorm(bn.scale, bn.shift, bn.running_mean,
+                                       bn.running_var, ctx.training, bn.relu))
 
 
 class ReLU(Layer):

@@ -51,6 +51,19 @@ graph node, with the bytes of the two ops; the networks' BN+ReLU pairs run
 that way. So is ``add(..., relu=True)``, add followed by ``relu``: a
 residual block's tail.
 
+``conv2d(..., bn=BatchNorm(...))`` is a conv over a one-channel input, the
+batch norm after it and, with ``relu``, a ReLU, as one graph node: every
+architecture's stem runs that way. The conv's output is a linear map of
+its K*K im2col rows, so the batch mean and variance come from those rows'
+means and K*K covariance, and the normalization folds into the conv's
+GEMM; in training the weight, scale and shift gradients come from one
+GEMM of the rows with the output gradient, and the conv bias's gradient
+is exactly 0, since the batch norm cancels it. Its bytes are held to the
+separate ops within float tolerance, not byte for byte, and with a ReLU
+its backward reads its output. Any other input channel count raises
+ValueError: the covariance costs (K*K*C_in)**2 multiply-adds per output
+position, more than the conv itself for C_in > 1.
+
 Forward ops verify their outputs are finite and raise NumericalError
 otherwise; disable with ``finite_checks(False)`` in hot loops at your own
 risk.
@@ -112,6 +125,7 @@ import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -526,11 +540,11 @@ def permute_channels(a: Tensor, index) -> Tensor:
     ``index`` lists distinct channels of ``a`` in any order: a permutation
     of range(C), or a part of one, such as one branch of a shuffled split.
     A ``ChannelIndex`` is used as it is, once its channel count is
-    ``a``'s; any other index is checked on each call. The gather takes along the
-    contiguous channel axis of the channel-last input, and the backward
-    scatters the gradient into a channel-last zero buffer, through the
-    index's slice runs when it has them (the same copies, so the same
-    bytes).
+    ``a``'s; any other index is checked on each call. The gather takes
+    along the contiguous channel axis of the channel-last input, and the
+    backward scatters the gradient into a channel-last zero buffer,
+    through the index's slice runs when it has them (the same copies, so
+    the same bytes).
     """
     c = a.shape[1]
     if not isinstance(index, ChannelIndex):
@@ -654,21 +668,32 @@ def _im2col(x: np.ndarray, k: int, stride: int, padding: int,
     the matrix is a view of ``x``. With one channel it is the transpose of
     a C-order (K*K, N*Ho*Wo) array, one row per tap."""
     n, h, w, c = x.shape
+    if c == 1 and not (k == 1 and stride == 1):
+        # a window is only K*K values: hand the GEMMs the transpose of the
+        # tap rows, which they read as such
+        return _tap_rows(x, k, stride, padding, ho, wo).T
     xp = _padded(x, padding, 0.0)
     if k == 1 and stride == 1:
         return xp.reshape(n * ho * wo, c)
-    if c == 1:
-        # a window is only K*K values: fill one contiguous row per tap, a
-        # copy that runs along Wo, and hand the GEMMs its transpose, which
-        # they read as such
-        cols_t = np.empty((k, k, n, ho, wo), dtype=x.dtype)
-        for i in range(k):
-            for j in range(k):
-                cols_t[i, j] = _tap(xp, i, j, stride, ho, wo)[..., 0]
-        return cols_t.reshape(k * k, -1).T
     cols = np.empty((n, ho, wo, k, k, c), dtype=x.dtype)
     cols[...] = _windows(xp, k, stride)
     return cols.reshape(n * ho * wo, -1)
+
+
+def _tap_rows(x: np.ndarray, k: int, stride: int, padding: int, ho: int, wo: int,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """The (K*K, N*Ho*Wo) zero-padded window values of a one-channel
+    (N,H,W,1) input, one contiguous row per tap (i, j) in row-major order,
+    each filled by one copy that runs along Wo; written into ``out`` when
+    given."""
+    xp = _padded(x, padding, 0.0)
+    if out is None:
+        out = np.empty((k * k, x.shape[0] * ho * wo), dtype=x.dtype)
+    taps = out.reshape(k, k, x.shape[0], ho, wo)
+    for i in range(k):
+        for j in range(k):
+            taps[i, j] = _tap(xp, i, j, stride, ho, wo)[..., 0]
+    return out
 
 
 def _tile_row(v: np.ndarray, w: int) -> np.ndarray:
@@ -757,8 +782,21 @@ def _window_row_gradients(g2: np.ndarray, x: np.ndarray, weight: np.ndarray,
     return gw, gx
 
 
+class BatchNorm(NamedTuple):
+    """The batch norm that ``conv2d(..., bn=)`` runs after a one-channel
+    conv, as ``batch_norm2d`` would with these arguments, and whether a
+    ReLU follows it."""
+
+    scale: Tensor
+    shift: Tensor
+    running_mean: Tensor
+    running_var: Tensor
+    training: bool
+    relu: bool = False
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
+           stride: int = 1, padding: int = 0, bn: BatchNorm | None = None) -> Tensor:
     """Cross-correlation of (N,C_in,H,W) with (C_out,C_in,K,K) filters.
 
     The GEMM reads the weight tap-major, as (C_out, K*K*C_in) in (i, j, c)
@@ -773,6 +811,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     a worker thread beside its input half, one window row at a time (see
     the module docstring). The backward does not read the output, so an op that alone
     consumes it may overwrite it (``batch_norm2d(..., reuse_input=True)``).
+
+    With ``bn`` the op is the conv, that batch norm and, with ``bn.relu``,
+    a ReLU, as one graph node for an input with one channel (any other
+    count raises ValueError); see ``_conv_batch_norm``.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ValueError("conv2d expects 4-D input and weight")
@@ -784,6 +826,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ValueError(f"channel mismatch: input has {c_in}, weight expects {wc_in}")
     ho = conv_output_size(h, k, stride, padding)
     wo = conv_output_size(w, k, stride, padding)
+    if bn is not None:
+        return _conv_batch_norm(x, weight, bias, stride, padding, ho, wo, bn)
 
     # im2col + GEMM: (N*Ho*Wo, K*K*C_in) @ (K*K*C_in, C_out); the columns
     # are freed with the GEMM
@@ -818,6 +862,113 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(data, parents, backward, "conv2d")
+
+
+def _conv_batch_norm(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int,
+                     padding: int, ho: int, wo: int, bn: BatchNorm) -> Tensor:
+    """A one-channel conv, the batch norm after it and its ReLU as one node.
+
+    Each conv output y = W x + b is a linear map of the K*K values of its
+    window x. So one (K*K+1, M) array of those values, M = N*Ho*Wo, with a
+    last row of ones, carries the whole layer. Per output channel, with a
+    = scale / sqrt(var + ``BN_EPS``), out = a W (x - c) + d is one GEMM
+    of its transpose with [a W | d], and the backward's weight, scale and
+    shift gradients come from one GEMM of it with the output gradient.
+    Over the (N, Ho, Wo, C_out) output run only the GEMMs, the finite
+    check, and the ReLU and its mask.
+
+    In training the rows are centred on their means mu (c = mu, taken in
+    float64, d = shift), so with Sigma = the rows' covariance the batch
+    mean and variance of channel o are W_o mu + b_o and W_o Sigma W_o^T
+    (at least 0), worked out in float64 and fed to the running statistics
+    as ``batch_norm2d`` does. The batch norm cancels the bias: its
+    gradient is 0. In eval the rows are not centred (c = 0), var is the
+    running variance, and d = a (b - running mean) + shift.
+
+    The bytes are held to the unfused ops within float tolerance, not byte
+    for byte: the sums run in another order.
+    """
+    n, c_in, h, w = x.shape
+    if c_in != 1:
+        raise ValueError(f"conv2d with bn= needs an input with one channel, got {c_in}")
+    c_out, _, k, _ = weight.shape
+    scale, shift, training = bn.scale, bn.shift, bn.training
+    if scale.shape != (c_out,) or shift.shape != (c_out,):
+        raise ValueError("batch_norm2d scale/shift must be per-channel vectors")
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    parents += (scale, shift)
+    dtype = np.result_type(*(t.data for t in parents))
+    kk, m = k * k, n * ho * wo
+    rows = np.empty((kk + 1, m), dtype=dtype)
+    taps = _tap_rows(_nhwc(x.data), k, stride, padding, ho, wo, out=rows[:kk])
+    rows[kk] = 1
+    wt = _tap_major(weight.data).astype(np.float64)          # (C_out, K*K)
+    b = np.zeros(c_out) if bias is None else bias.data.astype(np.float64)
+    if training:
+        mu = taps.mean(axis=1, dtype=np.float64)
+        taps -= mu.astype(dtype)[:, None]
+        w_cov = wt @ ((taps @ taps.T).astype(np.float64) / m)
+        var = np.maximum(np.einsum("ot,ot->o", w_cov, wt), 0.0)
+        rm, rv = bn.running_mean.data, bn.running_var.data
+        rm[...] = (1 - BN_MOMENTUM) * rm + BN_MOMENTUM * (wt @ mu + b)
+        rv[...] = (1 - BN_MOMENTUM) * rv + BN_MOMENTUM * var
+        offset = np.zeros(c_out)
+    else:
+        var = bn.running_var.data.astype(np.float64)
+        offset = b - bn.running_mean.data
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    a = scale.data * inv_std
+    coef = np.empty((c_out, kk + 1), dtype=dtype)
+    coef[:, :kk] = a[:, None] * wt
+    coef[:, kk] = a * offset + shift.data
+    out = rows.T @ coef.T                                     # (M, C_out)
+    _check_finite(out, "conv2d")
+    if bn.relu:
+        # as ``relu``: fmax, then +0.0 to turn a kept -0.0 into +0.0
+        np.fmax(out, 0, out=out)
+        out += 0.0
+
+    def backward(g):
+        gm = _nhwc(g).reshape(m, c_out)
+        if bn.relu:
+            # ``relu``'s mask, then the +0.0 of its gradient's first write
+            gm = gm * (out > 0)
+            gm += 0.0
+        sums = (rows @ gm).astype(np.float64)                 # (K*K+1, C_out)
+        sum_g = sums[kk]
+        # sum of g * xhat, xhat = inv_std (W (x - c) + offset)
+        sum_g_xhat = inv_std * (np.einsum("ot,to->o", wt, sums[:kk]) + offset * sum_g)
+        if shift.requires_grad:
+            shift._accumulate(sum_g.astype(shift.dtype))
+        if scale.requires_grad:
+            scale._accumulate(sum_g_xhat.astype(scale.dtype))
+        if weight.requires_grad:
+            gw = sums[:kk].T
+            if training:
+                # through the batch variance W Sigma W^T
+                gw = gw - (sum_g_xhat * inv_std)[:, None] * w_cov
+            weight._accumulate((a[:, None] * gw).astype(weight.dtype).reshape(c_out, 1, k, k))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate((a * sum_g if not training else np.zeros(c_out))
+                             .astype(bias.dtype))
+        if x.requires_grad:
+            # the gradient at the conv's output y, then conv2d's input half
+            gy = gm * a.astype(dtype)
+            if training:
+                # (sum(g) + xhat sum(g xhat)) / M, through the batch statistics
+                d = np.empty_like(coef)
+                d[:, :kk] = (a * inv_std * sum_g_xhat / m)[:, None] * wt
+                d[:, kk] = a * sum_g / m
+                gy -= rows.T @ d.T
+            if k == 1 and stride == 1 and padding == 0:
+                x._accumulate(_nchw((gy @ _tap_major(weight.data)).reshape(n, h, w, 1)))
+            else:
+                _, gx = _window_row_gradients(gy, _nhwc(x.data), weight.data, False,
+                                              stride, padding, ho, wo)
+                x._keep_or_accumulate(_nchw(gx))
+
+    return _make(_nchw(out.reshape(n, ho, wo, c_out)), parents, backward, "conv2d",
+                 checked=True)
 
 
 def depthwise_conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,

@@ -432,6 +432,11 @@ class TestTeacherComputedOnce:
         assert all(p.requires_grad for _, p in teacher.params())
         before = [p.data.copy() for _, p in teacher.params()]
         train_classifier(teacher, data, epochs=1, batch_size=20)
-        moved = [not np.array_equal(b, p.data)
-                 for b, (_, p) in zip(before, teacher.params())]
-        assert all(moved)
+        moved = {name: not np.array_equal(b, p.data)
+                 for b, (name, p) in zip(before, teacher.params())}
+        # the stem's batch norm cancels its conv's bias: the bias's gradient
+        # is exactly 0, so from its initial 0 it stays 0 under weight decay
+        assert moved.pop("conv1.conv.bias") is False
+        bias = dict(teacher.params())["conv1.conv.bias"]
+        assert bias.grad is not None and not bias.grad.any()
+        assert all(moved.values())

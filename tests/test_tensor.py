@@ -1119,6 +1119,170 @@ class TestFusedAddRelu:
         assert gradcheck(fn, [a, b], step=1e-5) < 1e-3
 
 
+def _stem_leaves(rng, dtype, c_out=3, k=3, shape=(2, 1, 6, 7)):
+    """The float leaves of a fused stem, the input first, and fixed running
+    statistics away from their initial values."""
+    x, w, b, scale, shift = (rng.normal(size=s).astype(dtype) for s in
+                             (shape, (c_out, 1, k, k), (c_out,), (c_out,), (c_out,)))
+    scale = 1.0 + 0.2 * scale
+    rm = rng.normal(size=c_out).astype(dtype)
+    rv = (0.5 + rng.random(c_out)).astype(dtype)
+    return [x, w, b, scale, shift], rm, rv
+
+
+def _fused_stem(stride, padding, rm, rv, training, relu):
+    """``conv2d(..., bn=)`` over the leaves x, weight, bias, scale, shift,
+    with copies of the running statistics ``rm`` and ``rv``."""
+    def op(x, w, b, scale, shift):
+        bn = T.BatchNorm(scale, shift, Tensor(rm.copy()), Tensor(rv.copy()), training, relu)
+        return T.conv2d(x, w, b, stride, padding, bn=bn)
+    return op
+
+
+def _ref_stem(stride, padding, rm, rv, training, relu):
+    """``ref_conv2d``, ``ref_batch_norm2d`` and ``ref_relu`` in a row."""
+    def op(x, w, b, scale, shift):
+        y = ref_batch_norm2d(ref_conv2d(x, w, b, stride, padding), scale, shift,
+                             Tensor(rm.astype(x.dtype)), Tensor(rv.astype(x.dtype)),
+                             training)
+        return ref_relu(y) if relu else y
+    return op
+
+
+_STEM_GEOMETRIES = pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+
+
+class TestFusedStemConvBatchNorm:
+    """``conv2d(..., bn=)``: a one-channel conv, its batch norm and ReLU as
+    one node, whose batch statistics come from its K*K im2col rows. It is
+    held to the plain formulas within tolerance, not byte for byte."""
+
+    @_STEM_GEOMETRIES
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("x_grad", [False, True])
+    def test_gradcheck(self, stride, padding, relu, training, x_grad, rng):
+        values, rm, rv = _stem_leaves(rng, np.float64)
+        leaves = [f64(v, requires_grad=x_grad or i > 0) for i, v in enumerate(values)]
+        op = _fused_stem(stride, padding, rm, rv, training, relu)
+        upstream = Tensor(rng.normal(size=op(*leaves).shape))
+
+        def fn():
+            return T.tsum(T.mul(T.square(op(*leaves)), upstream))
+
+        if relu:
+            # every batch-norm output stays off the kink by more than the
+            # FD step moves it
+            pre = _fused_stem(stride, padding, rm, rv, training, False)(
+                *[f64(v, requires_grad=False) for v in values])
+            assert np.abs(pre.data).min() > 1e-3
+        checked = leaves if x_grad else leaves[1:]
+        assert gradcheck(fn, checked, step=1e-6) < 1e-6
+
+    @_STEM_GEOMETRIES
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_float32_against_float64_reference(self, stride, padding, relu, training,
+                                               rng):
+        """The output and every gradient within float32 tolerance of
+        ``ref_conv2d``, ``ref_batch_norm2d`` and ``ref_relu`` run in
+        float64: the eval forward is the one ``evaluate`` and the teacher's
+        targets take."""
+        values, rm, rv = _stem_leaves(rng, np.float32, c_out=8, shape=(6, 1, 12, 11))
+        y = _check_against_float64_reference(
+            _fused_stem(stride, padding, rm, rv, training, relu),
+            _ref_stem(stride, padding, rm, rv, training, relu), values, rng)
+        assert_channel_last(y)
+
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1)])
+    def test_running_statistics_follow_the_batch(self, stride, padding, rng):
+        values, rm, rv = _stem_leaves(rng, np.float32, c_out=8, shape=(6, 1, 12, 11))
+        stats = []
+        for op in (_fused_stem, _ref_stem):
+            running = [Tensor(rm.astype(np.float64)), Tensor(rv.astype(np.float64))]
+            if op is _fused_stem:
+                leaves = [Tensor(v) for v in values]
+                bn = T.BatchNorm(leaves[3], leaves[4], *running, True)
+                T.conv2d(*leaves[:3], stride, padding, bn=bn)
+            else:
+                leaves = [Tensor(v.astype(np.float64)) for v in values]
+                ref_batch_norm2d(ref_conv2d(*leaves[:3], stride, padding),
+                                 *leaves[3:], *running, True)
+            stats.append([t.data for t in running])
+        for a, a_ref in zip(*stats):
+            np.testing.assert_allclose(a, a_ref, rtol=1e-5, atol=1e-6)
+
+    def test_bias_gradient_is_exactly_zero_in_training(self, rng):
+        values, rm, rv = _stem_leaves(rng, np.float32, c_out=8, shape=(6, 1, 12, 11))
+        leaves = [Tensor(v, requires_grad=True) for v in values]
+        y = _fused_stem(1, 1, rm, rv, True, True)(*leaves)
+        T.tsum(T.square(y)).backward()
+        assert leaves[2].grad is not None and not leaves[2].grad.any()
+        assert all(t.grad.any() for t in leaves[:2] + leaves[3:])
+
+    def test_zero_output_gets_zero_gradient(self, rng):
+        """Channels whose output is exactly 0 pass no gradient through the
+        ReLU; the others pass every one."""
+        values, rm, rv = _stem_leaves(rng, np.float32, c_out=4)
+        values[1][...] = 0.0          # zero weights: the output is the shift
+        values[4][...] = [0.0, 1.0, 0.0, 2.0]
+        leaves = [Tensor(v, requires_grad=True) for v in values]
+        y = _fused_stem(1, 0, rm, rv, True, True)(*leaves)
+        assert (y.data[:, [0, 2]] == 0).all() and not np.signbit(y.data).any()
+        T.tsum(y).backward()
+        count = y.data[:, 0].size
+        np.testing.assert_array_equal(leaves[4].grad, [0.0, count, 0.0, count])
+        assert not leaves[1].grad[[0, 2]].any() and not leaves[0].grad.any()
+
+    def test_multichannel_input_raises(self, rng):
+        x = Tensor(rng.normal(size=(2, 2, 6, 6)).astype(np.float32))
+        w = Tensor(rng.normal(size=(3, 2, 3, 3)).astype(np.float32))
+        bn = T.BatchNorm(Tensor(np.ones(3, np.float32)), Tensor(np.zeros(3, np.float32)),
+                         Tensor(np.zeros(3, np.float32)), Tensor(np.ones(3, np.float32)),
+                         True, True)
+        with pytest.raises(ValueError, match="one channel, got 2"):
+            T.conv2d(x, w, None, bn=bn)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_non_finite_input_raises(self, bad, training, rng):
+        values, rm, rv = _stem_leaves(rng, np.float32)
+        values[0][1, 0, 2, 3] = bad
+        leaves = [Tensor(v) for v in values]
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericalError, match="non-finite values produced by conv2d"):
+            _fused_stem(1, 0, rm, rv, training, True)(*leaves)
+
+    @pytest.mark.parametrize("name", ["dcnn_table2", "mnist_small", "res18_mini",
+                                      "parres18_mini"])
+    def test_zoo_stems_fuse_and_keep_their_state(self, name, tmp_path, monkeypatch):
+        """Each zoo architecture builds its stem as one ``ConvBatchNorm``
+        layer with the state names, shapes and checkpoint manifest of the
+        separate conv and batch norm it replaces."""
+        from parcnn import blocks as B
+        from parcnn.arch import build_model, load_model
+        from parcnn.zoo import build_zoo_arch
+        arch = build_zoo_arch(name)
+        model = build_model(arch, seed=3)
+        stems = [layer for _, layer in model.root.children
+                 if isinstance(layer, B.ConvBatchNorm)]
+        assert len(stems) == 1 and stems[0] is model.root.children[0][1]
+        with monkeypatch.context() as patch:
+            patch.setattr(B, "ConvBatchNorm", B.Sequential)
+            unfused = build_model(arch, seed=3)
+        assert not isinstance(unfused.root.children[0][1], B.ConvBatchNorm)
+        state, state_unfused = model.state(), unfused.state()
+        assert list(state) == list(state_unfused)
+        for key in state:
+            _assert_same_bytes(state[key].data, state_unfused[key].data, key)
+        model.save(tmp_path / "fused")
+        unfused.save(tmp_path / "unfused")
+        assert (tmp_path / "fused.ckpt").read_bytes() == \
+            (tmp_path / "unfused.ckpt").read_bytes()
+        loaded = load_model(tmp_path / "fused")
+        assert isinstance(loaded.root.children[0][1], B.ConvBatchNorm)
+
+
 class TestBatchNormReusesItsInput:
     """``batch_norm2d(..., reuse_input=True)`` writes its centred values and
     xhat into the input's buffer: the same float ops, so the same bytes."""
@@ -1218,11 +1382,12 @@ class TestTrainingStepMatchesReference:
     the single-op oracles do not reach. Convolution, depthwise convolution
     and batch norm run the engine's body on both sides, since their
     tap-major GEMMs, tap multiply-adds and GEMM reductions have no
-    byte-equal reference. The models run each ReLU inside a batch norm or a
-    residual tail's add (``relu=True``), so on the reference side such a
-    call runs the engine's op without it, followed by ``ref_relu``, and
-    writes into no input. ``ref_accumulate`` stands in for the first
-    gradient an op hands over, kept or copied."""
+    byte-equal reference. The models run each ReLU inside a batch norm, a
+    stem's fused conv (``conv2d(..., bn=)``) or a residual tail's add
+    (``relu=True``), so on the reference side such a call runs the engine's
+    op without it, followed by ``ref_relu``, and writes into no input.
+    ``ref_accumulate`` stands in for the first gradient an op hands over,
+    kept or copied."""
 
     @staticmethod
     def _step(arch):
@@ -1238,11 +1403,16 @@ class TestTrainingStepMatchesReference:
     @classmethod
     def _check_step(cls, arch, monkeypatch):
         loss, state = cls._step(arch)
-        engine_batch_norm2d, engine_add = T.batch_norm2d, T.add
+        engine_batch_norm2d, engine_add, engine_conv2d = T.batch_norm2d, T.add, T.conv2d
 
         def batch_norm2d_then_ref_relu(*args, relu=False, **kwargs):
             y = engine_batch_norm2d(*args, **kwargs)
             return ref_relu(y) if relu else y
+
+        def conv2d_then_ref_relu(*args, bn=None, **kwargs):
+            if bn is None or not bn.relu:
+                return engine_conv2d(*args, bn=bn, **kwargs)
+            return ref_relu(engine_conv2d(*args, bn=bn._replace(relu=False), **kwargs))
 
         def add_then_ref_relu(a, b, relu=False, reuse_input=False):
             y = engine_add(a, b)
@@ -1252,6 +1422,7 @@ class TestTrainingStepMatchesReference:
             for name, ref in [("max_pool2d", ref_max_pool2d),
                               ("relu", ref_relu),
                               ("batch_norm2d", batch_norm2d_then_ref_relu),
+                              ("conv2d", conv2d_then_ref_relu),
                               ("add", add_then_ref_relu)]:
                 patch.setattr(T, name, ref)
             for name in ("_accumulate", "_keep_or_accumulate"):
@@ -1299,18 +1470,19 @@ class TestTrainingStepMatchesReference:
             {"type": "linear", "name": "fc", "out_features": 10}])
         self._check_step(arch, monkeypatch)
 
-    @pytest.mark.parametrize("name,tail_relus,fused,unfused", [
-        ("mnist_small", 0, 6, 0),
-        ("student", 0, 14, 0),
-        # 8 residual post_relu, each inside its block's add; the stem and 8
-        # `_a` convs fuse, the 8 `_b` convs (relu false) and 3 projections
-        # do not
-        ("res18_mini", 8, 9, 11)])
-    def test_relu_runs_inside_batch_norm(self, name, tail_relus, fused, unfused,
-                                         monkeypatch, rng):
-        """Every ReLU that follows a batch norm runs inside it, and every
-        residual tail's ReLU inside the tail's add, so the reference side
-        above reaches them; no network here runs a ``relu`` node."""
+    @pytest.mark.parametrize("name,tail_relus,stem_relus,fused,unfused", [
+        # the stem's ReLU runs inside its fused conv2d call
+        ("mnist_small", 0, 1, 5, 0),
+        ("student", 0, 1, 13, 0),
+        # 8 residual post_relu, each inside its block's add; the 8 `_a`
+        # convs fuse, the 8 `_b` convs (relu false) and 3 projections do not
+        ("res18_mini", 8, 1, 8, 11)])
+    def test_relu_runs_inside_batch_norm(self, name, tail_relus, stem_relus, fused,
+                                         unfused, monkeypatch, rng):
+        """Every ReLU that follows a batch norm runs inside it, the stem's
+        inside its conv and batch norm's one op, and every residual tail's
+        ReLU inside the tail's add, so the reference side above reaches
+        them; no network here runs a ``relu`` node."""
         from parcnn.arch import build_model
         from parcnn.transform import DistillPolicy, distill_architecture
         from parcnn.zoo import build_zoo_arch
@@ -1320,6 +1492,7 @@ class TestTrainingStepMatchesReference:
         model = build_model(arch, seed=3)
         calls = []
         engine_relu, engine_batch_norm2d, engine_add = T.relu, T.batch_norm2d, T.add
+        engine_conv2d = T.conv2d
 
         def relu(x):
             calls.append("relu")
@@ -1333,13 +1506,21 @@ class TestTrainingStepMatchesReference:
             calls.append(("add", relu))
             return engine_add(a, b, relu=relu, **kwargs)
 
+        def conv2d(*args, bn=None, **kwargs):
+            if bn is not None:
+                calls.append(("conv2d", bn.relu))
+            return engine_conv2d(*args, bn=bn, **kwargs)
+
         monkeypatch.setattr(T, "relu", relu)
         monkeypatch.setattr(T, "batch_norm2d", batch_norm2d)
         monkeypatch.setattr(T, "add", add)
+        monkeypatch.setattr(T, "conv2d", conv2d)
         x = rng.normal(size=(2, 1, 28, 28)).astype(np.float32)
         model.forward(x, training=True)
         assert calls.count("relu") == 0
         assert calls.count(("add", True)) == tail_relus
+        assert calls.count(("conv2d", True)) == stem_relus
+        assert calls.count(("conv2d", False)) == 0
         assert calls.count(("batch_norm2d", True)) == fused
         assert calls.count(("batch_norm2d", False)) == unfused
 
@@ -1378,10 +1559,11 @@ class TestOneActivationLayout:
 
 
 # One stem conv2d with its batch norm, a depthwise conv with its batch norm,
-# a whole ParConv block (omega 0.5) at conv2_2's shape and a tap-major 3x3
-# Conv2d with a bias at the teacher's conv2_2 shape, at kd-synthetic's batch
-# size, through a training forward and backward; prints a digest of every
-# output, gradient and running statistic.
+# a whole ParConv block (omega 0.5) at conv2_2's shape, a tap-major 3x3
+# Conv2d with a bias at the teacher's conv2_2 shape and a fused stem
+# (conv2d with bn=), at kd-synthetic's batch size, through a training
+# forward and backward, and the fused stem's eval forward; prints a digest
+# of every output, gradient and running statistic.
 _THREAD_PROBE = """
 import hashlib, json
 import numpy as np
@@ -1420,16 +1602,24 @@ y4 = kxk.forward(x4, ForwardContext(training=True))
 # weighed channel-last, as a conv stores its output, so that the conv's
 # bias gradient is summed by the GEMM against ones
 w4 = rng.normal(size=(64, 12, 12, 32)).astype(np.float32).transpose(0, 3, 1, 2)
+image5, w5, b5 = leaf(64, 1, 28, 28), leaf(16, 1, 3, 3), leaf(16)
+p5 = [leaf(16), leaf(16)]
+s5 = [Tensor(np.zeros(16, np.float32)), Tensor(np.ones(16, np.float32))]
+y5 = T.conv2d(image5, w5, b5, bn=T.BatchNorm(*p5, *s5, True, True))
+with T.no_grad():
+    y6 = T.conv2d(image5, w5, b5, 1, 1, bn=T.BatchNorm(*p5, *s5, False, True))
 loss = T.add(T.add(T.add(weigh(y1), weigh(y2)), weigh(y3)), T.tsum(T.mul(y4, Tensor(w4))))
+loss = T.add(loss, weigh(y5))
 loss.backward()
 arrays = {"conv": conv.data, "bn1": y1.data, "dw": dw.data, "bn2": y2.data,
-          "parconv": y3.data, "kxk": y4.data}
+          "parconv": y3.data, "kxk": y4.data, "stem": y5.data, "stem_eval": y6.data}
 for name, t in [("image", image), ("w", w), ("b", b), ("x2", x2), ("k", k), ("x3", x3),
-                ("x4", x4), ("kxk_w", kxk.weight), ("kxk_b", kxk.bias)]:
+                ("x4", x4), ("kxk_w", kxk.weight), ("kxk_b", kxk.bias),
+                ("image5", image5), ("w5", w5), ("b5", b5)]:
     arrays["grad_" + name] = t.grad
-for i, t in enumerate(p1 + p2):
+for i, t in enumerate(p1 + p2 + p5):
     arrays[f"grad_bn_param{i}"] = t.grad
-for i, t in enumerate(s1 + s2):
+for i, t in enumerate(s1 + s2 + s5):
     arrays[f"running{i}"] = t.data
 for name, t in block.params():
     arrays["grad_parconv." + name] = t.grad
@@ -1480,8 +1670,9 @@ class TestBlasThreadInvariance:
         digests = self._digests_at_one_and_two_threads(_THREAD_PROBE)
         # 17 for the conv and depthwise pairs; the ParConv block's output,
         # its input gradient and 14 parameter gradients; the 3x3 conv's
-        # output and its input, weight and bias gradients
-        assert len(digests[0]) == 37
+        # output and its input, weight and bias gradients; the fused stem's
+        # training and eval outputs, its 5 gradients and 2 running statistics
+        assert len(digests[0]) == 46
         assert digests[0] == digests[1]
 
     @pytest.mark.xfail(
