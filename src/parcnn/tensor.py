@@ -1110,10 +1110,10 @@ def _channel_sums(rows: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _ones(m: int, dtype: np.dtype) -> np.ndarray:
     """A read-only (2, ``m``) array of ones, shared by every caller, in its
-    own anonymous memory map. Made on the malloc heap in the middle of a
-    step, such a long-lived array pins the heap below it (glibc returns
-    only the heap's top to the system): a perfbench train-res18 run's peak
-    RSS then read 386 MB, against 311-320 MB with the ones mapped."""
+    own anonymous memory map: made on the malloc heap in the middle of a
+    step, such a long-lived array would pin the heap below it (glibc
+    returns only the heap's top to the system) and raise the process's
+    peak resident size."""
     ones = np.frombuffer(mmap.mmap(-1, 2 * m * dtype.itemsize), dtype=dtype).reshape(2, m)
     ones[...] = 1
     ones.flags.writeable = False
